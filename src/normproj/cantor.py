@@ -19,10 +19,11 @@ The central objects:
 
 * ``build_norm``: closes gamma and its antipode into a full strictly convex,
   antipodally symmetric sphere by inserting C^1 convex arcs in
-  support-function space, yielding a support_table NormModel.  The outward
-  normal angle along the constructed arc is t + theta(t), so the normal
-  directions of the Cantor subset {gamma(t): t in K} fill positive angular
-  measure even though K itself has zero length -- the property
+  support-function space, yielding a support_table NormModel that carries
+  the curve it was built from.  The outward normal angle along the
+  constructed arc is t + theta(t), so the normal directions of the Cantor
+  subset {gamma(t): t in K} fill positive angular measure even though K
+  itself has zero length -- the property
   ``image_measure_bounds`` certifies with explicit gap sums.
 
 Staircase and integral evaluations run in exact rational arithmetic
@@ -38,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import brentq
 
-from .errors import GlueFailed
+from .errors import CurveInvariantFailed, GlueFailed
 from . import norms
 from .norms import SupportTable
 
@@ -368,9 +369,10 @@ class CounterexampleCurve:
 def curve_samples(K, level):
     """Build the curve grid at the given resolution level.
 
-    Verifies on the grid: f strictly increasing, F strictly convex (divided
-    differences increasing), F(1) <= 1/4, and injectivity of the tangent
-    sweep (t + pi/2 + theta strictly increasing).
+    Verifies on the grid, raising CurveInvariantFailed otherwise: f strictly
+    increasing, F strictly convex (divided differences increasing),
+    F(1) <= 1/4, and injectivity of the tangent sweep (t + pi/2 + theta
+    strictly increasing).
     """
     if level > K.level_cap:
         raise ValueError("level exceeds the set's level cap")
@@ -398,12 +400,15 @@ def curve_samples(K, level):
     F1 = float(_F_exact(K, 1)[0])
     theta1 = math.atan(1.0 / (4.0 * (1.0 - F1)))
 
-    assert np.all(np.diff(f_arr) > 0.0), "f must be strictly increasing"
-    assert F1 <= 0.25 + 1e-15, "F(1) must stay below 1/4"
+    if not np.all(np.diff(f_arr) > 0.0):
+        raise CurveInvariantFailed("f must be strictly increasing")
+    if not F1 <= 0.25 + 1e-15:
+        raise CurveInvariantFailed("F(1) must stay below 1/4")
     slopes = np.diff(F_arr) / np.diff(t_arr)
-    assert np.all(np.diff(slopes) > 0.0), "F must be strictly convex"
-    sweep = t_arr + 0.5 * np.pi + theta_arr
-    assert np.all(np.diff(sweep) > 0.0), "tangent sweep must be injective"
+    if not np.all(np.diff(slopes) > 0.0):
+        raise CurveInvariantFailed("F must be strictly convex")
+    if not np.all(np.diff(t_arr + 0.5 * np.pi + theta_arr) > 0.0):
+        raise CurveInvariantFailed("tangent sweep must be injective")
 
     return CounterexampleCurve(
         K=K,
@@ -433,7 +438,8 @@ def gauss_on_gamma(curve, t):
     theta = _theta_float(curve.K, t)
     g = norms.unit_vector(t + theta)
     gamma_t = (1.0 - _F_float(curve.K, t)) * norms.unit_vector(t)
-    assert float(np.dot(gamma_t, g)) > 0.0
+    if not float(np.dot(gamma_t, g)) > 0.0:
+        raise CurveInvariantFailed(f"normal at t = {t} does not point outward")
     return g
 
 
@@ -566,7 +572,8 @@ def build_norm(curve, table_size=4096):
     closed by convex C^1 interpolants in support-function space, where
     convexity is the single checkable inequality h + h'' > 0.  A quintic
     with flat end curvature is tried first, then a cubic; if both violate
-    the discrete convexity proxy the assembly fails with GlueFailed.
+    the discrete convexity proxy the assembly fails with GlueFailed.  The
+    returned model carries ``curve`` as its ``curve`` field.
     """
     if table_size % 2 != 0:
         raise ValueError("table size must be even")
@@ -632,11 +639,7 @@ def build_norm(curve, table_size=4096):
     slack = table.convexity_slack()
     if slack <= 0.0:
         raise GlueFailed(f"assembled table fails convexity (slack {slack:.3e})")
-    return norms.from_support_table(table)
+    model = norms.from_support_table(table)
+    model.curve = curve
+    return model
 
-
-def default_counterexample(level=12, table_size=4096):
-    """Triadic staircase norm at the given resolution (convenience)."""
-    K = CantorSet(m=2, r=Fraction(1, 3))
-    curve = curve_samples(K, level)
-    return K, curve, build_norm(curve, table_size=table_size)

@@ -67,15 +67,14 @@ def _report(name, worst, tol, samples, seed):
 _DEFAULT_BUILD = {}
 
 
-def _shared_norm(cache):
+def _shared_norm():
+    """The level-10 triadic staircase norm; it carries its K and curve."""
     if "ce" not in _DEFAULT_BUILD:
-        K = cantor.CantorSet()
-        curve = cantor.curve_samples(K, 10)
-        _DEFAULT_BUILD["ce"] = (K, curve, cantor.build_norm(curve))
+        _DEFAULT_BUILD["ce"] = cantor.build_norm(cantor.curve_samples(cantor.CantorSet(), 10))
     return _DEFAULT_BUILD["ce"]
 
 
-def _check_intertwiner(seed, cache):
+def _check_intertwiner(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
     samples = 100
@@ -88,7 +87,7 @@ def _check_intertwiner(seed, cache):
     return _report("intertwiner_transport", worst, 1e-12, samples, seed)
 
 
-def _check_equal_kernel_boxdim(seed, cache):
+def _check_equal_kernel_boxdim(seed):
     cloud = fractals.cantor_product(1.0 / 3.0, 8)
     fam = projections.angle_family(lambda a: np.pi / 3.0)
     v = norms.HyperplaneNormal.from_angle(2.0)
@@ -104,9 +103,9 @@ def _check_equal_kernel_boxdim(seed, cache):
     return _report("equal_kernel_boxdim", abs(est[0] - est[1]), 0.05, len(scales), seed)
 
 
-def _check_linear_families(seed, cache):
+def _check_linear_families(seed):
     rng = np.random.default_rng(seed)
-    _, _, ce = _shared_norm(cache)
+    ce = _shared_norm()
     models = [norms.lp(1.5), norms.lp(3.0), norms.inner_product(np.diag([1.0, 4.0])), ce]
     worst = 0.0
     for model in models:
@@ -124,11 +123,11 @@ def _check_linear_families(seed, cache):
     return _report("linear_projection_families", worst, 1e-8, 50 * len(models), seed)
 
 
-def _check_covering_counts(seed, cache):
+def _check_covering_counts(seed):
     # psi = f * (1/(4(1-F))) satisfies |psi(s)-psi(s')| <= (1/2)|f(s)-f(s')|,
     # so occupied-bin counts of psi-images never exceed f-image counts at
     # delta/(2M) = delta.  Violations count as defects.
-    _, curve, _ = _shared_norm(cache)
+    curve = _shared_norm().curve
     m_const = 0.5
     f_img = curve.f[:, None]
     psi_img = curve.psi[:, None]
@@ -145,10 +144,10 @@ def _check_covering_counts(seed, cache):
     return _report("covering_count_comparison", float(bad), 0.0, len(scales), seed)
 
 
-def _check_monotone_product(seed, cache):
+def _check_monotone_product(seed):
     # h = f*g for a positive increasing factor g: on every level interval
     # inside [1/4, 1] the h-increment must dominate g(1/4) * f-increment
-    K, _, _ = _shared_norm(cache)
+    K = _shared_norm().curve.K
     level = 10
     g_factor = lambda t: 1.0 + t * t
     floor = g_factor(0.25)
@@ -168,8 +167,8 @@ def _check_monotone_product(seed, cache):
     return _report("monotone_product_measure", worst, 0.0, samples, seed)
 
 
-def _check_gauss_homeo(seed, cache):
-    _, _, ce = _shared_norm(cache)
+def _check_gauss_homeo(seed):
+    ce = _shared_norm()
     models = [norms.lp(1.5), norms.lp(3.0), norms.lp(8.0),
               norms.inner_product(np.diag([1.0, 4.0])), ce]
     worst = 0.0
@@ -181,8 +180,8 @@ def _check_gauss_homeo(seed, cache):
     return _report("gauss_homeomorphism", worst, 1e-12, 1024 * len(models), seed)
 
 
-def _check_fixed_points(seed, cache):
-    _, _, ce = _shared_norm(cache)
+def _check_fixed_points(seed):
+    ce = _shared_norm()
     models = [norms.inner_product(np.diag([1.0, 4.0])), norms.lp(4.0), ce]
     worst = 0.0
     for model in models:
@@ -192,7 +191,7 @@ def _check_fixed_points(seed, cache):
     return _report("gauss_fixed_points", worst, 1e-6, 2 * len(models), seed)
 
 
-def _check_table_validity(seed, cache, table_override=None):
+def _check_table_validity(seed, table_override=None):
     # defects are normalized by their individual tolerances, so the report's
     # single threshold is 1.0
     try:
@@ -200,8 +199,7 @@ def _check_table_validity(seed, cache, table_override=None):
             table = table_override
             table.validate()
         else:
-            _, _, ce = _shared_norm(cache)
-            table = ce.support
+            table = _shared_norm().support
         worst = max(
             table.antipodal_defect() / 1e-10,
             table.joint_tangent_mismatch() / 1e-6,
@@ -212,7 +210,7 @@ def _check_table_validity(seed, cache, table_override=None):
     return _report("support_table_validity", worst, 1.0, 1, seed)
 
 
-def _check_conjugation(seed, cache):
+def _check_conjugation(seed):
     rng = np.random.default_rng(seed)
     worst = 0.0
     trials = 0
@@ -230,7 +228,7 @@ def _check_conjugation(seed, cache):
     return _report("inner_product_conjugation", worst, 1e-9, trials, seed)
 
 
-def _check_lp_linear(seed, cache):
+def _check_lp_linear(seed):
     v = np.ones(3) / np.sqrt(3.0)
     d2 = projections.linearity_defect(
         lambda x: projections.project_line_lp(2.0, v, x), samples=100, seed=seed
@@ -238,7 +236,7 @@ def _check_lp_linear(seed, cache):
     return _report("lp_line_linearity_p2", d2, 1e-9, 100, seed)
 
 
-def _check_lp_nonlinear(seed, cache):
+def _check_lp_nonlinear(seed):
     v = np.ones(3) / np.sqrt(3.0)
     d4 = projections.linearity_defect(
         lambda x: projections.project_line_lp(4.0, v, x), samples=100, seed=seed
@@ -248,8 +246,9 @@ def _check_lp_nonlinear(seed, cache):
     return _report("lp_line_nonlinearity_p4", shortfall, 0.0, 100, seed)
 
 
-def _check_pushforward(seed, cache):
-    K, curve, ce = _shared_norm(cache)
+def _check_pushforward(seed):
+    ce = _shared_norm()
+    K = ce.curve.K
     lower, upper = sweep.gauss_pushforward_measure(ce, K, 10)
     defect = abs(lower - P2_LOWER_LEVEL10)  # regression lock on the gap sum
     if not (0.0 < lower <= upper):
@@ -282,16 +281,15 @@ def run_all(seed=0, table_override=None):
     ``table_override`` substitutes the support table examined by the
     validity check, so corrupted tables surface as failing reports.
     """
-    cache = {}
     reports = []
     for index, name in enumerate(CHECK_NAMES):
         func = _CHECK_FUNCS[name]
         check_seed = seed + index
         try:
             if name == "support_table_validity":
-                reports.append(func(check_seed, cache, table_override=table_override))
+                reports.append(func(check_seed, table_override=table_override))
             else:
-                reports.append(func(check_seed, cache))
+                reports.append(func(check_seed))
         except NormProjError:
             reports.append(
                 CheckReport(

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import VERSION_HEADER, __version__, boxdim, cantor, checks, fractals, norms, projections, sweep
-from .errors import NormProjError
+from .errors import NormProjError, TooLarge
 
 _FLOAT_FMT = "{:.12g}"
 
@@ -96,13 +96,19 @@ def _build_norm(args):
             raise ValidationError("support-table norm needs --table")
         return norms.from_support_table(norms.SupportTable.from_csv(args.table))
     if kind == "counterexample":
-        level = args.level
-        if not 1 <= level <= 20:
-            raise ValidationError("counterexample level must lie in [1, 20]")
-        K = cantor.CantorSet(m=args.m, r=Fraction(args.r))
-        curve = cantor.curve_samples(K, level)
-        return cantor.build_norm(curve)
+        return cantor.build_norm(_staircase_curve(args))
     raise ValidationError(f"unknown norm kind {kind!r}")
+
+
+def _staircase_curve(args):
+    """Staircase curve of the ``--m``/``--r`` Cantor set at ``--level``."""
+    if not 1 <= args.level <= 20:
+        raise ValidationError("--level must lie in [1, 20]")
+    try:
+        K = cantor.CantorSet(m=args.m, r=Fraction(args.r))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad Cantor set --m {args.m} --r {args.r}: {exc}") from exc
+    return cantor.curve_samples(K, args.level)
 
 
 def _build_cloud(args):
@@ -192,10 +198,8 @@ def _cmd_project(args):
 
 
 def _cmd_counterexample_build(args):
-    if not 1 <= args.level <= 20:
-        raise ValidationError("--level must lie in [1, 20]")
-    K = cantor.CantorSet(m=args.m, r=Fraction(args.r))
-    curve = cantor.curve_samples(K, args.level)
+    curve = _staircase_curve(args)
+    K = curve.K
     model = cantor.build_norm(curve, table_size=args.table_size)
     out = Path(args.out)
     model.support.to_csv(out, version_line=VERSION_HEADER)
@@ -323,9 +327,7 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="normproj",
                                      description="Projections, Gauss maps and box dimensions in normed planes")
     parser.add_argument("--config", default=None, help="key=value defaults file; flags override")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker cap (computations are vectorized single-process)")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=0, help="sampling seed of verify")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("norm-info", help="norm parameters plus Gauss-map diagnostics")
@@ -380,14 +382,16 @@ def build_parser():
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="run the cross-cutting check suite")
-    p.add_argument("--seed", type=int, default=0)
+    # the root --seed, also accepted after the subcommand; no default here,
+    # so a seed given before the subcommand is not overwritten
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
     p.add_argument("--out", default="verify_report.json")
     p.set_defaults(func=_cmd_verify)
 
     return parser
 
 
-_ROOT_VALUE_FLAGS = {"--config", "--seed", "--threads"}
+_ROOT_VALUE_FLAGS = {"--config", "--seed"}
 
 
 def _apply_config(argv):
@@ -433,7 +437,7 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ValidationError as exc:
+    except (ValidationError, TooLarge) as exc:  # TooLarge: --gen above a set's cap
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (NormProjError, ValueError, OSError) as exc:

@@ -21,6 +21,10 @@ class KernelMismatch(NormProjError):
     """Two linear maps passed to the intertwiner have different kernels."""
 
 
+class CurveInvariantFailed(NormProjError):
+    """The sampled staircase arc breaks monotonicity, convexity or orientation."""
+
+
 class GlueFailed(NormProjError):
     """The closing arcs of an assembled sphere violate convexity."""
 

@@ -5,7 +5,7 @@ function system, never random samples, so box counts are exact and repeat
 runs byte-identical.  Point order is lexicographic in the symbol sequence.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -91,21 +91,7 @@ def four_corner(generation):
     dimension-one, purely unrectifiable planar test set."""
     if generation > 10:
         raise TooLarge("four_corner capped at generation 10")
-    starts = np.array([0.0])
-    length = 1.0
-    for _ in range(generation):
-        starts = np.sort(np.concatenate([starts * 0.25, starts * 0.25 + 0.75]))
-        length *= 0.25
-    mids = starts + 0.5 * length
-    xs, ys = np.meshgrid(mids, mids, indexing="ij")
-    pts = np.column_stack([xs.ravel(), ys.ravel()])
-    return PointCloud(
-        points=pts,
-        generation=generation,
-        resolution=length * np.sqrt(2.0),
-        label="four_corner",
-        base=4,
-    )
+    return replace(cantor_product(0.25, generation), label="four_corner")
 
 
 @dataclass(frozen=True)

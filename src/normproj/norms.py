@@ -16,7 +16,9 @@ parameters (p = 1 or infinity, singular Q, a table failing its convexity
 check) are rejected at construction time, never at use.
 
 Everything here is pure and the model objects are treated as immutable; the
-only mutation is an internal memo cache of derived matrices/splines.
+only mutation is an internal memo cache of derived matrices/splines.  A
+table built by ``cantor.build_norm`` also carries, in ``NormModel.curve``, the
+sampled staircase arc it was assembled from; every other model has ``None``.
 """
 
 from dataclasses import dataclass, field
@@ -237,11 +239,8 @@ class NormModel:
     p: float | None = None
     Q: np.ndarray | None = None
     support: SupportTable | None = None
+    curve: object = field(default=None, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
-
-    @property
-    def ambient_dim(self):
-        return self.dim
 
 
 def euclidean(dim=2):
@@ -466,9 +465,9 @@ def inverse_gauss(norm, w):
     """Support point: the sphere point whose outward normal is ``w``.
 
     Closed forms exist for the euclidean, lp and inner-product models in any
-    dimension.  Tabulated planar models use golden-section maximization of
-    phi -> <x(phi), w> on the half-circle containing w (tolerance 1e-10 in
-    phi), which is derivative-free and robust on tabulated curves.
+    dimension.  A tabulated planar model is indexed by outward-normal angle,
+    so its support point is the table's boundary point at the polar angle
+    of w.
     """
     if isinstance(w, HyperplaneNormal):
         w = w.w
@@ -485,22 +484,7 @@ def inverse_gauss(norm, w):
         y = inv_q @ w
         return sphere_point(norm, y)
     if norm.kind == "support_table":
-        table = _require_table(norm)
-        theta_w = polar_angle(w)
-
-        def score(phi):
-            return float(np.dot(table.boundary_point(phi), w))
-
-        phi_star, _ = golden_section_max(
-            score, theta_w - 0.5 * np.pi, theta_w + 0.5 * np.pi, tol=1e-6
-        )
-        # the score's derivative is (h + h'') <u'(phi), w>, so for a convex
-        # table the maximizer is the stationary angle of <u'(.), w>: snap the
-        # golden bracket onto it (value-only search stalls at sqrt(eps))
-        snap = theta_w if abs(phi_star - theta_w) < abs(phi_star - theta_w - np.pi) else theta_w + np.pi
-        if abs(phi_star - snap) < 1e-3:
-            phi_star = snap
-        x = table.boundary_point(phi_star)
+        x = _require_table(norm).boundary_point(polar_angle(w))
         return SpherePoint(coords=x, polar_angle=polar_angle(x))
     raise ValueError(f"unknown norm kind {norm.kind!r}")
 

@@ -14,7 +14,7 @@ The intertwiner of two linear maps with equal kernels realizes the change of
 target plane explicitly.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import null_space
@@ -152,8 +152,6 @@ class ProjectionFamily:
 
     projector_of: object          # HyperplaneNormal -> LinearProjector
     gmap: object                  # HyperplaneNormal -> HyperplaneNormal
-    provenance: str = "from_gmap"
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def projector(self, V):
         if not isinstance(V, HyperplaneNormal):
@@ -179,7 +177,7 @@ def family_from_norm(norm):
         u = norms.inverse_gauss(norm, V.w).coords
         return HyperplaneNormal(u)
 
-    return ProjectionFamily(projector_of=projector_of, gmap=gmap, provenance="from_norm")
+    return ProjectionFamily(projector_of=projector_of, gmap=gmap)
 
 
 def family_from_gmap(gmap):
@@ -197,7 +195,7 @@ def family_from_gmap(gmap):
         matrix = np.eye(n) - np.outer(wprime, wprime)
         return LinearProjector(target=V, kernel_dir=wprime, matrix=matrix)
 
-    return ProjectionFamily(projector_of=projector_of, gmap=gmap, provenance="from_gmap")
+    return ProjectionFamily(projector_of=projector_of, gmap=gmap)
 
 
 def angle_family(alpha):
@@ -217,14 +215,9 @@ def angle_family(alpha):
         return projector_from_kernel(V, kernel)
 
     def gmap(V):
-        return associated_g_from_projector(projector_of(V))
+        return HyperplaneNormal(projector_of(V).kernel_dir)
 
-    return ProjectionFamily(projector_of=projector_of, gmap=gmap, provenance="angle_family")
-
-
-def associated_g_from_projector(proj):
-    u = proj.kernel_dir
-    return HyperplaneNormal(canonicalize_direction(u))
+    return ProjectionFamily(projector_of=projector_of, gmap=gmap)
 
 
 # ---------------------------------------------------------------------------

@@ -96,15 +96,18 @@ def dim_profile(model, cloud, grid, scales, threshold=None):
 def gauss_pushforward_measure(norm, K, level):
     """Bounds on the angular measure of the Gauss image of the Cantor arc.
 
-    For the staircase-built norm this is the certified gap-sum bracket: its
-    positive lower bound witnesses a set of directions of dimension below
-    one being blown up to positive measure.  For the Euclidean norm the
-    Gauss map is the identity, so the pushforward measure is squeezed by the
-    level-``level`` covering of K and tends to zero.
+    For the staircase-built norm this is the certified gap-sum bracket of
+    the curve the norm was built from, summed to ``level``: its positive
+    lower bound witnesses a set of directions of dimension below one being
+    blown up to positive measure.  A support table that carries no curve,
+    or one built from a set other than ``K``, is refused.  For the Euclidean
+    norm the Gauss map is the identity, so the pushforward measure is
+    squeezed by the level-``level`` covering of K and tends to zero.
     """
     if norm.kind == "euclidean":
         return 0.0, float(K.m * K.r) ** level
-    if norm.kind == "support_table":
-        curve = cantor.curve_samples(K, level)
-        return cantor.image_measure_bounds(curve, level)
-    raise ValueError("pushforward bounds exist for euclidean and built norms only")
+    if norm.kind == "support_table" and norm.curve is not None and norm.curve.K == K:
+        return cantor.image_measure_bounds(norm.curve, level)
+    raise ValueError(
+        "pushforward bounds exist for the euclidean norm and for a norm built from K only"
+    )

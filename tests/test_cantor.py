@@ -6,7 +6,7 @@ import pytest
 
 from normproj import cantor, norms
 from normproj.cantor import CantorSet
-from normproj.errors import GlueFailed
+from normproj.errors import CurveInvariantFailed, GlueFailed
 
 
 def ternary_digit_oracle(t, digits=80):
@@ -198,6 +198,20 @@ def test_gauss_on_gamma_orientation(curve10):
         assert float(np.dot(gamma_t, g)) > 0.0
 
 
+def test_curve_samples_nonconvex_F_raises_typed_error(triadic_set, monkeypatch):
+    # a strictly concave F with F(1) = 1/8: only the convexity invariant breaks
+    monkeypatch.setattr(cantor, "_F_exact", lambda K, u: (u / 4 - u * u / 8, Fraction(0)))
+    with pytest.raises(CurveInvariantFailed, match="convex"):
+        cantor.curve_samples(triadic_set, 4)
+
+
+def test_gauss_on_gamma_inward_normal_raises_typed_error(curve10, monkeypatch):
+    # F > 1 flips gamma through the origin, so the normal points inward
+    monkeypatch.setattr(cantor, "_F_float", lambda K, u: 2.0)
+    with pytest.raises(CurveInvariantFailed):
+        cantor.gauss_on_gamma(curve10, 0.5)
+
+
 def test_gauss_on_gamma_angle_monotone(curve10):
     angles = curve10.normal_angles
     assert np.all(np.diff(angles) > 0.0)
@@ -274,6 +288,12 @@ def test_build_norm_table_invariants(ce_norm):
     assert table.joint_tangent_mismatch() <= 1e-6
     ranges = set(table.provenance.tolist())
     assert ranges == {"gamma", "glue", "gamma_opp", "glue_opp"}
+
+
+def test_build_norm_carries_its_curve(curve10, ce_norm):
+    assert ce_norm.curve is curve10
+    assert norms.euclidean(2).curve is None
+    assert norms.from_support_table(ce_norm.support).curve is None
 
 
 def test_build_norm_gauss_properties(ce_norm):

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from normproj import __version__, cli
+from normproj import __version__, checks, cli
 
 
 def run(argv):
@@ -105,6 +105,16 @@ def test_verify_command(tmp_path, capsys):
     assert printed.count("PASS") == 12
 
 
+def test_seed_before_or_after_verify(tmp_path, monkeypatch):
+    seen = []
+    monkeypatch.setattr(checks, "run_all", lambda seed: seen.append(seed) or [])
+    for argv in (["--seed", "5", "verify"], ["verify", "--seed", "5"]):
+        out = tmp_path / "report.json"
+        assert run([*argv, "--out", str(out)]) == 0
+        assert read_json(out)["seed"] == 5
+    assert seen == [5, 5]
+
+
 def test_config_file_defaults(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("set=four-corner\ngen=2\n")
@@ -132,6 +142,17 @@ def test_validation_errors_exit_2(tmp_path):
     assert run(["set", "--set", "cantor-product", "--ratio", "0.7", "--gen", "2",
                 "--out", str(out)]) == 2
     assert run(["no-such-command"]) == 2
+    # malformed or non-contracting Cantor parameters, for both staircase entry points
+    for r in ("abc", "1/2", "0.6", "1/0"):
+        assert run(["counterexample", "build", "--r", r, "--out", str(out)]) == 2
+        assert run(["sweep", "--norm", "counterexample", "--r", r, "--out", str(out)]) == 2
+    assert run(["counterexample", "build", "--m", "3", "--r", "1/3", "--out", str(out)]) == 2
+    # generations above a set's cap
+    assert run(["set", "--set", "four-corner", "--gen", "11", "--out", str(out)]) == 2
+    assert run(["dim", "--set", "cantor-product", "--gen", "13", "--out", str(out)]) == 2
+    assert run(["sweep", "--set", "four-corner", "--gen", "11", "--out", str(out)]) == 2
+    assert run(["set", "--set", "square", "--gen", "13", "--out", str(out)]) == 2
+    assert run(["--threads", "2", "verify", "--out", str(out)]) == 2
 
 
 def test_computation_errors_exit_1(tmp_path):

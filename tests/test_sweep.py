@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -98,9 +100,7 @@ def test_source_direction_set_dimension(curve10, triadic_set):
 
 def test_gauss_pushforward_measures(triadic_set, curve10, ce_norm):
     lo, hi = sweep.gauss_pushforward_measure(ce_norm, triadic_set, 10)
-    expect = cantor.image_measure_bounds(curve10, 10)
-    assert lo == pytest.approx(expect[0], abs=1e-12)
-    assert hi == pytest.approx(expect[1], abs=1e-12)
+    assert (lo, hi) == cantor.image_measure_bounds(curve10, 10)
     assert lo > 0.0
 
     e_lo, e_hi = sweep.gauss_pushforward_measure(norms.euclidean(2), triadic_set, 10)
@@ -111,5 +111,13 @@ def test_gauss_pushforward_measures(triadic_set, curve10, ce_norm):
             (2.0 / 3.0) ** k
         )
 
-    with pytest.raises(ValueError):
-        sweep.gauss_pushforward_measure(norms.lp(3.0), triadic_set, 8)
+    # refused: a norm with no staircase, a Euclidean circle tabulated as a
+    # support table, and the built norm asked about a set it was not built from
+    phi = 2.0 * np.pi * np.arange(512) / 512
+    circle = norms.from_support_table(
+        norms.SupportTable(phi=phi, h=np.ones(512), dh=np.zeros(512))
+    )
+    other = cantor.CantorSet(m=2, r=Fraction(1, 4))
+    for norm, K in ((norms.lp(3.0), triadic_set), (circle, triadic_set), (ce_norm, other)):
+        with pytest.raises(ValueError):
+            sweep.gauss_pushforward_measure(norm, K, 8)
