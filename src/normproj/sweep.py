@@ -13,6 +13,8 @@ import numpy as np
 from . import boxdim, cantor
 from .norms import HyperplaneNormal
 
+MIN_DIRECTIONS = 36  # coarser grids are too coarse to speak of measure
+
 
 @dataclass(frozen=True)
 class DirectionGrid:
@@ -70,7 +72,7 @@ def dim_profile(model, cloud, grid, scales, threshold=None):
     """
     if cloud.dim != 2:
         raise ValueError("dim_profile expects a planar cloud")
-    if grid.count < 36:
+    if grid.count < MIN_DIRECTIONS:
         raise ValueError("direction grid too coarse to speak of measure")
     if threshold is None:
         full = boxdim.estimate_dim(cloud)

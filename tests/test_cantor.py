@@ -178,6 +178,21 @@ def test_beta_dominates_w(curve10, rng):
         assert db >= dw - 1e-12
 
 
+@pytest.mark.parametrize("m, r", [(2, Fraction(1, 3)), (3, Fraction(1, 5)), (2, Fraction(1, 4))])
+def test_curve_samples_match_per_point_descent(m, r):
+    # the one-pass grid against the per-point exact descents, bit for bit
+    K = CantorSet(m=m, r=r)
+    for level in range(1, 8):
+        curve = cantor.curve_samples(K, level)
+        breaks = set(K.level_breakpoints(level))
+        ts = sorted(breaks | {(lo + hi) / 2 for lo, hi in K.gaps_upto(level)})
+        assert curve.t.tobytes() == np.array([float(t) for t in ts]).tobytes()
+        assert curve.f.tobytes() == np.array([float(cantor._f_exact(K, t)[0]) for t in ts]).tobytes()
+        assert curve.F.tobytes() == np.array([float(cantor._F_exact(K, t)[0]) for t in ts]).tobytes()
+        assert curve.is_gap_mid.tolist() == [t not in breaks for t in ts]
+        assert curve.F1 == float(cantor._F_exact(K, 1)[0])
+
+
 def test_curve_level_guard(triadic_set):
     with pytest.raises(ValueError):
         cantor.curve_samples(triadic_set, triadic_set.level_cap + 1)
@@ -200,7 +215,13 @@ def test_gauss_on_gamma_orientation(curve10):
 
 def test_curve_samples_nonconvex_F_raises_typed_error(triadic_set, monkeypatch):
     # a strictly concave F with F(1) = 1/8: only the convexity invariant breaks
-    monkeypatch.setattr(cantor, "_F_exact", lambda K, u: (u / 4 - u * u / 8, Fraction(0)))
+    exact_grid = cantor._exact_grid
+
+    def concave_F(K, level):
+        ts, fs, _, gap = exact_grid(K, level)
+        return ts, fs, [u / 4 - u * u / 8 for u in ts], gap
+
+    monkeypatch.setattr(cantor, "_exact_grid", concave_F)
     with pytest.raises(CurveInvariantFailed, match="convex"):
         cantor.curve_samples(triadic_set, 4)
 

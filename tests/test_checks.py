@@ -1,6 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 
-from normproj import checks
+from normproj import cantor, checks
 from normproj.norms import SupportTable
 
 
@@ -46,3 +48,25 @@ def test_sabotaged_glue_surfaces_as_failing_report(ce_norm):
 def test_reports_carry_seeds():
     reports = checks.run_all(seed=11)
     assert [r.seed for r in reports] == [11 + i for i in range(len(reports))]
+
+
+def test_monotone_product_reads_exact_f_from_the_curve():
+    # the check's inputs are the per-point exact f values at the level-10
+    # interval endpoints, converted once; its report matches the loop over them
+    curve = checks._shared_norm().curve
+    K = curve.K
+    starts, length = K.level_intervals(curve.level)
+    ends = ~curve.is_gap_mid
+    assert curve.t[ends].tolist() == [float(t) for a in starts for t in (a, a + length)]
+    assert curve.f[ends].tolist() == [cantor.f_eval(K, t) for a in starts for t in (a, a + length)]
+    g = lambda t: 1.0 + t * t
+    worst, samples = 0.0, 0
+    for a in starts:
+        if a < Fraction(1, 4):
+            continue
+        fa, fb = cantor.f_eval(K, a), cantor.f_eval(K, a + length)
+        worst = max(worst, g(0.25) * (fb - fa) - (fb * g(float(a + length)) - fa * g(float(a))))
+        samples += 1
+    report = checks._check_monotone_product(0)
+    assert (report.worst_defect, report.samples) == (worst, samples)
+    assert report.passed

@@ -153,6 +153,16 @@ def test_validation_errors_exit_2(tmp_path):
     assert run(["sweep", "--set", "four-corner", "--gen", "11", "--out", str(out)]) == 2
     assert run(["set", "--set", "square", "--gen", "13", "--out", str(out)]) == 2
     assert run(["--threads", "2", "verify", "--out", str(out)]) == 2
+    # negative generations, a direction grid too coarse for measure, odd tables
+    assert run(["set", "--set", "four-corner", "--gen", "-1", "--out", str(out)]) == 2
+    assert run(["dim", "--set", "triadic", "--gen", "-2", "--out", str(out)]) == 2
+    assert run(["sweep", "--directions", "10", "--out", str(out)]) == 2
+    assert run(["counterexample", "build", "--table-size", "4095", "--out", str(out)]) == 2
+    assert run(["counterexample", "build", "--table-size", "0", "--out", str(out)]) == 2
+    # one past the deepest staircase level, for both staircase entry points
+    over = str(cli.MAX_LEVEL + 1)
+    assert run(["counterexample", "build", "--level", over, "--out", str(out)]) == 2
+    assert run(["sweep", "--norm", "counterexample", "--level", over, "--out", str(out)]) == 2
 
 
 def test_computation_errors_exit_1(tmp_path):

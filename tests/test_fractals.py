@@ -26,6 +26,10 @@ def test_cantor_product_guards():
         fractals.cantor_product(1.0 / 3.0, 13)
     with pytest.raises(ValueError):
         fractals.cantor_product(0.6, 3)
+    with pytest.raises(ValueError, match="non-negative"):
+        fractals.cantor_product(1.0 / 3.0, -1)
+    with pytest.raises(ValueError, match="non-negative"):
+        fractals.four_corner(-1)
 
 
 def test_four_corner_first_generation():
@@ -81,6 +85,8 @@ def test_ifs_guards():
         fractals.ifs_attractor([Similarity(0.5, np.zeros(2))] * 4, 13)
     with pytest.raises(ValueError):
         fractals.ifs_attractor([], 3)
+    with pytest.raises(ValueError, match="non-negative"):
+        fractals.ifs_attractor([Similarity(0.5, np.zeros(2))] * 4, -1)
 
 
 def test_square_cloud_is_dyadic_grid():

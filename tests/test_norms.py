@@ -274,3 +274,41 @@ def test_support_table_validation_rejects_asymmetry(ce_norm):
     broken = SupportTable(phi=table.phi.copy(), h=h, dh=table.dh.copy())
     with pytest.raises(NotStrictlyConvex):
         broken.validate()
+
+
+# -- the table contact-angle kernel ------------------------------------------
+
+def test_table_kernel_batch_equals_rows(ce_norm, rng):
+    xs = rng.standard_normal((300, 2)) * rng.uniform(0.1, 10.0, size=(300, 1))
+    batch = norms.eval_norm(ce_norm, xs)
+    rows = np.array([norms.eval_norm(ce_norm, x) for x in xs])
+    assert batch.tobytes() == rows.tobytes()
+    batch = norms._gauss_many(ce_norm, xs)
+    rows = np.array([norms.gauss_map(ce_norm, x) for x in xs])
+    assert batch.tobytes() == rows.tobytes()
+
+
+def test_table_contact_angle_residual(ce_norm, rng):
+    # the boundary point at the contact angle lies on the ray through x
+    table = ce_norm.support
+    nodes = table.boundary_point(table.phi)
+    axes = norms.unit_vector(np.array([0.0, np.pi]))
+    for xs in (rng.standard_normal((2000, 2)), nodes, axes):
+        phi = norms._contact_angle(ce_norm, xs)
+        b = table.boundary_point(phi)
+        cross = (b[:, 0] * xs[:, 1] - b[:, 1] * xs[:, 0]) / np.linalg.norm(xs, axis=1)
+        assert np.max(np.abs(cross)) < 1e-13
+        assert np.all(np.sum(b * xs, axis=1) > 0.0)
+
+
+def test_table_with_folded_boundary_points_refused():
+    # a circle's support values with a wildly alternating h': the table passes
+    # validate() but its node boundary points do not turn monotonically
+    n = 64
+    phi = 2.0 * np.pi * np.arange(n) / n
+    table = SupportTable(phi=phi, h=np.ones(n), dh=0.5 * (-1.0) ** np.arange(n))
+    table.validate()
+    with pytest.raises(NotStrictlyConvex, match="monoton"):
+        norms.from_support_table(table)
+    circle = SupportTable(phi=phi, h=np.ones(n), dh=np.zeros(n))
+    assert norms.eval_norm(norms.from_support_table(circle), np.array([3.0, 4.0])) == pytest.approx(5.0)
