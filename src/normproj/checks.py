@@ -96,10 +96,8 @@ def _check_equal_kernel_boxdim(seed):
         projections.associated_g(fam, v), proj_f.kernel_dir
     )
     scales = [3.0**-k for k in range(2, 8)]
-    est = []
-    for proj in (proj_f, proj_g):
-        counts = [boxdim.projector_counts(proj, cloud, d) for d in scales]
-        est.append(boxdim.fit_loglog(scales, counts).slope)
+    est = [boxdim.fit_loglog(scales, boxdim.projector_counts(proj, cloud, scales)).slope
+           for proj in (proj_f, proj_g)]
     return _report("equal_kernel_boxdim", abs(est[0] - est[1]), 0.05, len(scales), seed)
 
 

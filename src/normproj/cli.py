@@ -25,6 +25,11 @@ _FLOAT_FMT = "{:.12g}"
 # divided differences of F no longer resolve its convexity for the default
 # ratio-1/3 set, so the build fails its curve invariants.
 MAX_LEVEL = 15
+# Every set is held to what the default set handles at MAX_LEVEL: the grid
+# grows with the interval count m^level, and convexity is lost with the
+# interval length r^level.
+MAX_INTERVALS = 2**MAX_LEVEL
+MIN_INTERVAL_LENGTH = Fraction(1, 3) ** MAX_LEVEL
 
 
 def _g(value):
@@ -113,6 +118,12 @@ def _staircase_curve(args):
         K = cantor.CantorSet(m=args.m, r=Fraction(args.r))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad Cantor set --m {args.m} --r {args.r}: {exc}") from exc
+    if K.m**args.level > MAX_INTERVALS:
+        raise ValidationError(
+            f"--level {args.level} too deep for --m {K.m}: more than {MAX_INTERVALS} intervals")
+    if K.r**args.level < MIN_INTERVAL_LENGTH:
+        raise ValidationError(
+            f"--level {args.level} too deep for --r {args.r}: intervals shorter than 3^-{MAX_LEVEL}")
     return cantor.curve_samples(K, args.level)
 
 

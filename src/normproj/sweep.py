@@ -83,10 +83,9 @@ def dim_profile(model, cloud, grid, scales, threshold=None):
     for angle in grid.angles:
         w = HyperplaneNormal.from_angle(angle)
         if is_family:
-            proj = model.projector(w)
-            counts = [boxdim.projector_counts(proj, cloud, d) for d in scales]
+            counts = boxdim.projector_counts(model.projector(w), cloud, scales)
         else:
-            counts = [boxdim.projected_counts(model, cloud, w, d) for d in scales]
+            counts = boxdim.projected_counts(model, cloud, w, scales)
         estimates.append(boxdim.fit_loglog(scales, counts))
     slopes = np.array([e.slope for e in estimates])
     flagged = slopes < threshold

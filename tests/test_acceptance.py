@@ -83,7 +83,7 @@ def test_criterion_3_intertwiner():
     scales = [3.0**-k for k in range(2, 8)]
     slopes = []
     for proj in (oblique, orthogonal):
-        counts = [boxdim.projector_counts(proj, cloud, d) for d in scales]
+        counts = boxdim.projector_counts(proj, cloud, scales)
         slopes.append(boxdim.fit_loglog(scales, counts).slope)
     gap = abs(slopes[0] - slopes[1])
     ok = worst <= 1e-12 and gap <= 0.05

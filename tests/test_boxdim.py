@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from normproj import boxdim, fractals, norms
+from normproj import boxdim, fractals, norms, projections
 from normproj.errors import LowQualityFit, UnderResolved
 from normproj.fractals import PointCloud
 from normproj.norms import HyperplaneNormal
@@ -55,7 +55,7 @@ def test_projection_is_one_lipschitz_in_counts():
     for ang in (0.0, 0.4, 1.1):
         for k in (2, 3, 4):
             delta = 4.0**-k
-            shadow = boxdim.projected_counts(model, cloud, HyperplaneNormal.from_angle(ang), delta)
+            shadow = boxdim.projected_counts(model, cloud, HyperplaneNormal.from_angle(ang), [delta])[0]
             assert shadow <= 3 * boxdim.box_count(cloud, delta)
 
 
@@ -92,14 +92,14 @@ def test_estimate_constant_counts_single_point():
 def test_projected_counts_triadic_shadow():
     cloud = fractals.cantor_product(1.0 / 3.0, 10)
     w = HyperplaneNormal(np.array([0.0, 1.0]))
-    assert boxdim.projected_counts(norms.euclidean(2), cloud, w, 3.0**-5) == 32
+    assert boxdim.projected_counts(norms.euclidean(2), cloud, w, [3.0**-5])[0] == 32
 
 
 def test_projected_counts_diagonal_full_interval():
     cloud = fractals.cantor_product(1.0 / 3.0, 8)
     w = HyperplaneNormal.from_angle(np.pi / 4.0)
     scales = [3.0**-k for k in range(2, 8)]
-    counts = [boxdim.projected_counts(norms.euclidean(2), cloud, w, d) for d in scales]
+    counts = [boxdim.projected_counts(norms.euclidean(2), cloud, w, [d])[0] for d in scales]
     est = boxdim.fit_loglog(scales, counts)
     assert est.slope == pytest.approx(1.0, abs=0.05)
 
@@ -108,13 +108,83 @@ def test_projected_counts_single_point():
     cloud = PointCloud(points=np.array([[0.3, 0.7]]), generation=0,
                        resolution=1e-9, label="dot", base=2)
     for model in (norms.euclidean(2), norms.lp(3.0)):
-        assert boxdim.projected_counts(model, cloud, HyperplaneNormal.from_angle(0.3), 0.1) == 1
+        assert boxdim.projected_counts(model, cloud, HyperplaneNormal.from_angle(0.3), [0.1])[0] == 1
 
 
 def test_projected_counts_requires_planar():
     cloud = fractals.triadic_cloud(6)
     with pytest.raises(ValueError):
-        boxdim.projected_counts(norms.euclidean(2), cloud, HyperplaneNormal.from_angle(0.1), 0.1)
+        boxdim.projected_counts(norms.euclidean(2), cloud, HyperplaneNormal.from_angle(0.1), [0.1])
+
+
+def _unique_bins(coords, delta):
+    # the per-scale count the sort-based engine replaced
+    return len(np.unique(np.floor(coords / delta).astype(np.int64)))
+
+
+def test_bin_counts_equal_unique_oracle(rng):
+    scales = [2.0**-3, 3.0**-5, 0.1, 1.0, 2.0**-10, 0.37, 3.0**-2]  # any order
+    edges = np.concatenate([np.arange(-64, 65) * 2.0**-3, np.arange(-27, 28) * 3.0**-2])
+    cases = {
+        "edges": edges,
+        "negative": -rng.uniform(0.0, 5.0, 4000),
+        "mixed": rng.standard_normal(4000) * 3.0,
+        "repeated": np.repeat(rng.uniform(-1.0, 1.0, 50), 40),
+        "single": np.array([-0.3]),
+        "lattice": np.arange(-3**6, 3**6 + 1) * 3.0**-6,
+    }
+    for name, coords in cases.items():
+        got = boxdim._bin_counts(rng.permutation(coords), scales)
+        assert got == [_unique_bins(coords, d) for d in scales], name
+
+
+def test_box_count_equals_unique_oracle():
+    def oracle(points, delta):
+        idx = np.floor(points / delta).astype(np.int64)
+        idx = idx - idx.min(axis=0)
+        key = idx[:, 0] * (idx[:, 1].max() + 1) + idx[:, 1]
+        return len(np.unique(key))
+
+    for cloud in (fractals.four_corner(6), fractals.cantor_product(1.0 / 3.0, 7),
+                  fractals.cantor_product(1.0 / 3.0, 7).translated([-0.6, -2.0])):
+        for delta in boxdim.admissible_scales(cloud):
+            assert boxdim.box_count(cloud, delta) == oracle(cloud.points, delta)
+    line = fractals.triadic_cloud(9).translated([-0.5])
+    for delta in boxdim.admissible_scales(line):
+        assert boxdim.box_count(line, delta) == _unique_bins(line.points[:, 0], delta)
+
+
+def test_shadow_counts_equal_per_scale_oracle(ce_norm):
+    cloud = fractals.cantor_product(1.0 / 3.0, 7)
+    scales = [3.0**-k for k in (4, 2, 6, 3, 5)]
+    for ang in (0.0, 0.7, 2.0, 3.0):
+        w = HyperplaneNormal.from_angle(ang)
+        coords = boxdim._shadow_coordinates(ce_norm, cloud, w)
+        assert boxdim.projected_counts(ce_norm, cloud, w, scales) == \
+            [_unique_bins(coords, d) for d in scales]
+
+    fam = projections.angle_family(lambda a: np.pi / 3.0)
+    for ang in (0.2, 1.3, 2.9):
+        proj = fam.projector(HyperplaneNormal.from_angle(ang))
+        col = proj.matrix @ np.array([1.0, 0.0])
+        direction = norms.canonicalize_direction(col / np.linalg.norm(col))
+        coords = proj.apply(cloud.points) @ direction
+        assert boxdim.projector_counts(proj, cloud, scales) == \
+            [_unique_bins(coords, d) for d in scales]
+
+    zero = projections.LinearProjector(target=HyperplaneNormal.from_angle(0.2),
+                                       kernel_dir=np.array([1.0, 0.0]), matrix=np.zeros((2, 2)))
+    assert boxdim.projector_counts(zero, cloud, scales) == [1] * len(scales)
+
+
+def test_shadow_counts_refuse_any_under_resolved_scale():
+    cloud = fractals.cantor_product(1.0 / 3.0, 4)
+    proj = projections.angle_family(lambda a: np.pi / 3.0).projector(HyperplaneNormal.from_angle(0.2))
+    scales = [3.0**-2, 3.0**-6]
+    with pytest.raises(UnderResolved):
+        boxdim.projected_counts(norms.euclidean(2), cloud, HyperplaneNormal.from_angle(0.2), scales)
+    with pytest.raises(UnderResolved):
+        boxdim.projector_counts(proj, cloud, scales)
 
 
 # -- favard proxy ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -163,6 +164,20 @@ def test_validation_errors_exit_2(tmp_path):
     over = str(cli.MAX_LEVEL + 1)
     assert run(["counterexample", "build", "--level", over, "--out", str(out)]) == 2
     assert run(["sweep", "--norm", "counterexample", "--level", over, "--out", str(out)]) == 2
+    # levels whose grid has more or shorter intervals than the default set's deepest
+    for m, r, level in (("3", "1/5", "11"), ("2", "1/4", "14"), ("3", "3/10", "10")):
+        assert run(["counterexample", "build", "--m", m, "--r", r, "--level", level,
+                    "--out", str(out)]) == 2
+        assert run(["sweep", "--norm", "counterexample", "--m", m, "--r", r, "--level", level,
+                    "--out", str(out)]) == 2
+
+
+def test_every_level_of_the_default_set_accepted(monkeypatch):
+    # validation only: the build itself is stubbed out
+    monkeypatch.setattr(cli.cantor, "curve_samples", lambda K, level: (K.m, K.r, level))
+    for level in range(1, cli.MAX_LEVEL + 1):
+        args = argparse.Namespace(m=2, r="1/3", level=level)
+        assert cli._staircase_curve(args)[2] == level
 
 
 def test_computation_errors_exit_1(tmp_path):
