@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 parameter/validation error, 1 computation error.
 
 import argparse
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import VERSION_HEADER, __version__, boxdim, cantor, checks, fractals, norms, projections, sweep
-from .errors import NormProjError, TooLarge
+from .errors import NormProjError, NotStrictlyConvex, TooLarge
 
 _FLOAT_FMT = "{:.12g}"
 
@@ -73,20 +74,40 @@ class ValidationError(Exception):
     """Bad parameter values: reported on stderr, exit code 2."""
 
 
-def _parse_vector(text):
+def _finite_float(text):
+    """argparse type of the float flags: NaN or infinity would reach the artifacts."""
     try:
-        return np.array([float(v) for v in text.split(",")], dtype=float)
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _parse_vector(text, flag, dim, nonzero=False):
+    """The ``dim`` finite comma-separated coordinates given to ``flag``."""
+    try:
+        v = np.array([float(c) for c in text.split(",")], dtype=float)
     except ValueError as exc:
-        raise ValidationError(f"cannot parse vector {text!r}") from exc
+        raise ValidationError(f"cannot parse {flag} {text!r}") from exc
+    if len(v) != dim or not np.all(np.isfinite(v)):
+        raise ValidationError(f"{flag} must hold {dim} finite number(s), got {text!r}")
+    if nonzero and not np.any(v):
+        raise ValidationError(f"{flag} must be nonzero")
+    return v
 
 
 def _parse_matrix(text):
     """Matrix given as semicolon-separated rows of comma-separated entries."""
     try:
         rows = [[float(v) for v in row.split(",")] for row in text.split(";")]
-        return np.array(rows, dtype=float)
+        matrix = np.array(rows, dtype=float)
     except ValueError as exc:
         raise ValidationError(f"cannot parse matrix {text!r}") from exc
+    if not np.all(np.isfinite(matrix)):
+        raise ValidationError(f"matrix entries must be finite, got {text!r}")
+    return matrix
 
 
 def _build_norm(args):
@@ -100,7 +121,13 @@ def _build_norm(args):
     if kind == "inner-product":
         if args.Q is None:
             raise ValidationError("inner-product norm needs --Q")
-        return norms.inner_product(_parse_matrix(args.Q))
+        Q = _parse_matrix(args.Q)
+        if Q.shape != (2, 2):
+            raise ValidationError(f"--Q must be a 2x2 matrix, got shape {Q.shape}")
+        try:
+            return norms.inner_product(Q)
+        except NotStrictlyConvex as exc:
+            raise ValidationError(f"bad --Q: {exc}") from exc
     if kind == "support-table":
         if args.table is None:
             raise ValidationError("support-table norm needs --table")
@@ -159,6 +186,8 @@ def _scales_from(args, cloud):
 # ---------------------------------------------------------------------------
 
 def _cmd_norm_info(args):
+    if args.grid < norms.MIN_GAUSS_GRID:
+        raise ValidationError(f"--grid must be at least {norms.MIN_GAUSS_GRID}")
     model = _build_norm(args)
     report = norms.check_gauss_properties(model, args.grid)
     payload = {
@@ -181,7 +210,7 @@ def _cmd_gauss(args):
     if args.x is None and args.angle is None:
         raise ValidationError("gauss needs --angle or --x")
     if args.x is not None:
-        point = norms.sphere_point(model, _parse_vector(args.x))
+        point = norms.sphere_point(model, _parse_vector(args.x, "--x", model.dim, nonzero=True))
     else:
         point = norms.sphere_point(model, norms.unit_vector(args.angle))
     normal = norms.gauss_map(model, point)
@@ -198,9 +227,11 @@ def _cmd_gauss(args):
 
 def _cmd_project(args):
     model = _build_norm(args)
-    w = norms.HyperplaneNormal(_parse_vector(args.w)) if "," in args.w else \
-        norms.HyperplaneNormal.from_angle(float(args.w))
-    x = _parse_vector(args.x)
+    if "," in args.w:
+        w = norms.HyperplaneNormal(_parse_vector(args.w, "--w", model.dim, nonzero=True))
+    else:
+        w = norms.HyperplaneNormal.from_angle(_parse_vector(args.w, "--w", 1)[0])
+    x = _parse_vector(args.x, "--x", model.dim)
     lemma = projections.project_hyperplane(model, w, x)
     direct = projections.project_hyperplane_direct(model, w, x)
     chosen = lemma if args.method == "lemma" else direct
@@ -330,7 +361,7 @@ def _cmd_verify(args):
 def _add_norm_flags(parser):
     parser.add_argument("--norm", default="euclidean",
                         choices=["euclidean", "lp", "inner-product", "support-table", "counterexample"])
-    parser.add_argument("--p", type=float, default=None, help="exponent for --norm lp")
+    parser.add_argument("--p", type=_finite_float, default=None, help="exponent for --norm lp")
     parser.add_argument("--Q", default=None, help="matrix rows 'a,b;c,d' for --norm inner-product")
     parser.add_argument("--table", default=None, help="support table CSV for --norm support-table")
     parser.add_argument("--m", type=int, default=2, help="branch count for --norm counterexample")
@@ -341,7 +372,7 @@ def _add_norm_flags(parser):
 def _add_set_flags(parser):
     parser.add_argument("--set", default="cantor-product",
                         choices=["cantor-product", "four-corner", "square", "triadic"])
-    parser.add_argument("--ratio", type=float, default=1.0 / 3.0)
+    parser.add_argument("--ratio", type=_finite_float, default=1.0 / 3.0)
     parser.add_argument("--gen", type=int, default=8)
 
 
@@ -360,7 +391,7 @@ def build_parser():
 
     p = sub.add_parser("gauss", help="evaluate the Gauss map at a sphere point")
     _add_norm_flags(p)
-    p.add_argument("--angle", type=float, default=None, help="polar angle of the sphere point")
+    p.add_argument("--angle", type=_finite_float, default=None, help="polar angle of the sphere point")
     p.add_argument("--x", default=None, help="point coordinates 'a,b' (rescaled to the sphere)")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gauss)
@@ -399,7 +430,7 @@ def build_parser():
     _add_set_flags(p)
     p.add_argument("--directions", type=int, default=180)
     p.add_argument("--scales", default=None)
-    p.add_argument("--threshold", type=float, default=None)
+    p.add_argument("--threshold", type=_finite_float, default=None)
     p.add_argument("--out", required=True, help="output path stem (.csv and .json)")
     p.set_defaults(func=_cmd_sweep)
 

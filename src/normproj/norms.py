@@ -25,16 +25,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import CubicHermiteSpline
-# Unused here since the table kernel solves its own Newton iteration, but
-# perfbench/job.py counts calls to ``norms.brentq`` by attribute name.
-from scipy.optimize import brentq  # noqa: F401
+from scipy.optimize import brentq
 
 from .errors import ModelNotReady, NotSmoothHere, NotStrictlyConvex
-from .searches import golden_section_max
+
+# No longer a solver here; perfbench/job.py still counts calls to it by
+# name, and the next change to the benchmark drops it from ``SOLVERS``.
+golden_section_max = None
 
 ANTIPODAL_TABLE_TOL = 1e-10  # h(phi+pi) = h(phi) for stored tables
 JOINT_TANGENT_TOL = 1e-6     # C^1 mismatch allowed at glue joints
 _ZERO_COORD_TOL = 1e-12      # "first nonzero coordinate" cutoff
+MIN_GAUSS_GRID = 16          # fewest sweep points of check_gauss_properties
 
 
 def unit_vector(angle):
@@ -419,17 +421,6 @@ def sphere_point(norm, v):
 # Gauss map and its inverse
 # ---------------------------------------------------------------------------
 
-def _gradient_direction(norm, x):
-    """Un-normalized outward normal of the sphere on the ray through x."""
-    if norm.kind == "euclidean":
-        return x
-    if norm.kind == "lp":
-        return np.sign(x) * np.abs(x) ** (norm.p - 1.0)
-    if norm.kind == "inner_product":
-        return norm.Q @ x
-    raise ValueError(f"no closed-form gradient for kind {norm.kind!r}")
-
-
 def norm_gradient(norm, y):
     """Gradient of y -> ||y|| at a nonzero point.
 
@@ -440,12 +431,11 @@ def norm_gradient(norm, y):
     if norm.kind == "support_table":
         phi = _contact_angle(norm, y[None, :])[0]
         return unit_vector(phi) / float(_require_table(norm).support(phi))
-    g = _gradient_direction(norm, y)
     if norm.kind == "euclidean":
-        return g / np.linalg.norm(y)
+        return y / np.linalg.norm(y)
     if norm.kind == "lp":
-        return g / float(eval_norm(norm, y)) ** (norm.p - 1.0)
-    return g / float(eval_norm(norm, y))
+        return np.sign(y) * np.abs(y) ** (norm.p - 1.0) / float(eval_norm(norm, y)) ** (norm.p - 1.0)
+    return norm.Q @ y / float(eval_norm(norm, y))
 
 
 def _table_gauss(norm, pts):
@@ -474,29 +464,21 @@ def gauss_map(norm, x):
 
     The direction is constant along rays, so any nonzero ``x`` (or a
     SpherePoint) is accepted and the result is the normal at x/||x||.
+    Accepts stacked inputs (..., dim), one normal per row.
     """
     if isinstance(x, SpherePoint):
         x = x.coords
     x = np.asarray(x, dtype=float)
     if norm.kind == "support_table":
-        return _table_gauss(norm, x[None, :])[0]
-    if np.all(x == 0.0):
+        return _table_gauss(norm, x.reshape(-1, 2)).reshape(x.shape)
+    if np.any(np.all(x == 0.0, axis=-1)):
         raise ValueError("Gauss map undefined at the origin")
-    g = _gradient_direction(norm, x)
-    return g / np.linalg.norm(g)
-
-
-def _gauss_many(norm, pts):
-    """Vectorized Gauss map for a stack of points."""
-    pts = np.asarray(pts, dtype=float)
-    if norm.kind == "support_table":
-        return _table_gauss(norm, pts)
     if norm.kind == "euclidean":
-        g = pts.copy()
+        g = x
     elif norm.kind == "lp":
-        g = np.sign(pts) * np.abs(pts) ** (norm.p - 1.0)
+        g = np.sign(x) * np.abs(x) ** (norm.p - 1.0)
     else:
-        g = pts @ norm.Q.T
+        g = x @ norm.Q.T
     return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
 
@@ -552,14 +534,14 @@ def check_gauss_properties(norm, grid_size=1024):
     """
     if norm.dim != 2:
         raise ValueError("check_gauss_properties is planar-only")
-    if grid_size < 16:
-        raise ValueError("grid_size must be at least 16")
+    if grid_size < MIN_GAUSS_GRID:
+        raise ValueError(f"grid_size must be at least {MIN_GAUSS_GRID}")
     t = 2.0 * np.pi * np.arange(grid_size) / grid_size
     dirs = unit_vector(t)
     radii = np.asarray(eval_norm(norm, dirs))
     pts = dirs / radii[:, None]
-    g = _gauss_many(norm, pts)
-    g_neg = _gauss_many(norm, -pts)
+    g = gauss_map(norm, pts)
+    g_neg = gauss_map(norm, -pts)
     defect = float(np.max(np.linalg.norm(g_neg + g, axis=1)))
     # relative angle between consecutive normals via cross/dot: absolute
     # angles flatten to identical floats on very flat spheres (high p)
@@ -584,7 +566,11 @@ def find_gauss_fixed_points(norm, coarse=4096):
 
     Returns ``(farthest, closest)``: the sphere point maximizing and the one
     minimizing Euclidean distance to the origin, which are exactly the fixed
-    points of the normalized Gauss map.
+    points of the normalized Gauss map.  Each is the root of
+    cross(u(a), G(u(a))), the definition of a fixed point, in the window of
+    one coarse grid step on either side of the coarse extremum; the radius
+    has slope -r cross(u, G) / <u, G>, so the cross product changes sign
+    across that window.
     """
     if norm.dim != 2:
         raise ValueError("find_gauss_fixed_points is planar-only")
@@ -592,24 +578,23 @@ def find_gauss_fixed_points(norm, coarse=4096):
     radii = np.asarray(eval_norm(norm, unit_vector(t)))
     euclid_r = 1.0 / radii
 
-    def radius(angle):
-        return 1.0 / float(eval_norm(norm, unit_vector(angle)))
-
     spread = float(np.max(euclid_r) - np.min(euclid_r))
     if spread < 1e-12:
         # isometric circle: every point is fixed, return axis representatives
         return sphere_point(norm, np.array([1.0, 0.0])), sphere_point(
             norm, np.array([0.0, 1.0])
         )
+
+    def cross(angle):
+        u = unit_vector(angle)
+        g = gauss_map(norm, u)
+        return float(u[0] * g[1] - u[1] * g[0])
+
     step = np.pi / coarse
-    i_max = int(np.argmax(euclid_r))
-    i_min = int(np.argmin(euclid_r))
-    t_max, _ = golden_section_max(radius, t[i_max] - step, t[i_max] + step, tol=1e-12)
-    t_min, _ = golden_section_max(
-        lambda a: -radius(a), t[i_min] - step, t[i_min] + step, tol=1e-12
+    far, near = (
+        sphere_point(norm, unit_vector(brentq(cross, t[i] - step, t[i] + step, xtol=1e-15)))
+        for i in (int(np.argmax(euclid_r)), int(np.argmin(euclid_r)))
     )
-    far = sphere_point(norm, unit_vector(t_max))
-    near = sphere_point(norm, unit_vector(t_min))
     return far, near
 
 

@@ -170,6 +170,34 @@ def test_validation_errors_exit_2(tmp_path):
                     "--out", str(out)]) == 2
         assert run(["sweep", "--norm", "counterexample", "--m", m, "--r", r, "--level", level,
                     "--out", str(out)]) == 2
+    # malformed or degenerate hyperplanes, points and grids
+    assert run(["project", "--w", "abc", "--x", "1,1", "--out", str(out)]) == 2
+    assert run(["project", "--w", "0,0", "--x", "1,1", "--out", str(out)]) == 2
+    assert run(["project", "--w", "0,1", "--x", "1,2,3", "--out", str(out)]) == 2
+    assert run(["gauss", "--x", "0,0", "--out", str(out)]) == 2
+    assert run(["norm-info", "--grid", "8", "--out", str(out)]) == 2
+    # an indefinite and a three-dimensional Q for the planar tool
+    for q in ("1,0;0,-1", "1,0,0;0,1,0;0,0,1"):
+        assert run(["norm-info", "--norm", "inner-product", "--Q", q, "--out", str(out)]) == 2
+        assert run(["project", "--norm", "inner-product", "--Q", q, "--w", "0,0,1",
+                    "--x", "1,2,3", "--out", str(out)]) == 2
+
+
+def test_inputs_foreign_to_the_output_exit_2(tmp_path):
+    # each would write an artifact that does not belong to its input: a 3-D
+    # "sphere point" of a planar norm, or NaN, which is not valid JSON
+    out = tmp_path / "x"
+    cases = (
+        ["gauss", "--norm", "lp", "--p", "3", "--x", "1,2,3"],
+        ["project", "--w", "0,1", "--x", "1,nan"],
+        ["project", "--w", "nan", "--x", "1,1"],
+        ["gauss", "--angle", "nan"],
+        ["sweep", "--gen", "4", "--directions", "36", "--scales", "2:3", "--threshold", "nan"],
+        ["norm-info", "--norm", "inner-product", "--Q", "1,0;0,inf"],
+    )
+    for argv in cases:
+        assert run([*argv, "--out", str(out)]) == 2, argv
+        assert not list(tmp_path.iterdir()), argv
 
 
 def test_every_level_of_the_default_set_accepted(monkeypatch):

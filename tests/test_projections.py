@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from normproj import norms, projections as pj
 from normproj.errors import DegenerateSplitting, KernelMismatch
 from normproj.norms import HyperplaneNormal
-from normproj.searches import ternary_min
 
 
 def test_projector_algebra(rng):
@@ -85,6 +85,24 @@ def test_kernel_direction_independent_of_x(rng, ce_norm):
         ref = dirs[0]
         for d in dirs[1:]:
             assert abs(ref[0] * d[1] - ref[1] * d[0]) <= 1e-8
+
+
+def test_direct_projection_keeps_on_plane_points(rng, ce_norm):
+    # the direct route's line search passes through the zero vector here,
+    # where the norm has a kink and no gradient
+    models = [norms.lp(3.0), norms.lp(1.5), norms.inner_product(np.diag([1.0, 4.0])),
+              norms.euclidean(2), ce_norm, norms.lp(4.0, dim=3)]
+    for model in models:
+        n = model.dim
+        on_axis = HyperplaneNormal(np.eye(n)[-1])
+        cases = [(on_axis, np.zeros(n)), (on_axis, 3.0 * np.eye(n)[0])]
+        for _ in range(10):
+            w = HyperplaneNormal(rng.standard_normal(n))
+            x = rng.standard_normal(n) * 2.0
+            cases += [(w, np.zeros(n)), (w, x - np.dot(x, w.w) * w.w)]
+        for w, x in cases:
+            got = pj.project_hyperplane_direct(model, w, x)
+            assert np.max(np.abs(got - x)) <= 1e-12, f"{model.kind} at {x}"
 
 
 def test_project_nd(rng):
@@ -205,7 +223,7 @@ def test_conjugation_vs_direct_minimization(rng):
                 assert np.max(np.abs(got - basis @ coef)) <= 1e-9
 
 
-def test_conjugation_vs_ternary_oracle(rng):
+def test_conjugation_vs_bounded_oracle(rng):
     for _ in range(10):
         a = rng.standard_normal((3, 3))
         q = a @ a.T + 0.5 * np.eye(3)
@@ -216,7 +234,8 @@ def test_conjugation_vs_ternary_oracle(rng):
             y = x - t * v
             return float(y @ q @ y)
 
-        t_star, _ = ternary_min(cost, -20.0, 20.0, tol=1e-12)
+        t_star = minimize_scalar(cost, bounds=(-20.0, 20.0), method="bounded",
+                                 options={"xatol": 1e-12}).x
         got = pj.conjugate_projection(q, v, x)
         assert np.max(np.abs(got - t_star * v)) <= 1e-7
 
