@@ -40,11 +40,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import CurveInvariantFailed, GlueFailed
 from . import norms
 from .norms import SupportTable
+from .roots import brentq
 
 DESCENT_CAP = 50  # maximum depth of the interval-tree descent
 
@@ -357,11 +357,6 @@ class CounterexampleCurve:
     is_gap_mid: np.ndarray
     theta1: float = 0.0
     F1: float = 0.0
-
-    @property
-    def tangent_angles(self):
-        """Polar angle of beta: t + pi/2 + theta(t)."""
-        return self.t + 0.5 * np.pi + self.theta
 
     @property
     def normal_angles(self):

@@ -131,7 +131,10 @@ def _build_norm(args):
     if kind == "support-table":
         if args.table is None:
             raise ValidationError("support-table norm needs --table")
-        return norms.from_support_table(norms.SupportTable.from_csv(args.table))
+        try:
+            return norms.from_support_table(norms.SupportTable.from_csv(args.table))
+        except (OSError, ValueError, NotStrictlyConvex) as exc:
+            raise ValidationError(f"bad --table {args.table}: {exc}") from exc
     if kind == "counterexample":
         return cantor.build_norm(_staircase_curve(args))
     raise ValidationError(f"unknown norm kind {kind!r}")

@@ -16,18 +16,18 @@ parameters (p = 1 or infinity, singular Q, a table failing its convexity
 check) are rejected at construction time, never at use.
 
 Everything here is pure and the model objects are treated as immutable; the
-only mutation is an internal memo cache of derived matrices/splines.  A
-table built by ``cantor.build_norm`` also carries, in ``NormModel.curve``, the
-sampled staircase arc it was assembled from; every other model has ``None``.
+only mutation is an internal memo cache of derived matrices and of a table's
+cubic Hermite coefficients.  A table built by ``cantor.build_norm`` also
+carries, in ``NormModel.curve``, the sampled staircase arc it was assembled
+from; every other model has ``None``.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
-from scipy.optimize import brentq
 
 from .errors import ModelNotReady, NotSmoothHere, NotStrictlyConvex
+from .roots import brentq
 
 # No longer a solver here; perfbench/job.py still counts calls to it by
 # name, and the next change to the benchmark drops it from ``SOLVERS``.
@@ -116,6 +116,25 @@ class HyperplaneNormal:
         return canonicalize_direction(rot90(self.w))
 
 
+def _piecewise_poly(knots, coeffs, angle):
+    """Evaluate a periodic piecewise polynomial at ``angle`` mod 2*pi.
+
+    A point on a knot belongs to the segment it starts, 2*pi to the last.
+    The sum runs from the constant term up with powers built by repeated
+    multiplication, the order of SciPy's ``PPoly`` (not Horner), so results
+    match it bit for bit.  Returns an array of the shape of ``angle``.
+    """
+    x = np.asarray(np.mod(angle, 2.0 * np.pi), dtype=float)
+    flat = x.reshape(-1)
+    seg = np.clip(np.searchsorted(knots, flat, side="right") - 1, 0, len(knots) - 2)
+    s = flat - knots[seg]
+    res, z = 0.0, 1.0
+    for c in coeffs[::-1]:
+        res = res + c[seg] * z
+        z = z * s
+    return res.reshape(x.shape)
+
+
 @dataclass
 class SupportTable:
     """Support function of a planar convex body on a uniform angle grid.
@@ -146,27 +165,41 @@ class SupportTable:
             raise ValueError("table size must be even (antipodal pairing)")
         if not (len(self.h) == len(self.dh) == n):
             raise ValueError("phi, h, dh must have equal length")
+        if not all(np.isfinite(arr).all() for arr in (self.phi, self.h, self.dh)):
+            raise ValueError("phi, h, dh must be finite")
+        if not np.all(np.diff(np.append(self.phi, 2.0 * np.pi)) > 0.0):
+            raise ValueError("phi must increase strictly and stay below 2*pi")
         for arr in (self.phi, self.h, self.dh):
             arr.flags.writeable = False
 
     # -- interpolation ----------------------------------------------------
 
     def _spline(self):
+        """Knots and (4, n) power-basis coefficients of the C^1 cubic Hermite
+        interpolant of (h, dh) on [0, 2*pi], and those of its derivative.
+
+        Row i of the coefficients multiplies (phi - knot)^(3 - i); the
+        formulas and their floating-point order are those of SciPy's
+        ``CubicHermiteSpline``, so values match it bit for bit.
+        """
         if "spline" not in self._memo:
-            phi = np.append(self.phi, 2.0 * np.pi)
+            knots = np.append(self.phi, 2.0 * np.pi)
             h = np.append(self.h, self.h[0])
             dh = np.append(self.dh, self.dh[0])
-            sp = CubicHermiteSpline(phi, h, dh)
-            self._memo["spline"] = (sp, sp.derivative())
+            step = np.diff(knots)
+            slope = np.diff(h) / step
+            t = (dh[:-1] + dh[1:] - 2 * slope) / step
+            coeffs = np.stack([t / step, (slope - dh[:-1]) / step - t, dh[:-1], h[:-1]])
+            self._memo["spline"] = (knots, coeffs, coeffs[:-1] * np.array([3.0, 2.0, 1.0])[:, None])
         return self._memo["spline"]
 
     def support(self, angle):
-        sp, _ = self._spline()
-        return sp(np.mod(angle, 2.0 * np.pi))
+        knots, coeffs, _ = self._spline()
+        return _piecewise_poly(knots, coeffs, angle)
 
     def support_deriv(self, angle):
-        _, dsp = self._spline()
-        return dsp(np.mod(angle, 2.0 * np.pi))
+        knots, _, dcoeffs = self._spline()
+        return _piecewise_poly(knots, dcoeffs, angle)
 
     def boundary_point(self, angle):
         """Boundary point with outward normal at ``angle``: h*u + h'*u_perp."""
@@ -225,11 +258,16 @@ class SupportTable:
     def from_csv(cls, path):
         rows = []
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line or line.startswith("#") or line.startswith("phi"):
                     continue
-                rows.append([float(v) for v in line.split(",")])
+                fields = line.split(",")
+                if len(fields) != 3:
+                    raise ValueError(f"line {lineno}: expected 3 fields phi,h,dh, got {len(fields)}")
+                rows.append([float(v) for v in fields])
+        if not rows:
+            raise ValueError("no table rows")
         data = np.asarray(rows, dtype=float)
         return cls(phi=data[:, 0], h=data[:, 1], dh=data[:, 2])
 
@@ -314,7 +352,7 @@ def _table_frame(norm):
     """
     if "frame" not in norm._memo:
         table = _require_table(norm)
-        sp, _ = table._spline()
+        knots, coeffs, _ = table._spline()
         nodes = table.boundary_point(table.phi)
         alpha = np.unwrap(np.arctan2(nodes[:, 1], nodes[:, 0]))
         alpha = np.append(alpha, alpha[0] + 2.0 * np.pi)
@@ -323,7 +361,7 @@ def _table_frame(norm):
             raise NotStrictlyConvex(
                 f"node boundary points do not turn monotonically at angle {table.phi[bad]:.6f}"
             )
-        norm._memo["frame"] = (sp.x, sp.c, alpha)
+        norm._memo["frame"] = (knots, coeffs, alpha)
     return norm._memo["frame"]
 
 

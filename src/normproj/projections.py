@@ -17,16 +17,31 @@ target plane explicitly.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import brentq
 
 from .errors import DegenerateSplitting, KernelMismatch
 from . import norms
 from .norms import HyperplaneNormal, canonicalize_direction, unit_vector
+from .roots import brentq
 
 # No longer a solver here; perfbench/job.py still counts calls to it by
 # name, and the next change to the benchmark drops it from ``SOLVERS``.
 quadratic_polish = None
+
+
+def null_space(A, rcond=None):
+    """Orthonormal basis of the null space of ``A``, as columns.
+
+    Singular values up to max(s) * rcond count as zero, where rcond defaults
+    to eps * max(A.shape): the rank rule of SciPy's ``null_space``.  The
+    basis is a column slice of a row-major matrix, the layout SciPy returns:
+    matrix products over another layout may round differently.
+    """
+    A = np.asarray(A, dtype=float)
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    if rcond is None:
+        rcond = np.finfo(float).eps * max(A.shape)
+    rank = np.sum(s > np.amax(s, initial=0.0) * rcond, dtype=int)
+    return np.ascontiguousarray(vh.T)[:, rank:]
 
 
 @dataclass(frozen=True)

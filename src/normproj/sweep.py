@@ -56,10 +56,6 @@ class ExceptionalProfile:
     def flagged_measure(self):
         return float(np.sum(self.grid.weights[self.flagged]))
 
-    @property
-    def flagged_angles(self):
-        return self.grid.angles[self.flagged]
-
 
 def dim_profile(model, cloud, grid, scales, threshold=None):
     """Estimate the shadow dimension in every grid direction.

@@ -181,6 +181,24 @@ def test_validation_errors_exit_2(tmp_path):
         assert run(["norm-info", "--norm", "inner-product", "--Q", q, "--out", str(out)]) == 2
         assert run(["project", "--norm", "inner-product", "--Q", q, "--w", "0,0,1",
                     "--x", "1,2,3", "--out", str(out)]) == 2
+    # malformed --table files: not antipodally symmetric, rows of two fields,
+    # missing, and holding nan; none may leave an artifact
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    phi = [2.0 * math.pi * k / 64 for k in range(64)]
+    bodies = {
+        "asymmetric": [f"{a!r},{1.0 + 0.01 * math.cos(a)!r},{-0.01 * math.sin(a)!r}" for a in phi],
+        "two_fields": [f"{a!r},1.0" for a in phi],
+        "nan": [f"{a!r},{'nan' if k == 7 else '1.0'},0.0" for k, a in enumerate(phi)],
+    }
+    for name, rows in bodies.items():
+        (tables / f"{name}.csv").write_text("phi,h,dh\n" + "\n".join(rows) + "\n")
+    table_out = tmp_path / "table_out"
+    table_out.mkdir()
+    for name in (*bodies, "missing"):
+        assert run(["norm-info", "--norm", "support-table", "--table", str(tables / f"{name}.csv"),
+                    "--out", str(table_out / "info.json")]) == 2, name
+        assert not list(table_out.iterdir()), name
 
 
 def test_inputs_foreign_to_the_output_exit_2(tmp_path):

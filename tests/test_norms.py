@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import minimize_scalar
 
 from normproj import norms
@@ -275,6 +276,40 @@ def test_support_table_validation_rejects_asymmetry(ce_norm):
     broken = SupportTable(phi=table.phi.copy(), h=h, dh=table.dh.copy())
     with pytest.raises(NotStrictlyConvex):
         broken.validate()
+
+
+def test_support_table_refuses_malformed_input():
+    n = 8
+    phi = 2.0 * np.pi * np.arange(n) / n
+    ones = np.ones(n)
+    for bad in (np.nan, np.inf):
+        h = ones.copy()
+        h[3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            SupportTable(phi=phi, h=h, dh=np.zeros(n))
+        with pytest.raises(ValueError, match="finite"):
+            SupportTable(phi=phi, h=ones, dh=np.where(np.arange(n) == 5, bad, 0.0))
+    # unsorted angles, and a last angle that reaches the 2*pi wrap
+    for angles in (phi[::-1], np.linspace(0.0, 2.0 * np.pi, n)):
+        with pytest.raises(ValueError, match="increase strictly"):
+            SupportTable(phi=angles, h=ones, dh=np.zeros(n))
+
+
+def test_support_spline_equals_cubic_hermite_oracle(ce_norm, rng):
+    # values and derivative bit for bit against SciPy, from which the
+    # coefficient formulas and the evaluation order were taken
+    table = ce_norm.support
+    spline = CubicHermiteSpline(np.append(table.phi, 2.0 * np.pi),
+                                np.append(table.h, table.h[0]), np.append(table.dh, table.dh[0]))
+    deriv = spline.derivative()
+    mids = 0.5 * (table.phi[1:] + table.phi[:-1])
+    for angles in (table.phi, mids, rng.uniform(0.0, 2.0 * np.pi, 5000),
+                   -rng.uniform(0.0, 20.0, 2000), np.array([2.0 * np.pi, -0.0, -1e-300]), 2.0 * np.pi):
+        wrapped = np.mod(angles, 2.0 * np.pi)
+        for ours, theirs in ((table.support(angles), spline(wrapped)),
+                             (table.support_deriv(angles), deriv(wrapped))):
+            assert ours.shape == theirs.shape
+            assert ours.tobytes() == theirs.tobytes()
 
 
 # -- the table contact-angle kernel ------------------------------------------

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import null_space as scipy_null_space
 from scipy.optimize import minimize_scalar
 
 from normproj import norms, projections as pj
@@ -279,6 +280,26 @@ def test_project_line_lp_rejects_bad_p():
 
 
 # -- intertwiner -------------------------------------------------------------
+
+def test_null_space_equals_scipy_oracle(rng):
+    eps = np.finfo(float).eps
+    for _ in range(300):
+        m, n = rng.integers(1, 6, 2)
+        a = rng.standard_normal((m, n))
+        if m > 1 and rng.random() < 0.4:
+            a[-1] = 2.0 * a[0]   # rank deficient
+        # one singular value near the default cutoff eps * max(m, n) * max(s)
+        k = min(m, n)
+        sv = np.ones(k)
+        sv[-1] = rng.uniform(1.0, 6.0) * eps
+        near = np.linalg.qr(rng.standard_normal((m, m)))[0][:, :k] @ np.diag(sv) \
+            @ np.linalg.qr(rng.standard_normal((n, n)))[0][:k]
+        for mat, rcond in ((a, None), (a, 1e-10), (near, None)):
+            # the layout too: products over another layout may round differently
+            ours, theirs = pj.null_space(mat, rcond=rcond), scipy_null_space(mat, rcond=rcond)
+            assert ours.shape == theirs.shape and ours.strides == theirs.strides
+            assert ours.tobytes() == theirs.tobytes()
+
 
 def test_intertwiner_identity_case(rng):
     f = rng.standard_normal((3, 4))
