@@ -32,7 +32,9 @@ sums carry no floating error.  The curve grid is filled by one exact
 left-to-right pass over the sorted level intervals (``_exact_grid``); a
 single point is evaluated by an exact descent of the interval tree
 (``staircase``, ``f_eval``, ``F_eval``), which also serves as the grid's
-oracle; a float twin of the descent is used for bulk table work.
+oracle.  Table work uses a float twin of the descent that runs on whole
+arrays of points, one masked lane per point and one loop over the levels,
+each lane with the float steps of a one-point descent.
 """
 
 import math
@@ -173,33 +175,45 @@ def _staircase_exact(K, t):
     return value + mass / 2, mass / 2
 
 
+def _descent(K):
+    """Float constants of the interval-tree descent: r, branch step, m, depth."""
+    return float(K.r), float(K.branch_step), K.m, min(DESCENT_CAP, K.level_cap)
+
+
 def _staircase_float(K, t):
-    """Float twin of the exact descent, for bulk evaluation."""
-    if t <= 0.0:
-        return 0.0
-    if t >= 1.0:
-        return 1.0
-    r = float(K.r)
-    step0 = float(K.branch_step)
-    m = K.m
-    value = 0.0
-    mass = 1.0
-    pos = float(t)
-    length = 1.0
-    for _ in range(min(DESCENT_CAP, K.level_cap)):
+    """Float twin of the exact descent at every point of ``t`` (array or scalar).
+
+    The levels are the loop.  Each point is a lane that takes the float
+    steps of the one-point descent and leaves at the level where that
+    descent returns.
+    """
+    t = np.asarray(t, dtype=float)
+    r, step0, m, depth = _descent(K)
+    flat = t.reshape(-1)
+    out = np.where(flat <= 0.0, 0.0, 1.0)
+    rows = np.flatnonzero((flat > 0.0) & (flat < 1.0))
+    pos = flat[rows]
+    value = np.zeros(len(rows))
+    mass = length = 1.0
+    for _ in range(depth):
+        if not rows.size:
+            break
         step = step0 * length
         sub = r * length
-        i = min(int(pos // step), m - 1)
-        rel = pos - i * step
-        if rel >= sub:
-            return value + (i + 1) * mass / m
-        value += i * mass / m
-        if rel <= 0.0:
-            return value
+        i = np.minimum(pos // step, m - 1)
+        pos = pos - i * step
+        gap = pos >= sub
+        stop = gap | (pos <= 0.0)
+        if stop.any():
+            # the gap after branch i, or the left end of branch i
+            out[rows[stop]] = value[stop] + np.where(gap, i + 1, i)[stop] * mass / m
+            keep = ~stop
+            rows, value, pos, i = rows[keep], value[keep], pos[keep], i[keep]
+        value = value + i * mass / m
         mass /= m
         length = sub
-        pos = rel
-    return value + 0.5 * mass
+    out[rows] = value + 0.5 * mass
+    return out.reshape(t.shape)[()]
 
 
 def staircase(K, t):
@@ -279,41 +293,45 @@ def _F_exact(K, u):
 
 
 def _F_float(K, u):
-    # float twin of _integral_staircase_exact folded into F
-    if u <= 0.0:
-        return 0.0
-    if u >= 1.0:
-        return 0.125
-    r = float(K.r)
-    m = K.m
-    step0 = float(K.branch_step)
-    total = 0.0
-    base = 0.0
-    mass = 1.0
-    length = 1.0
-    pos = float(u)
-    for _ in range(min(DESCENT_CAP, K.level_cap)):
+    """Float twin of _integral_staircase_exact folded into F, at every point
+    of ``u`` (array or scalar), one lane per point as in ``_staircase_float``."""
+    u = np.asarray(u, dtype=float)
+    r, step0, m, depth = _descent(K)
+    flat = u.reshape(-1)
+    total = np.zeros(len(flat))   # integral of the staircase over [0, u]
+    inside = (flat > 0.0) & (flat < 1.0)
+    rows = np.flatnonzero(inside)
+    pos = flat[rows]
+    run = np.zeros(len(rows))
+    base = np.zeros(len(rows))
+    mass = length = 1.0
+    for _ in range(depth):
+        if not rows.size:
+            break
         step = step0 * length
         sub = r * length
         glen = step - sub
-        i = min(int(pos // step), m - 1)
-        for j in range(i):
-            total += sub * (base + (j + 0.5) * mass / m)
-            total += glen * (base + (j + 1) * mass / m)
-        rel = pos - i * step
-        if rel >= sub:
-            total += sub * (base + (i + 0.5) * mass / m)
-            total += (rel - sub) * (base + (i + 1) * mass / m)
-            break
-        if rel <= 0.0:
-            break
-        base += i * mass / m
+        i = np.minimum(pos // step, m - 1)
+        for j in range(m - 1):   # the whole branches and gaps left of branch i
+            run = np.where(j < i, run + sub * (base + (j + 0.5) * mass / m)
+                           + glen * (base + (j + 1) * mass / m), run)
+        pos = pos - i * step
+        gap = pos >= sub
+        stop = gap | (pos <= 0.0)
+        if stop.any():
+            # ending in the gap after branch i adds branch i and part of the gap
+            ends = (run + sub * (base + (i + 0.5) * mass / m)
+                    + (pos - sub) * (base + (i + 1) * mass / m))
+            total[rows[stop]] = np.where(gap, ends, run)[stop]
+            keep = ~stop
+            rows, run, pos, i, base = rows[keep], run[keep], pos[keep], i[keep], base[keep]
+        base = base + i * mass / m
         mass /= m
         length = sub
-        pos = rel
-    else:
-        total += pos * (base + 0.5 * mass)
-    return (total + 0.5 * u * u) / 8.0
+    total[rows] = run + pos * (base + 0.5 * mass)
+    F = np.where(flat <= 0.0, 0.0, 0.125)
+    F[inside] = (total[inside] + 0.5 * flat[inside] * flat[inside]) / 8.0
+    return F.reshape(u.shape)[()]
 
 
 def F_eval(K, u):
@@ -324,12 +342,12 @@ def F_eval(K, u):
     return StaircaseValue(value=float(val), error_bound=float(err))
 
 
-def _psi_from(f_val, F_val):
-    return f_val / (4.0 * (1.0 - F_val))
-
-
 def _theta_float(K, t):
-    return math.atan(_psi_from(_f_float(K, t), _F_float(K, t)))
+    """Tilt angle arctan(psi) at every point of ``t``; ``math.atan`` on each
+    lane, since numpy's arctan may round differently."""
+    t = np.asarray(t, dtype=float)
+    psi = np.reshape(_f_float(K, t) / (4.0 * (1.0 - _F_float(K, t))), -1)
+    return np.fromiter(map(math.atan, psi.tolist()), float, len(psi)).reshape(t.shape)[()]
 
 
 # ---------------------------------------------------------------------------
@@ -565,29 +583,26 @@ def _cubic_hermite(x0, x1, y0, dy0, y1, dy1):
 
 
 def _t_of_normal_angle(curve, phi_targets):
-    """Invert phi = t + theta(t) on [0, 1] for each target angle."""
+    """Invert phi = t + theta(t) on [0, 1] for each target angle.
+
+    The curve grid brackets each target; the brackets whose ends do not
+    already solve it go to one stacked root solve.
+    """
     K = curve.K
-    grid_phi = curve.normal_angles
     grid_t = curve.t
-    out = np.empty_like(phi_targets)
-    for idx, phi in enumerate(phi_targets):
-        j = int(np.searchsorted(grid_phi, phi))
-        if j == 0:
-            out[idx] = 0.0
-            continue
-        lo = grid_t[j - 1]
-        hi = grid_t[j] if j < len(grid_t) else 1.0
-
-        def resid(t):
-            return t + _theta_float(K, t) - phi
-
-        r_lo, r_hi = resid(lo), resid(hi)
-        if r_lo >= 0.0:
-            out[idx] = lo
-        elif r_hi <= 0.0:
-            out[idx] = hi
-        else:
-            out[idx] = brentq(resid, lo, hi, xtol=1e-14)
+    j = np.searchsorted(curve.normal_angles, phi_targets)
+    out = np.zeros(len(phi_targets))
+    rows = np.flatnonzero(j > 0)
+    j, phi = j[rows], phi_targets[rows]
+    lo = grid_t[j - 1]
+    hi = np.append(grid_t, 1.0)[j]
+    r_lo = lo + _theta_float(K, lo) - phi
+    r_hi = hi + _theta_float(K, hi) - phi
+    t = np.where(r_lo >= 0.0, lo, hi)
+    solve = (r_lo < 0.0) & (r_hi > 0.0)
+    t[solve] = brentq(lambda s, target: s + _theta_float(K, s) - target, lo[solve], hi[solve],
+                      args=(phi[solve],), xtol=1e-14)
+    out[rows] = t
     return out
 
 
@@ -618,8 +633,8 @@ def build_norm(curve, table_size=4096):
     glue_angles = phi_grid[:half][~arc_mask]
 
     t_vals = _t_of_normal_angle(curve, arc_angles)
-    f_vals = np.array([_f_float(K, t) for t in t_vals])
-    F_vals = np.array([_F_float(K, t) for t in t_vals])
+    f_vals = _f_float(K, t_vals)
+    F_vals = _F_float(K, t_vals)
     theta_vals = np.arctan(f_vals / (4.0 * (1.0 - F_vals)))
     # support identities along the arc: h = (1-F) cos(theta), h' = -(1-F) sin(theta)
     h_arc = (1.0 - F_vals) * np.cos(theta_vals)

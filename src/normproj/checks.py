@@ -110,12 +110,9 @@ def _check_linear_families(seed):
         w = norms.HyperplaneNormal.from_angle(rng.uniform(0.0, np.pi))
         proj = projections.projector_from_kernel(w, norms.inverse_gauss(model, w.w).coords)
         worst = max(worst, proj.idempotency_defect())
-        dirs = []
-        for _ in range(50):
-            x = rng.standard_normal(2) * 2.0
-            d = x - projections.project_hyperplane_direct(model, w, x)
-            if np.linalg.norm(d) > 1e-4:
-                dirs.append(d / np.linalg.norm(d))
+        x = rng.standard_normal((50, 2)) * 2.0
+        dirs = [d / np.linalg.norm(d) for d in x - projections.project_hyperplane_direct(model, w, x)
+                if np.linalg.norm(d) > 1e-4]
         for d in dirs[1:]:
             worst = max(worst, abs(dirs[0][0] * d[1] - dirs[0][1] * d[0]))
     return _report("linear_projection_families", worst, 1e-8, 50 * len(models), seed)

@@ -174,14 +174,26 @@ def _build_cloud(args):
     raise ValidationError(f"unknown set kind {kind!r}")
 
 
-def _scales_from(args, cloud):
+def _scales_from(args):
+    """The cloud of ``args`` and its box sizes.
+
+    ``--scales LO:HI`` gives base^-k for k = LO..HI; a range of fewer than
+    ``boxdim.MIN_SCALES`` scales is refused before the cloud is built.
+    Without it the cloud's admissible scales are used.
+    """
+    exponents = None
     if args.scales:
         try:
             lo, hi = (int(v) for v in args.scales.split(":"))
         except ValueError as exc:
             raise ValidationError("--scales expects LO:HI exponents") from exc
-        return [float(cloud.base) ** (-k) for k in range(lo, hi + 1)]
-    return boxdim.admissible_scales(cloud)
+        if hi - lo + 1 < boxdim.MIN_SCALES:
+            raise ValidationError(f"--scales must hold at least {boxdim.MIN_SCALES} scales")
+        exponents = range(lo, hi + 1)
+    cloud = _build_cloud(args)
+    if exponents is None:
+        return cloud, boxdim.admissible_scales(cloud)
+    return cloud, [float(cloud.base) ** (-k) for k in exponents]
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +303,7 @@ def _cmd_set(args):
 
 
 def _cmd_dim(args):
-    cloud = _build_cloud(args)
-    scales = _scales_from(args, cloud)
+    cloud, scales = _scales_from(args)
     est = boxdim.estimate_dim(cloud, scales)
     out = Path(args.out)
     _write_csv(out.with_suffix(".csv"), "delta,count",
@@ -312,9 +323,8 @@ def _cmd_sweep(args):
     if args.directions < sweep.MIN_DIRECTIONS:
         raise ValidationError(f"--directions must be at least {sweep.MIN_DIRECTIONS}")
     model = _build_norm(args)
-    cloud = _build_cloud(args)
+    cloud, scales = _scales_from(args)
     grid = sweep.DirectionGrid(args.directions)
-    scales = _scales_from(args, cloud)
     profile = sweep.dim_profile(model, cloud, grid, scales,
                                 threshold=args.threshold)
     out = Path(args.out)

@@ -459,21 +459,30 @@ def sphere_point(norm, v):
 # Gauss map and its inverse
 # ---------------------------------------------------------------------------
 
-def norm_gradient(norm, y):
-    """Gradient of y -> ||y|| at a nonzero point.
-
-    For tabulated models the envelope theorem gives the gradient of the
-    gauge as u(phi*) / h(phi*) at the contact angle phi* of the ray.
-    """
-    y = np.asarray(y, dtype=float)
-    if norm.kind == "support_table":
-        phi = _contact_angle(norm, y[None, :])[0]
-        return unit_vector(phi) / float(_require_table(norm).support(phi))
+def _point_gradient(norm, y):
+    """Closed-form gradient of the norm at one nonzero point."""
     if norm.kind == "euclidean":
         return y / np.linalg.norm(y)
     if norm.kind == "lp":
         return np.sign(y) * np.abs(y) ** (norm.p - 1.0) / float(eval_norm(norm, y)) ** (norm.p - 1.0)
     return norm.Q @ y / float(eval_norm(norm, y))
+
+
+def norm_gradient(norm, y):
+    """Gradient of y -> ||y|| at a nonzero point, or at each row of a stack.
+
+    For tabulated models the envelope theorem gives the gradient of the
+    gauge as u(phi*) / h(phi*) at the contact angle phi* of the ray, for
+    the whole stack at once.  The closed forms run row by row: a Euclidean
+    length, a product with Q or a power of a stacked norm may round
+    differently from the same expression on one point.
+    """
+    y = np.asarray(y, dtype=float)
+    if norm.kind == "support_table":
+        phi = _contact_angle(norm, y.reshape(-1, 2))
+        return (unit_vector(phi) / _require_table(norm).support(phi)[:, None]).reshape(y.shape)
+    rows = y.reshape(-1, y.shape[-1])
+    return np.reshape([_point_gradient(norm, row) for row in rows], y.shape)
 
 
 def _table_gauss(norm, pts):

@@ -98,35 +98,40 @@ def project_hyperplane(norm, w, x):
 
 
 def _line_min(norm, x, direction, lo, hi):
-    """Minimize s -> ||x - s*direction|| on [lo, hi].
+    """Minimize s -> ||x - s*direction|| on [lo, hi] for each row of ``x``.
 
+    ``x`` is an (N, n) stack with brackets ``lo`` and ``hi`` of length N.
     The objective is convex, so its minimizer is the root of the analytic
-    slope -<grad ||.||, direction>.  The slope is taken as 0 where
-    x - s*direction is the zero vector (the kink at the minimum), and a
-    slope of one sign across the bracket puts the minimizer at the end it
-    points to.
+    slope -<grad ||.||, direction>, one stacked root solve for all rows.
+    The slope is taken as 0 where x - s*direction is the zero vector (the
+    kink at the minimum), and a slope of one sign across the bracket puts
+    the minimizer at the end it points to.  Each row's dot product is its
+    own ``np.dot``, as a stacked product may round differently.
     """
 
-    def slope(s):
-        y = x - s * direction
-        if not np.any(y):
-            return 0.0
-        return -float(np.dot(norms.norm_gradient(norm, y), direction))
+    def slope(s, x):
+        y = x - s[:, None] * direction
+        out = np.zeros(len(y))
+        live = np.any(y != 0.0, axis=1)
+        out[live] = [-float(np.dot(g, direction)) for g in norms.norm_gradient(norm, y[live])]
+        return out
 
-    if slope(lo) >= 0.0:
-        return lo
-    if slope(hi) <= 0.0:
-        return hi
-    return brentq(slope, lo, hi, xtol=1e-13)
+    at_lo = slope(lo, x) >= 0.0
+    at_hi = slope(hi, x) <= 0.0
+    s = np.where(at_lo, lo, hi)
+    solve = ~at_lo & ~at_hi
+    s[solve] = brentq(slope, lo[solve], hi[solve], args=(x[solve],), xtol=1e-13)
+    return s
 
 
 def _direct_2d(norm, w, x):
+    # x is an (N, 2) stack; lengths and dot products stay per row (np.dot)
     v = w.line_direction()
     lo_r, hi_r = norms.sphere_radius_bounds(norm)
-    span = (1.0 + hi_r / lo_r) * (float(np.linalg.norm(x)) + 1.0)
-    center = float(np.dot(x, v))
+    span = (1.0 + hi_r / lo_r) * (np.array([float(np.linalg.norm(row)) for row in x]) + 1.0)
+    center = np.array([float(np.dot(row, v)) for row in x])
     s_star = _line_min(norm, x, v, center - span, center + span)
-    return s_star * v
+    return s_star[:, None] * v
 
 
 def _direct_nd(norm, w, x):
@@ -140,7 +145,8 @@ def _direct_nd(norm, w, x):
         residual = x - basis @ coeff
         for j in range(basis.shape[1]):
             base = residual + coeff[j] * basis[:, j]
-            s_new = _line_min(norm, base, basis[:, j], coeff[j] - span, coeff[j] + span)
+            s_new = _line_min(norm, base[None, :], basis[:, j],
+                              np.array([coeff[j] - span]), np.array([coeff[j] + span]))[0]
             moved = max(moved, abs(s_new - coeff[j]))
             residual = base - s_new * basis[:, j]
             coeff[j] = s_new
@@ -151,12 +157,17 @@ def _direct_nd(norm, w, x):
 
 
 def project_hyperplane_direct(norm, w, x):
-    """Closest point of w-perp by direct norm minimization (oracle route)."""
+    """Closest point of w-perp by direct norm minimization (oracle route).
+
+    ``x`` is a point or, for a planar norm, an (N, 2) stack of points whose
+    line minimizations run as one stacked solve; each row equals the
+    projection of that point alone.
+    """
     if not isinstance(w, HyperplaneNormal):
         w = HyperplaneNormal(w)
     x = np.asarray(x, dtype=float)
     if norm.dim == 2:
-        return _direct_2d(norm, w, x)
+        return _direct_2d(norm, w, x.reshape(-1, 2)).reshape(x.shape)
     return _direct_nd(norm, w, x)
 
 
@@ -265,7 +276,9 @@ def project_line_lp(p, v, x):
 
     The minimizer t of ||x - t v||_p is the root of the increasing slope
     -sum v_i sgn(r_i) |r_i|^(p-1), r = x - t v; for p != 2 in dimension
-    >= 3 this map is genuinely nonlinear in x.
+    >= 3 this map is genuinely nonlinear in x.  ``x`` is a point or an
+    (N, n) stack of points, solved as one stacked root solve; each row
+    equals the projection of that point alone.
     """
     p = float(p)
     if not (1.0 < p < np.inf):
@@ -273,16 +286,17 @@ def project_line_lp(p, v, x):
     v = np.asarray(v, dtype=float)
     v = v / np.linalg.norm(v)
     x = np.asarray(x, dtype=float)
-    n = len(x)
-    bound = (n + 1.0) * float(np.linalg.norm(x)) + 1.0
+    rows = x.reshape(-1, x.shape[-1])
+    bound = (rows.shape[1] + 1.0) * np.array([float(np.linalg.norm(row)) for row in rows]) + 1.0
 
-    def slope(t):
-        r = x - t * v
-        return -float(np.dot(v, np.sign(r) * np.abs(r) ** (p - 1.0)))
+    def slope(t, x):
+        r = x - t[:, None] * v
+        return np.array([-float(np.dot(v, q)) for q in np.sign(r) * np.abs(r) ** (p - 1.0)])
 
     # for x on the line and p > 2 the root has multiplicity p - 1, where
     # brentq needs up to ~150 steps
-    return brentq(slope, -bound, bound, xtol=1e-14, maxiter=500) * v
+    t = brentq(slope, -bound, bound, args=(rows,), xtol=1e-14, maxiter=500)
+    return (t[:, None] * v).reshape(x.shape)
 
 
 def linearity_defect(projector, samples=100, seed=0x5EED, dim=3):
@@ -290,18 +304,20 @@ def linearity_defect(projector, samples=100, seed=0x5EED, dim=3):
 
     Samples (x, y, c) and measures |P(x + c y) - P(x) - c P(y)| divided by
     1 + |x| + |c||y|; a linear map scores ~0, a genuinely nonlinear closest-
-    point map scores well above any floating tolerance.
+    point map scores well above any floating tolerance.  ``projector`` maps
+    an (N, dim) stack of points to their images; the three stacks x + c y,
+    x and y are each one call.
     """
     rng = np.random.default_rng(seed)
+    draws = [(rng.standard_normal(dim), rng.standard_normal(dim), rng.uniform(-2.0, 2.0))
+             for _ in range(samples)]
+    x, y, c = (np.array(col) for col in zip(*draws))
+    lhs = projector(x + c[:, None] * y)
+    rhs = projector(x) + c[:, None] * projector(y)
     worst = 0.0
-    for _ in range(samples):
-        x = rng.standard_normal(dim)
-        y = rng.standard_normal(dim)
-        c = rng.uniform(-2.0, 2.0)
-        lhs = projector(x + c * y)
-        rhs = projector(x) + c * projector(y)
-        scale = 1.0 + np.linalg.norm(x) + abs(c) * np.linalg.norm(y)
-        worst = max(worst, float(np.linalg.norm(lhs - rhs)) / scale)
+    for xi, yi, ci, gap in zip(x, y, c, lhs - rhs):
+        scale = 1.0 + np.linalg.norm(xi) + abs(ci) * np.linalg.norm(yi)
+        worst = max(worst, float(np.linalg.norm(gap)) / scale)
     return worst
 
 

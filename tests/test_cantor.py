@@ -110,6 +110,28 @@ def test_float_twin_matches_exact(triadic_set, rng):
         )
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_theta_float_stack_equals_per_point_descent(curve10):
+    # math.atan of the one-point descents, on the whole level-10 grid
+    K = curve10.K
+    want = [math.atan(cantor._f_float(K, t) / (4.0 * (1.0 - cantor._F_float(K, t))))
+            for t in curve10.t.tolist()]
+    assert np.array_equal(_bits(cantor._theta_float(K, curve10.t)), _bits(want))
+
+
+def test_t_of_normal_angle_stack_equals_one_angle_calls(curve10):
+    table_size = 4096
+    phi = 2.0 * np.pi * np.arange(table_size // 2) / table_size
+    arc = phi[phi <= 1.0 + curve10.theta1]
+    assert len(arc) == 834
+    stacked = cantor._t_of_normal_angle(curve10, arc)
+    alone = [cantor._t_of_normal_angle(curve10, arc[k:k + 1])[0] for k in range(len(arc))]
+    assert np.array_equal(_bits(stacked), _bits(alone))
+
+
 # -- f and F -----------------------------------------------------------------
 
 def test_f_endpoints_and_third(triadic_set):

@@ -158,6 +158,11 @@ def test_validation_errors_exit_2(tmp_path):
     assert run(["set", "--set", "four-corner", "--gen", "-1", "--out", str(out)]) == 2
     assert run(["dim", "--set", "triadic", "--gen", "-2", "--out", str(out)]) == 2
     assert run(["sweep", "--directions", "10", "--out", str(out)]) == 2
+    # --scales ranges holding fewer than four scales, or none
+    for scales in ("2:3", "5:2"):
+        assert run(["sweep", "--gen", "4", "--directions", "36", "--scales", scales,
+                    "--out", str(out)]) == 2
+        assert run(["dim", "--gen", "4", "--scales", scales, "--out", str(out)]) == 2
     assert run(["counterexample", "build", "--table-size", "4095", "--out", str(out)]) == 2
     assert run(["counterexample", "build", "--table-size", "0", "--out", str(out)]) == 2
     # one past the deepest staircase level, for both staircase entry points

@@ -241,6 +241,31 @@ def test_conjugation_vs_bounded_oracle(rng):
         assert np.max(np.abs(got - t_star * v)) <= 1e-7
 
 
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def test_direct_projection_stack_equals_rows(rng, ce_norm):
+    models = (norms.lp(1.5), norms.lp(3.0), norms.inner_product(np.diag([1.0, 4.0])), ce_norm)
+    for model in models:
+        w = HyperplaneNormal.from_angle(rng.uniform(0.0, np.pi))
+        # random points, a point on the plane and the origin
+        x = np.vstack([rng.standard_normal((30, 2)) * 2.0, 1.5 * w.line_direction(), [0.0, 0.0]])
+        stacked = pj.project_hyperplane_direct(model, w, x)
+        rows = [pj.project_hyperplane_direct(model, w, row) for row in x]
+        assert np.array_equal(_bits(stacked), _bits(rows)), model.kind
+
+
+def test_project_line_lp_stack_equals_rows(rng):
+    v = rng.standard_normal(3)
+    for p in (2.0, 4.0):
+        # random points and points on the line, where p = 4 has a triple root
+        x = np.vstack([rng.standard_normal((30, 3)), 2.5 * v, -0.5 * v])
+        stacked = pj.project_line_lp(p, v, x)
+        rows = [pj.project_line_lp(p, v, row) for row in x]
+        assert np.array_equal(_bits(stacked), _bits(rows)), p
+
+
 # -- L^p lines -----------------------------------------------------------------
 
 def test_project_line_lp_p2_closed_form(rng):
