@@ -26,15 +26,18 @@ The central objects:
   itself has zero length -- the property
   ``image_measure_bounds`` certifies with explicit gap sums.
 
-Staircase and integral evaluations run in exact rational arithmetic
-(``fractions.Fraction``), so breakpoint values, F(1), theta(1) and the gap
-sums carry no floating error.  The curve grid is filled by one exact
-left-to-right pass over the sorted level intervals (``_exact_grid``); a
-single point is evaluated by an exact descent of the interval tree
+Staircase and integral values are exact, so breakpoint values, F(1),
+theta(1) and the gap sums carry no floating error.  The curve grid is
+filled by one exact left-to-right pass over the sorted level intervals
+(``_exact_grid``) on Python integers over one common denominator per
+column, and each value is rounded to float once.  The level intervals come
+from one integer source, ``CantorSet.level_starts``.  A single point is
+evaluated by an exact ``fractions.Fraction`` descent of the interval tree
 (``staircase``, ``f_eval``, ``F_eval``), which also serves as the grid's
-oracle.  Table work uses a float twin of the descent that runs on whole
-arrays of points, one masked lane per point and one loop over the levels,
-each lane with the float steps of a one-point descent.
+oracle.  Table work uses a float twin of the descent, ``_fF_float``, that
+yields f and F in one walk over whole arrays of points, one masked lane
+per point and one loop over the levels, each lane with the float steps of
+a one-point descent.
 """
 
 import math
@@ -90,36 +93,37 @@ class CantorSet:
 
     # -- level geometry ----------------------------------------------------
 
+    def level_starts(self, k):
+        """Integer (starts, length, unit) of the m^k level-k intervals, sorted.
+
+        With r = p/q the unit is U = 2(m-1) q^k: the interval with branch
+        digits j_1 ... j_k starts at sum_i j_i 2(q-p) p^(i-1) q^(k-i) / U and
+        has length 2(m-1) p^k / U.  Both are even, so every gap midpoint is
+        an integer over U as well.  Digits in lexicographic order give the
+        intervals from left to right, since each branch ends before the next.
+        """
+        p, q = self.r.numerator, self.r.denominator
+        starts = [0]
+        for i in range(1, k + 1):
+            width = 2 * (q - p) * p ** (i - 1) * q ** (k - i)
+            steps = [j * width for j in range(self.m)]
+            starts = [a + s for a in starts for s in steps]
+        return starts, 2 * (self.m - 1) * p**k, 2 * (self.m - 1) * q**k
+
     def level_intervals(self, k):
         """Exact (starts, length) of the m^k level-k intervals, sorted."""
-        starts = [Fraction(0)]
-        length = Fraction(1)
-        step = self.branch_step
-        for _ in range(k):
-            starts = [a + j * step * length for a in starts for j in range(self.m)]
-            length *= self.r
-            starts.sort()
-        return starts, length
+        starts, length, unit = self.level_starts(k)
+        return [Fraction(a, unit) for a in starts], Fraction(length, unit)
 
     def gaps_upto(self, k):
-        """Exact (left, right) endpoints of all gaps of level <= k, sorted."""
-        gaps = []
-        starts = [Fraction(0)]
-        length = Fraction(1)
-        for _ in range(k):
-            step = self.branch_step * length
-            sub = length * self.r
-            new_starts = []
-            for a in starts:
-                for j in range(self.m):
-                    lo = a + j * step
-                    new_starts.append(lo)
-                    if j < self.m - 1:
-                        gaps.append((lo + sub, a + (j + 1) * step))
-            starts = new_starts
-            length = sub
-        gaps.sort()
-        return gaps
+        """Exact (left, right) endpoints of all gaps of level <= k, sorted.
+
+        Every gap of level <= k lies between two consecutive level-k
+        intervals, from the end of one to the start of the next.
+        """
+        starts, length, unit = self.level_starts(k)
+        return [(Fraction(a + length, unit), Fraction(b, unit))
+                for a, b in zip(starts, starts[1:])]
 
     def level_breakpoints(self, k):
         """Sorted exact endpoints of the level-k intervals."""
@@ -180,40 +184,55 @@ def _descent(K):
     return float(K.r), float(K.branch_step), K.m, min(DESCENT_CAP, K.level_cap)
 
 
-def _staircase_float(K, t):
-    """Float twin of the exact descent at every point of ``t`` (array or scalar).
+def _fF_float(K, t):
+    """Float twins of f and F at every point of ``t`` (array or scalar), as (f, F).
 
-    The levels are the loop.  Each point is a lane that takes the float
-    steps of the one-point descent and leaves at the level where that
-    descent returns.
+    One descent of the interval tree serves both: the staircase value at
+    the left end of the current interval is F's base.  The levels are the
+    loop.  Each point is a lane that takes the float steps of the one-point
+    exact descents and leaves at the level where they return.
     """
     t = np.asarray(t, dtype=float)
     r, step0, m, depth = _descent(K)
     flat = t.reshape(-1)
-    out = np.where(flat <= 0.0, 0.0, 1.0)
-    rows = np.flatnonzero((flat > 0.0) & (flat < 1.0))
+    stair = np.where(flat <= 0.0, 0.0, 1.0)
+    total = np.zeros(len(flat))   # integral of the staircase over [0, t]
+    inside = (flat > 0.0) & (flat < 1.0)
+    rows = np.flatnonzero(inside)
     pos = flat[rows]
-    value = np.zeros(len(rows))
+    run = np.zeros(len(rows))
+    base = np.zeros(len(rows))
     mass = length = 1.0
     for _ in range(depth):
         if not rows.size:
             break
         step = step0 * length
         sub = r * length
+        glen = step - sub
         i = np.minimum(pos // step, m - 1)
+        for j in range(m - 1):   # the whole branches and gaps left of branch i
+            run = np.where(j < i, run + sub * (base + (j + 0.5) * mass / m)
+                           + glen * (base + (j + 1) * mass / m), run)
         pos = pos - i * step
         gap = pos >= sub
         stop = gap | (pos <= 0.0)
         if stop.any():
-            # the gap after branch i, or the left end of branch i
-            out[rows[stop]] = value[stop] + np.where(gap, i + 1, i)[stop] * mass / m
+            # the gap after branch i, or the left end of branch i; ending in
+            # the gap adds branch i and part of the gap to the integral
+            stair[rows[stop]] = base[stop] + np.where(gap, i + 1, i)[stop] * mass / m
+            ends = (run + sub * (base + (i + 0.5) * mass / m)
+                    + (pos - sub) * (base + (i + 1) * mass / m))
+            total[rows[stop]] = np.where(gap, ends, run)[stop]
             keep = ~stop
-            rows, value, pos, i = rows[keep], value[keep], pos[keep], i[keep]
-        value = value + i * mass / m
+            rows, run, pos, i, base = rows[keep], run[keep], pos[keep], i[keep], base[keep]
+        base = base + i * mass / m
         mass /= m
         length = sub
-    out[rows] = value + 0.5 * mass
-    return out.reshape(t.shape)[()]
+    stair[rows] = base + 0.5 * mass
+    total[rows] = run + pos * (base + 0.5 * mass)
+    F = np.where(flat <= 0.0, 0.0, 0.125)
+    F[inside] = (total[inside] + 0.5 * flat[inside] * flat[inside]) / 8.0
+    return (0.5 * (stair.reshape(t.shape) + t))[()], F.reshape(t.shape)[()]
 
 
 def staircase(K, t):
@@ -276,10 +295,6 @@ def _f_exact(K, t):
     return (s + _to_fraction(t)) / 2, err / 2
 
 
-def _f_float(K, t):
-    return 0.5 * (_staircase_float(K, t) + t)
-
-
 def f_eval(K, t):
     """The stretched parameter f(t) = (staircase(t) + t) / 2."""
     val, _ = _f_exact(K, t)
@@ -290,48 +305,6 @@ def _F_exact(K, u):
     u = _to_fraction(u)
     integ, err = _integral_staircase_exact(K, u)
     return (integ + u * u / 2) / 8, err / 8
-
-
-def _F_float(K, u):
-    """Float twin of _integral_staircase_exact folded into F, at every point
-    of ``u`` (array or scalar), one lane per point as in ``_staircase_float``."""
-    u = np.asarray(u, dtype=float)
-    r, step0, m, depth = _descent(K)
-    flat = u.reshape(-1)
-    total = np.zeros(len(flat))   # integral of the staircase over [0, u]
-    inside = (flat > 0.0) & (flat < 1.0)
-    rows = np.flatnonzero(inside)
-    pos = flat[rows]
-    run = np.zeros(len(rows))
-    base = np.zeros(len(rows))
-    mass = length = 1.0
-    for _ in range(depth):
-        if not rows.size:
-            break
-        step = step0 * length
-        sub = r * length
-        glen = step - sub
-        i = np.minimum(pos // step, m - 1)
-        for j in range(m - 1):   # the whole branches and gaps left of branch i
-            run = np.where(j < i, run + sub * (base + (j + 0.5) * mass / m)
-                           + glen * (base + (j + 1) * mass / m), run)
-        pos = pos - i * step
-        gap = pos >= sub
-        stop = gap | (pos <= 0.0)
-        if stop.any():
-            # ending in the gap after branch i adds branch i and part of the gap
-            ends = (run + sub * (base + (i + 0.5) * mass / m)
-                    + (pos - sub) * (base + (i + 1) * mass / m))
-            total[rows[stop]] = np.where(gap, ends, run)[stop]
-            keep = ~stop
-            rows, run, pos, i, base = rows[keep], run[keep], pos[keep], i[keep], base[keep]
-        base = base + i * mass / m
-        mass /= m
-        length = sub
-    total[rows] = run + pos * (base + 0.5 * mass)
-    F = np.where(flat <= 0.0, 0.0, 0.125)
-    F[inside] = (total[inside] + 0.5 * flat[inside] * flat[inside]) / 8.0
-    return F.reshape(u.shape)[()]
 
 
 def F_eval(K, u):
@@ -346,7 +319,8 @@ def _theta_float(K, t):
     """Tilt angle arctan(psi) at every point of ``t``; ``math.atan`` on each
     lane, since numpy's arctan may round differently."""
     t = np.asarray(t, dtype=float)
-    psi = np.reshape(_f_float(K, t) / (4.0 * (1.0 - _F_float(K, t))), -1)
+    f, F = _fF_float(K, t)
+    psi = np.reshape(f / (4.0 * (1.0 - F)), -1)
     return np.fromiter(map(math.atan, psi.tolist()), float, len(psi)).reshape(t.shape)[()]
 
 
@@ -359,8 +333,8 @@ class CounterexampleCurve:
     """Sampled data of the rolled-up convex arc built from a Cantor set.
 
     The grid holds the level-``level`` breakpoints of K plus all gap
-    midpoints of level <= ``level``; ``is_gap_mid`` marks the latter.  All
-    columns are exact-to-float conversions of rational arithmetic.
+    midpoints of level <= ``level``; ``is_gap_mid`` marks the latter.  The
+    t, f and F columns are exact rationals rounded to float once.
     """
 
     K: CantorSet
@@ -388,54 +362,58 @@ def _exact_grid(K, level):
     The grid holds each level interval's two endpoints and the midpoint of
     the gap after it; every gap of level <= ``level`` lies between two
     consecutive level intervals, so these are all its gap midpoints.  Walking
-    the sorted intervals left to right, the staircase equals j/m^k on the
-    j-th interval and (j+1)/m^k on the gap after it; a whole interval adds
-    length * (base + mass/2) to the running integral of the staircase (its
-    restriction is a scaled copy integrating to half the mass) and a gap
-    adds a rectangle.  All values are Fractions, equal to what the
-    per-point descents ``_f_exact`` and ``_F_exact`` return.
+    the sorted intervals left to right, the staircase equals j/M on the j-th
+    interval and (j+1)/M on the gap after it, with M = m^level; a whole
+    interval adds length * (base + mass/2) to the running integral of the
+    staircase (its restriction is a scaled copy integrating to half the
+    mass) and a gap adds a rectangle.
+
+    Everything is a Python int over one denominator per column.  With the
+    unit U of ``CantorSet.level_starts``, t = a/U, f = (jU + aM) / (2UM) and
+    F = (area U + a^2 M) / (16 U^2 M), where ``area`` is the running
+    integral in units of 1/(2UM).  The columns t, f and F are returned as
+    (numerators, denominator) pairs; their values equal what the per-point
+    descents ``_f_exact`` and ``_F_exact`` return.
     """
-    starts, length = K.level_intervals(level)
-    mass = Fraction(1, len(starts))
-    half_area = length * mass / 2
-    ts, fs, Fs, gap = [], [], [], []
-    integral = Fraction(0)   # integral of the staircase over [0, current point]
-
-    def emit(t, s, area, is_gap):
-        ts.append(t)
-        fs.append((s + t) / 2)
-        Fs.append((area + t * t / 2) / 8)
-        gap.append(is_gap)
-
+    starts, length, unit = K.level_starts(level)
+    count = len(starts)
+    ts, stair, areas, gap = [], [], [], []
+    area = 0   # integral of the staircase over [0, current point], times 2UM
     for j, a in enumerate(starts):
-        base = j * mass
-        emit(a, base, integral, False)
-        integral += length * base + half_area
         b = a + length
-        base += mass
-        emit(b, base, integral, False)
-        if j + 1 < len(starts):
-            mid = (b + starts[j + 1]) / 2
-            emit(mid, base, integral + (mid - b) * base, True)
-            integral += (starts[j + 1] - b) * base
-    return ts, fs, Fs, gap
+        ts += (a, b)
+        stair += (j, j + 1)
+        areas.append(area)
+        area += length * (2 * j + 1)
+        areas.append(area)
+        gap += (False, False)
+        if j + 1 < count:
+            c = starts[j + 1]
+            mid = (b + c) // 2
+            ts.append(mid)
+            stair.append(j + 1)
+            areas.append(area + 2 * (j + 1) * (mid - b))
+            gap.append(True)
+            area += 2 * (j + 1) * (c - b)
+    f = [s * unit + x * count for s, x in zip(stair, ts)]
+    F = [v * unit + x * x * count for v, x in zip(areas, ts)]
+    return (ts, unit), (f, 2 * unit * count), (F, 16 * unit * unit * count), gap
 
 
 def curve_samples(K, level):
     """Build the curve grid at the given resolution level.
 
-    The exact columns come from the one-pass ``_exact_grid``, each
-    converted to float once.  Verifies on the grid, raising
-    CurveInvariantFailed otherwise: f strictly increasing, F strictly convex
-    (divided differences increasing), F(1) <= 1/4, and injectivity of the
-    tangent sweep (t + pi/2 + theta strictly increasing).
+    The exact integer columns come from the one-pass ``_exact_grid``; each
+    value becomes a float by one int / int true division, which rounds
+    correctly, like ``float`` of the equal Fraction.  Verifies on the grid,
+    raising CurveInvariantFailed otherwise: f strictly increasing, F
+    strictly convex (divided differences increasing), F(1) <= 1/4, and
+    injectivity of the tangent sweep (t + pi/2 + theta strictly increasing).
     """
     if level > K.level_cap:
         raise ValueError("level exceeds the set's level cap")
-    ts, fs, Fs, gap = _exact_grid(K, level)
-    t_arr = np.array([float(t) for t in ts])
-    f_arr = np.array([float(v) for v in fs])
-    F_arr = np.array([float(v) for v in Fs])
+    *columns, gap = _exact_grid(K, level)
+    t_arr, f_arr, F_arr = (np.array([n / den for n in nums]) for nums, den in columns)
     psi_arr = f_arr / (4.0 * (1.0 - F_arr))
     theta_arr = np.arctan(psi_arr)
     gamma_arr = (1.0 - F_arr)[:, None] * norms.unit_vector(t_arr)
@@ -480,9 +458,9 @@ def gauss_on_gamma(curve, t):
     for this counterclockwise arc, giving normal angle t + theta(t).
     """
     t = float(t)
-    theta = _theta_float(curve.K, t)
-    g = norms.unit_vector(t + theta)
-    gamma_t = (1.0 - _F_float(curve.K, t)) * norms.unit_vector(t)
+    f, F = _fF_float(curve.K, t)
+    g = norms.unit_vector(t + math.atan(f / (4.0 * (1.0 - F))))
+    gamma_t = (1.0 - F) * norms.unit_vector(t)
     if not float(np.dot(gamma_t, g)) > 0.0:
         raise CurveInvariantFailed(f"normal at t = {t} does not point outward")
     return g
@@ -497,24 +475,19 @@ def image_measure_bounds(curve, k):
     because the t-parts of the gaps telescope to total length 1.  Gaps of
     level <= k are summed exactly; the tail is controlled by the gap tilt
     rate bound times the remaining gap length (m r)^k.
+
+    The gaps of level <= k are those after every m^(level-k)-th interval of
+    the curve's grid, whose interval endpoints carry theta, so k may not
+    exceed ``curve.level``.  ``math.fsum`` rounds the sum exactly, whatever
+    the order of its terms.
     """
     K = curve.K
-    if k > K.level_cap:
-        raise ValueError("level exceeds the set's level cap")
-
-    def theta_at(t_exact):
-        t = float(t_exact)
-        if k <= curve.level:
-            # gap endpoints of level <= k are grid breakpoints: look them up
-            j = int(np.searchsorted(curve.t, t))
-            if j < len(curve.t) and curve.t[j] == t:
-                return float(curve.theta[j])
-        return math.atan(
-            float(_f_exact(K, t_exact)[0]) / (4.0 * (1.0 - float(_F_exact(K, t_exact)[0])))
-        )
-
-    gap_sum = [theta_at(hi) - theta_at(lo) for lo, hi in K.gaps_upto(k)]
-    known = math.fsum(gap_sum)
+    if k > curve.level:
+        raise ValueError("level exceeds the curve's level")
+    ends = curve.theta[~curve.is_gap_mid]
+    gains = ends[2::2] - ends[1:-1:2]   # theta gain on each gap of the grid
+    every = K.m ** (curve.level - k)
+    known = math.fsum(gains[every - 1::every].tolist())
     tail = GAP_TILT_RATE_BOUND * float(K.m * K.r) ** k
     upper = curve.theta1 - known
     lower = upper - tail
@@ -633,8 +606,7 @@ def build_norm(curve, table_size=4096):
     glue_angles = phi_grid[:half][~arc_mask]
 
     t_vals = _t_of_normal_angle(curve, arc_angles)
-    f_vals = _f_float(K, t_vals)
-    F_vals = _F_float(K, t_vals)
+    f_vals, F_vals = _fF_float(K, t_vals)
     theta_vals = np.arctan(f_vals / (4.0 * (1.0 - F_vals)))
     # support identities along the arc: h = (1-F) cos(theta), h' = -(1-F) sin(theta)
     h_arc = (1.0 - F_vals) * np.cos(theta_vals)

@@ -50,6 +50,23 @@ def test_gap_structure(triadic_set):
     assert total == 1 - Fraction(2, 3) ** 3
 
 
+REFERENCE_SETS = [(2, Fraction(1, 3)), (3, Fraction(1, 5)), (2, Fraction(1, 4))]
+
+
+@pytest.mark.parametrize("m, r", REFERENCE_SETS)
+def test_gaps_upto_count_and_length(m, r):
+    K = CantorSet(m=m, r=r)
+    starts, length = [Fraction(0)], Fraction(1)   # recursive construction
+    for k in range(7):
+        assert K.level_intervals(k) == (sorted(starts), length)
+        gaps = K.gaps_upto(k)
+        assert len(gaps) == m**k - 1
+        assert sum(hi - lo for lo, hi in gaps) == 1 - (m * r) ** k
+        assert all(lo < hi for lo, hi in gaps)
+        starts = [a + j * K.branch_step * length for a in starts for j in range(m)]
+        length *= r
+
+
 # -- staircase ---------------------------------------------------------------
 
 def test_staircase_trivial(triadic_set):
@@ -103,11 +120,10 @@ def test_staircase_general_set():
 def test_float_twin_matches_exact(triadic_set, rng):
     for t in rng.uniform(0.0, 1.0, size=40):
         exact = cantor.staircase(triadic_set, float(t))
-        fast = cantor._staircase_float(triadic_set, float(t))
+        f, F = cantor._fF_float(triadic_set, float(t))
+        fast = 2.0 * f - float(t)   # the staircase value behind f
         assert abs(fast - exact.value) <= exact.error_bound + 1e-12
-        assert cantor._F_float(triadic_set, float(t)) == pytest.approx(
-            cantor.F_eval(triadic_set, float(t)).value, abs=1e-12
-        )
+        assert F == pytest.approx(cantor.F_eval(triadic_set, float(t)).value, abs=1e-12)
 
 
 def _bits(values):
@@ -117,8 +133,8 @@ def _bits(values):
 def test_theta_float_stack_equals_per_point_descent(curve10):
     # math.atan of the one-point descents, on the whole level-10 grid
     K = curve10.K
-    want = [math.atan(cantor._f_float(K, t) / (4.0 * (1.0 - cantor._F_float(K, t))))
-            for t in curve10.t.tolist()]
+    want = [math.atan(f / (4.0 * (1.0 - F)))
+            for f, F in (cantor._fF_float(K, t) for t in curve10.t.tolist())]
     assert np.array_equal(_bits(cantor._theta_float(K, curve10.t)), _bits(want))
 
 
@@ -159,7 +175,7 @@ def test_F_riemann_bracket_oracle(triadic_set):
     # f is nondecreasing: left/right Riemann sums bracket the integral
     n = 4096
     ts = np.arange(n + 1) / n
-    fv = np.array([cantor._f_float(triadic_set, t) for t in ts])
+    fv = np.array([cantor._fF_float(triadic_set, t)[0] for t in ts])
     lower = np.sum(fv[:-1]) / n / 4.0
     upper = np.sum(fv[1:]) / n / 4.0
     got = cantor.F_eval(triadic_set, 1.0).value
@@ -200,19 +216,27 @@ def test_beta_dominates_w(curve10, rng):
         assert db >= dw - 1e-12
 
 
-@pytest.mark.parametrize("m, r", [(2, Fraction(1, 3)), (3, Fraction(1, 5)), (2, Fraction(1, 4))])
-def test_curve_samples_match_per_point_descent(m, r):
+def _assert_grid_matches_descent(curve):
     # the one-pass grid against the per-point exact descents, bit for bit
+    K, level = curve.K, curve.level
+    breaks = set(K.level_breakpoints(level))
+    ts = sorted(breaks | {(lo + hi) / 2 for lo, hi in K.gaps_upto(level)})
+    assert curve.t.tobytes() == np.array([float(t) for t in ts]).tobytes()
+    assert curve.f.tobytes() == np.array([float(cantor._f_exact(K, t)[0]) for t in ts]).tobytes()
+    assert curve.F.tobytes() == np.array([float(cantor._F_exact(K, t)[0]) for t in ts]).tobytes()
+    assert curve.is_gap_mid.tolist() == [t not in breaks for t in ts]
+    assert curve.F1 == float(cantor._F_exact(K, 1)[0])
+
+
+@pytest.mark.parametrize("m, r", REFERENCE_SETS)
+def test_curve_samples_match_per_point_descent(m, r):
     K = CantorSet(m=m, r=r)
     for level in range(1, 8):
-        curve = cantor.curve_samples(K, level)
-        breaks = set(K.level_breakpoints(level))
-        ts = sorted(breaks | {(lo + hi) / 2 for lo, hi in K.gaps_upto(level)})
-        assert curve.t.tobytes() == np.array([float(t) for t in ts]).tobytes()
-        assert curve.f.tobytes() == np.array([float(cantor._f_exact(K, t)[0]) for t in ts]).tobytes()
-        assert curve.F.tobytes() == np.array([float(cantor._F_exact(K, t)[0]) for t in ts]).tobytes()
-        assert curve.is_gap_mid.tolist() == [t not in breaks for t in ts]
-        assert curve.F1 == float(cantor._F_exact(K, 1)[0])
+        _assert_grid_matches_descent(cantor.curve_samples(K, level))
+
+
+def test_curve_samples_match_per_point_descent_at_level_10(curve10):
+    _assert_grid_matches_descent(curve10)
 
 
 def test_curve_level_guard(triadic_set):
@@ -231,7 +255,7 @@ def test_gauss_on_gamma_orientation(curve10):
         theta = cantor._theta_float(curve10.K, t)
         beta = norms.unit_vector(t + np.pi / 2.0 + theta)
         assert np.allclose(g, [beta[1], -beta[0]], atol=1e-12)  # clockwise quarter turn
-        gamma_t = (1.0 - cantor._F_float(curve10.K, t)) * norms.unit_vector(t)
+        gamma_t = (1.0 - cantor._fF_float(curve10.K, t)[1]) * norms.unit_vector(t)
         assert float(np.dot(gamma_t, g)) > 0.0
 
 
@@ -240,8 +264,9 @@ def test_curve_samples_nonconvex_F_raises_typed_error(triadic_set, monkeypatch):
     exact_grid = cantor._exact_grid
 
     def concave_F(K, level):
-        ts, fs, _, gap = exact_grid(K, level)
-        return ts, fs, [u / 4 - u * u / 8 for u in ts], gap
+        t, f, _, gap = exact_grid(K, level)
+        a, unit = t   # F = t/4 - t^2/8 = (4 a U - 2 a^2) / (16 U^2)
+        return t, f, ([4 * x * unit - 2 * x * x for x in a], 16 * unit * unit), gap
 
     monkeypatch.setattr(cantor, "_exact_grid", concave_F)
     with pytest.raises(CurveInvariantFailed, match="convex"):
@@ -250,7 +275,7 @@ def test_curve_samples_nonconvex_F_raises_typed_error(triadic_set, monkeypatch):
 
 def test_gauss_on_gamma_inward_normal_raises_typed_error(curve10, monkeypatch):
     # F > 1 flips gamma through the origin, so the normal points inward
-    monkeypatch.setattr(cantor, "_F_float", lambda K, u: 2.0)
+    monkeypatch.setattr(cantor, "_fF_float", lambda K, u: (0.5, 2.0))
     with pytest.raises(CurveInvariantFailed):
         cantor.gauss_on_gamma(curve10, 0.5)
 
@@ -267,7 +292,7 @@ def test_gauss_on_gamma_matches_built_norm(curve10, ce_norm):
     for lo, hi in K.gaps_upto(4):
         t = float(lo + hi) / 2.0
         got = cantor.gauss_on_gamma(curve10, t)
-        gamma_t = (1.0 - cantor._F_float(K, t)) * norms.unit_vector(t)
+        gamma_t = (1.0 - cantor._fF_float(K, t)[1]) * norms.unit_vector(t)
         ref = norms.gauss_map(ce_norm, gamma_t)
         worst_smooth = max(worst_smooth, float(np.linalg.norm(got - ref)))
     assert worst_smooth <= 1e-5
@@ -275,7 +300,7 @@ def test_gauss_on_gamma_matches_built_norm(curve10, ce_norm):
     worst = 0.0
     for t in np.linspace(0.0, 1.0, 101):
         got = cantor.gauss_on_gamma(curve10, float(t))
-        gamma_t = (1.0 - cantor._F_float(K, float(t))) * norms.unit_vector(float(t))
+        gamma_t = (1.0 - cantor._fF_float(K, float(t))[1]) * norms.unit_vector(float(t))
         ref = norms.gauss_map(ce_norm, gamma_t)
         worst = max(worst, float(np.linalg.norm(got - ref)))
     assert worst <= 1e-3
@@ -292,6 +317,26 @@ def test_image_measure_bounds(curve10):
         prev_lower = lower
     lower10, upper10 = cantor.image_measure_bounds(curve10, 10)
     assert lower10 == pytest.approx(0.126014145067989, abs=1e-9)
+
+
+def test_image_measure_bounds_match_per_point_gap_sum(curve10, curve12):
+    # theta1 minus the fsum of theta gains over gaps_upto(k), theta from the
+    # per-point exact descents; np.arctan on an array, as the curve's theta
+    # column is made.  Every gap of level <= k is one of level <= 10, so one
+    # table of theta serves every k.
+    K = curve10.K
+    ends = [t for gap in K.gaps_upto(10) for t in gap]
+    psi = [float(cantor._f_exact(K, t)[0]) / (4.0 * (1.0 - float(cantor._F_exact(K, t)[0])))
+           for t in ends]
+    theta = dict(zip(ends, np.arctan(np.array(psi)).tolist()))
+    for curve, levels in ((curve10, range(1, 11)), (curve12, (10,))):
+        for k in levels:
+            upper = curve.theta1 - math.fsum(theta[hi] - theta[lo] for lo, hi in K.gaps_upto(k))
+            lower = upper - cantor.GAP_TILT_RATE_BOUND * float(K.m * K.r) ** k
+            assert cantor.image_measure_bounds(curve, k) == (lower, upper)
+    cantor.image_measure_bounds(curve10, curve10.level)
+    with pytest.raises(ValueError):
+        cantor.image_measure_bounds(curve10, curve10.level + 1)
 
 
 def test_f_image_bracket_oracle(triadic_set):

@@ -1,6 +1,8 @@
 import argparse
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 
@@ -248,3 +250,25 @@ def test_set_deterministic_bytes(tmp_path):
     for out in (a, b):
         assert run(["set", "--set", "cantor-product", "--gen", "4", "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_artifacts_identical_under_python_O(tmp_path):
+    # -O strips assert statements; every invariant the tool enforces must
+    # hold without them, so the artifacts do not change
+    commands = (
+        (["verify", "--seed", "0", "--out", "@verify.json"], ["verify.json"]),
+        (["counterexample", "build", "--level", "8", "--table-size", "2048", "--out", "@ce.csv"],
+         ["ce.csv", "ce.json"]),
+    )
+    for args, outputs in commands:
+        blobs = []
+        for flags in ([], ["-O"]):
+            run_dir = tmp_path / ("optimized" if flags else "plain")
+            run_dir.mkdir(exist_ok=True)
+            argv = [sys.executable, *flags, "-m", "normproj"] + [
+                a.replace("@", str(run_dir) + "/") for a in args
+            ]
+            proc = subprocess.run(argv, capture_output=True, text=True, timeout=600)
+            assert proc.returncode == 0, proc.stderr
+            blobs.append([(run_dir / out).read_bytes() for out in outputs])
+        assert blobs[0] == blobs[1], args
