@@ -15,7 +15,6 @@ VERSION_HEADER = f"# normproj {__version__}"
 from .norms import (  # noqa: E402
     HyperplaneNormal,
     NormModel,
-    SpherePoint,
     SupportTable,
     euclidean,
     eval_norm,

@@ -30,6 +30,7 @@ DIMENSION_CAVEAT = (
 )
 MIN_SCALES = 4
 MIN_R2 = 0.98
+MAX_SCALES = 12  # longest ladder of admissible_scales
 
 
 @dataclass(frozen=True)
@@ -106,10 +107,10 @@ def box_count(cloud, delta):
     return _occupied_cells(cloud.points, float(delta))
 
 
-def admissible_scales(cloud, max_scales=12):
+def admissible_scales(cloud):
     """Powers base^-k admissible under the resolution guard, coarse first."""
     out = []
-    for k in range(1, max_scales + 1):
+    for k in range(1, MAX_SCALES + 1):
         delta = float(cloud.base) ** (-k)
         if delta < 2.0 * cloud.resolution:
             break
@@ -131,10 +132,10 @@ def fit_loglog(scales, counts):
     return DimensionEstimate(scales=scales, counts=counts.astype(int), slope=float(-coeffs[0]), r2=r2)
 
 
-def estimate_dim(cloud, scales=None, min_r2=MIN_R2):
+def estimate_dim(cloud, scales=None):
     """Box-count over a ladder of scales and fit the dimension.
 
-    Refuses with LowQualityFit when the fit explains less than ``min_r2`` of
+    Refuses with LowQualityFit when the fit explains less than ``MIN_R2`` of
     the variance; refuses with UnderResolved when fewer than four admissible
     scales exist.
     """
@@ -146,8 +147,8 @@ def estimate_dim(cloud, scales=None, min_r2=MIN_R2):
         raise UnderResolved("need at least four admissible scales")
     counts = [box_count(cloud, s) for s in scales]
     est = fit_loglog(scales, counts)
-    if est.r2 < min_r2:
-        raise LowQualityFit(f"log-log fit r2 {est.r2:.4f} below {min_r2}")
+    if est.r2 < MIN_R2:
+        raise LowQualityFit(f"log-log fit r2 {est.r2:.4f} below {MIN_R2}")
     return est
 
 
@@ -167,7 +168,7 @@ def _shadow_coordinates(norm, cloud, w):
     v = w.line_direction()
     if norm.kind == "euclidean":
         return cloud.points @ v
-    u = norms.inverse_gauss(norm, w.w).coords
+    u = norms.inverse_gauss(norm, w.w)
     functional = v - (float(np.dot(u, v)) / float(np.dot(u, w.w))) * w.w
     return cloud.points @ functional
 
@@ -191,8 +192,8 @@ def projector_counts(projector, cloud, scales):
     rank-zero projector maps the cloud to one point, so every count is 1.
     """
     _check_resolved(cloud, scales)
-    # arc-length coordinate along the actual image line (the target label of
-    # a gmap-induced family may name a different plane)
+    # arc-length coordinate along the image line read off the matrix (a
+    # family built from a map g projects onto g(V), not onto V)
     for probe in (np.array([1.0, 0.0]), np.array([0.0, 1.0])):
         cand = projector.matrix @ probe
         if np.linalg.norm(cand) > 1e-9:

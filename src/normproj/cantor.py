@@ -18,12 +18,15 @@ The central objects:
   theta = arctan(psi) and psi(t) = f(t) / (4 (1 - F(t))).
 
 * ``build_norm``: closes gamma and its antipode into a full strictly convex,
-  antipodally symmetric sphere by inserting C^1 convex arcs in
-  support-function space, yielding a support_table NormModel that carries
-  the curve it was built from.  The outward normal angle along the
-  constructed arc is t + theta(t), so the normal directions of the Cantor
-  subset {gamma(t): t in K} fill positive angular measure even though K
-  itself has zero length -- the property
+  antipodally symmetric sphere by inserting one C^1 convex quintic arc (and
+  its antipode) in support-function space, yielding a support_table
+  NormModel that carries the curve it was built from.  The closing arc is
+  the same for every set: the staircase of a symmetric Cantor set
+  integrates to 1/2, so F(1) = 1/8 and theta(1) = arctan(2/7), and the arc
+  joins fixed (h, h') data at 1 + theta(1) to (1, 0) at pi.  The outward
+  normal angle along the constructed arc is t + theta(t), so the normal
+  directions of the Cantor subset {gamma(t): t in K} fill positive angular
+  measure even though K itself has zero length -- the property
   ``image_measure_bounds`` certifies with explicit gap sums.
 
 Staircase and integral values are exact, so breakpoint values, F(1),
@@ -51,19 +54,12 @@ from . import norms
 from .norms import SupportTable
 from .roots import brentq
 
-DESCENT_CAP = 50  # maximum depth of the interval-tree descent
+DESCENT_CAP = 40  # depth of every interval-tree descent and deepest curve level
 
 # On gaps psi' = f'/(4(1-F)) + f*f/(16(1-F)^2) with f' = 1/2, f <= 1 and
 # F <= 1/4, so psi' <= 1/6 + 1/9 = 5/18; arctan is 1-Lipschitz, hence the
 # tilt angle theta gains at most (5/18) * dt across any union of gaps.
 GAP_TILT_RATE_BOUND = 5.0 / 18.0
-
-
-def _to_fraction(x):
-    """Exact Fraction from int, str ("1/3", "0.333333333"), Fraction or float."""
-    if isinstance(x, Fraction):
-        return x
-    return Fraction(x)
 
 
 @dataclass(frozen=True)
@@ -72,10 +68,9 @@ class CantorSet:
 
     m: int = 2
     r: Fraction = Fraction(1, 3)
-    level_cap: int = 40
 
     def __post_init__(self):
-        object.__setattr__(self, "r", _to_fraction(self.r))
+        object.__setattr__(self, "r", Fraction(self.r))
         if self.m < 2:
             raise ValueError("need at least two branches")
         if not (0 < self.r and self.m * self.r < 1):
@@ -161,7 +156,7 @@ def _staircase_exact(K, t):
     mass = Fraction(1)
     pos = Fraction(t)
     length = Fraction(1)
-    for _ in range(min(DESCENT_CAP, K.level_cap)):
+    for _ in range(DESCENT_CAP):
         step = step0 * length
         sub = r * length
         i = int(pos // step)
@@ -179,11 +174,6 @@ def _staircase_exact(K, t):
     return value + mass / 2, mass / 2
 
 
-def _descent(K):
-    """Float constants of the interval-tree descent: r, branch step, m, depth."""
-    return float(K.r), float(K.branch_step), K.m, min(DESCENT_CAP, K.level_cap)
-
-
 def _fF_float(K, t):
     """Float twins of f and F at every point of ``t`` (array or scalar), as (f, F).
 
@@ -193,7 +183,7 @@ def _fF_float(K, t):
     exact descents and leaves at the level where they return.
     """
     t = np.asarray(t, dtype=float)
-    r, step0, m, depth = _descent(K)
+    r, step0, m = float(K.r), float(K.branch_step), K.m
     flat = t.reshape(-1)
     stair = np.where(flat <= 0.0, 0.0, 1.0)
     total = np.zeros(len(flat))   # integral of the staircase over [0, t]
@@ -203,7 +193,7 @@ def _fF_float(K, t):
     run = np.zeros(len(rows))
     base = np.zeros(len(rows))
     mass = length = 1.0
-    for _ in range(depth):
+    for _ in range(DESCENT_CAP):
         if not rows.size:
             break
         step = step0 * length
@@ -239,7 +229,7 @@ def staircase(K, t):
     """Normalized measure of [0, t]; exact at breakpoints and on gaps."""
     if not 0.0 <= float(t) <= 1.0:
         raise ValueError("t must lie in [0, 1]")
-    val, err = _staircase_exact(K, _to_fraction(t))
+    val, err = _staircase_exact(K, Fraction(t))
     return StaircaseValue(value=float(val), error_bound=float(err))
 
 
@@ -263,7 +253,7 @@ def _integral_staircase_exact(K, u):
     mass = Fraction(1)   # measure carried by the current interval
     length = Fraction(1)
     pos = Fraction(u)
-    for _ in range(min(DESCENT_CAP, K.level_cap)):
+    for _ in range(DESCENT_CAP):
         step = step0 * length
         sub = r * length
         glen = step - sub
@@ -291,8 +281,8 @@ def _integral_staircase_exact(K, u):
 
 
 def _f_exact(K, t):
-    s, err = _staircase_exact(K, _to_fraction(t))
-    return (s + _to_fraction(t)) / 2, err / 2
+    s, err = _staircase_exact(K, Fraction(t))
+    return (s + Fraction(t)) / 2, err / 2
 
 
 def f_eval(K, t):
@@ -302,7 +292,7 @@ def f_eval(K, t):
 
 
 def _F_exact(K, u):
-    u = _to_fraction(u)
+    u = Fraction(u)
     integ, err = _integral_staircase_exact(K, u)
     return (integ + u * u / 2) / 8, err / 8
 
@@ -410,8 +400,8 @@ def curve_samples(K, level):
     strictly convex (divided differences increasing), F(1) <= 1/4, and
     injectivity of the tangent sweep (t + pi/2 + theta strictly increasing).
     """
-    if level > K.level_cap:
-        raise ValueError("level exceeds the set's level cap")
+    if level > DESCENT_CAP:
+        raise ValueError(f"level exceeds the descent depth {DESCENT_CAP}")
     *columns, gap = _exact_grid(K, level)
     t_arr, f_arr, F_arr = (np.array([n / den for n in nums]) for nums, den in columns)
     psi_arr = f_arr / (4.0 * (1.0 - F_arr))
@@ -536,25 +526,6 @@ def _quintic_hermite(x0, x1, y0, dy0, y1, dy1):
     return poly, dpoly
 
 
-def _cubic_hermite(x0, x1, y0, dy0, y1, dy1):
-    """Plain cubic Hermite fallback for the closing arc."""
-    length = x1 - x0
-    a0, a1 = y0, dy0 * length
-    a2 = 3.0 * (y1 - y0) - length * (2.0 * dy0 + dy1)
-    a3 = -2.0 * (y1 - y0) + length * (dy0 + dy1)
-    coeffs = np.array([a0, a1, a2, a3])
-
-    def poly(x):
-        s = (np.asarray(x, dtype=float) - x0) / length
-        return sum(c * s**i for i, c in enumerate(coeffs))
-
-    def dpoly(x):
-        s = (np.asarray(x, dtype=float) - x0) / length
-        return sum(i * c * s ** (i - 1) for i, c in enumerate(coeffs) if i > 0) / length
-
-    return poly, dpoly
-
-
 def _t_of_normal_angle(curve, phi_targets):
     """Invert phi = t + theta(t) on [0, 1] for each target angle.
 
@@ -584,10 +555,11 @@ def build_norm(curve, table_size=4096):
 
     The arc covers outward-normal angles [0, 1 + theta(1)]; its antipode
     covers the range shifted by pi.  The two remaining angular gaps are
-    closed by convex C^1 interpolants in support-function space, where
-    convexity is the single checkable inequality h + h'' > 0.  A quintic
-    with flat end curvature is tried first, then a cubic; if both violate
-    the discrete convexity proxy the assembly fails with GlueFailed.  The
+    closed by a quintic with flat end curvature in support-function space,
+    where convexity is the single checkable inequality h + h'' > 0.  Since
+    F(1) = 1/8 and theta(1) = arctan(2/7) for every set, the quintic is a
+    constant of the construction, with discrete convexity slack about 0.47;
+    a closing arc that fails the convexity proxy raises GlueFailed.  The
     returned model carries ``curve`` as its ``curve`` field.
     """
     if table_size % 2 != 0:
@@ -599,7 +571,6 @@ def build_norm(curve, table_size=4096):
 
     h = np.empty(table_size)
     dh = np.empty(table_size)
-    prov = np.empty(table_size, dtype=object)
 
     arc_mask = phi_grid[:half] <= phi1
     arc_angles = phi_grid[:half][arc_mask]
@@ -616,32 +587,20 @@ def build_norm(curve, table_size=4096):
     dh_a = -(1.0 - curve.F1) * math.sin(curve.theta1)
     h_b, dh_b = 1.0, 0.0  # antipode of gamma(0) at angle pi
 
-    chosen = None
-    for maker in (_quintic_hermite, _cubic_hermite):
-        poly, dpoly = maker(phi1, np.pi, h_a, dh_a, h_b, dh_b)
-        dense = np.linspace(phi1, np.pi, 4096)
-        vals = np.asarray(poly(dense))
-        step = dense[1] - dense[0]
-        second = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / step**2
-        if np.min(vals[1:-1] + second) > 0.0:
-            chosen = (poly, dpoly)
-            break
-    if chosen is None:
+    poly, dpoly = _quintic_hermite(phi1, np.pi, h_a, dh_a, h_b, dh_b)
+    dense = np.linspace(phi1, np.pi, 4096)
+    vals = np.asarray(poly(dense))
+    step = dense[1] - dense[0]
+    second = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / step**2
+    if not np.min(vals[1:-1] + second) > 0.0:
         raise GlueFailed("no convex closing arc found for the support gap")
-    poly, dpoly = chosen
 
-    n_arc = len(arc_angles)
     h[:half][arc_mask] = h_arc
     dh[:half][arc_mask] = dh_arc
-    prov[: len(arc_angles)] = "gamma"
     h[:half][~arc_mask] = poly(glue_angles)
     dh[:half][~arc_mask] = dpoly(glue_angles)
-    prov[n_arc:half] = "glue"
-
     h[half:] = h[:half]
     dh[half:] = dh[:half]
-    prov[half : half + n_arc] = "gamma_opp"
-    prov[half + n_arc :] = "glue_opp"
 
     joints = (
         (phi1, dh_a, float(dpoly(phi1))),
@@ -649,7 +608,7 @@ def build_norm(curve, table_size=4096):
         (phi1 + np.pi, dh_a, float(dpoly(phi1))),
         (2.0 * np.pi, float(dpoly(np.pi)), dh_b),
     )
-    table = SupportTable(phi=phi_grid, h=h, dh=dh, provenance=prov, joints=joints)
+    table = SupportTable(phi=phi_grid, h=h, dh=dh, joints=joints)
     slack = table.convexity_slack()
     if slack <= 0.0:
         raise GlueFailed(f"assembled table fails convexity (slack {slack:.3e})")

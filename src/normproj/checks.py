@@ -108,7 +108,7 @@ def _check_linear_families(seed):
     worst = 0.0
     for model in models:
         w = norms.HyperplaneNormal.from_angle(rng.uniform(0.0, np.pi))
-        proj = projections.projector_from_kernel(w, norms.inverse_gauss(model, w.w).coords)
+        proj = projections.projector_from_kernel(w, norms.inverse_gauss(model, w.w))
         worst = max(worst, proj.idempotency_defect())
         x = rng.standard_normal((50, 2)) * 2.0
         dirs = [d / np.linalg.norm(d) for d in x - projections.project_hyperplane_direct(model, w, x)
@@ -219,20 +219,16 @@ def _check_conjugation(seed):
 
 def _check_lp_linear(seed):
     v = np.ones(3) / np.sqrt(3.0)
-    d2 = projections.linearity_defect(
-        lambda x: projections.project_line_lp(2.0, v, x), samples=100, seed=seed
-    )
-    return _report("lp_line_linearity_p2", d2, 1e-9, 100, seed)
+    d2 = projections.linearity_defect(lambda x: projections.project_line_lp(2.0, v, x), seed=seed)
+    return _report("lp_line_linearity_p2", d2, 1e-9, projections.LINEARITY_SAMPLES, seed)
 
 
 def _check_lp_nonlinear(seed):
     v = np.ones(3) / np.sqrt(3.0)
-    d4 = projections.linearity_defect(
-        lambda x: projections.project_line_lp(4.0, v, x), samples=100, seed=seed
-    )
+    d4 = projections.linearity_defect(lambda x: projections.project_line_lp(4.0, v, x), seed=seed)
     # the check demands d4 > 1e-3; report the shortfall so passed <=> 0
     shortfall = max(0.0, 1e-3 - d4)
-    return _report("lp_line_nonlinearity_p4", shortfall, 0.0, 100, seed)
+    return _report("lp_line_nonlinearity_p4", shortfall, 0.0, projections.LINEARITY_SAMPLES, seed)
 
 
 def _check_pushforward(seed):

@@ -231,10 +231,10 @@ def _cmd_gauss(args):
     normal = norms.gauss_map(model, point)
     back = norms.inverse_gauss(model, normal)
     payload = {
-        "point": list(point.coords),
+        "point": list(point),
         "gauss": list(normal),
-        "inner": float(np.dot(point.coords, normal)),
-        "roundtrip_defect": float(np.linalg.norm(back.coords - point.coords)),
+        "inner": float(np.dot(point, normal)),
+        "roundtrip_defect": float(np.linalg.norm(back - point)),
     }
     _write_json(args.out, payload)
     return 0
@@ -250,7 +250,7 @@ def _cmd_project(args):
     lemma = projections.project_hyperplane(model, w, x)
     direct = projections.project_hyperplane_direct(model, w, x)
     chosen = lemma if args.method == "lemma" else direct
-    kernel = norms.inverse_gauss(model, w.w).coords
+    kernel = norms.inverse_gauss(model, w.w)
     payload = {
         "projection": list(chosen),
         "kernel_dir": list(kernel / np.linalg.norm(kernel)),

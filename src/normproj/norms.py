@@ -37,6 +37,8 @@ ANTIPODAL_TABLE_TOL = 1e-10  # h(phi+pi) = h(phi) for stored tables
 JOINT_TANGENT_TOL = 1e-6     # C^1 mismatch allowed at glue joints
 _ZERO_COORD_TOL = 1e-12      # "first nonzero coordinate" cutoff
 MIN_GAUSS_GRID = 16          # fewest sweep points of check_gauss_properties
+_FIXED_POINT_GRID = 4096     # coarse sweep of find_gauss_fixed_points
+_RADIUS_GRID = 512           # sweep of sphere_radius_bounds
 
 
 def unit_vector(angle):
@@ -66,17 +68,15 @@ def polar_angle(v):
     return a + 2.0 * np.pi if a < 0 else a
 
 
-@dataclass(frozen=True)
-class SpherePoint:
-    """A point on the unit sphere of some norm model."""
-
-    coords: np.ndarray
-    polar_angle: float | None = None  # set for planar models
-
-    def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
-        coords.flags.writeable = False
-        object.__setattr__(self, "coords", coords)
+def _rescaled(v, size):
+    """``(v, size(v))``, with ``v`` first divided by max |v_i| when its size
+    overflows to inf or underflows to 0; the ray through ``v`` is kept."""
+    with np.errstate(over="ignore"):
+        n = size(v)
+    if (n == 0.0 or np.isinf(n)) and np.any(v):
+        v = v / np.max(np.abs(v))
+        n = size(v)
+    return v, n
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,7 @@ class HyperplaneNormal:
     w: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        n = np.linalg.norm(w)
+        w, n = _rescaled(np.asarray(self.w, dtype=float), np.linalg.norm)
         if n == 0:
             raise ValueError("zero vector cannot define a hyperplane")
         w = canonicalize_direction(w / n)
@@ -140,17 +139,13 @@ class SupportTable:
     """Support function of a planar convex body on a uniform angle grid.
 
     ``phi`` are the grid angles on [0, 2*pi), ``h`` the support values,
-    ``dh`` the angular derivatives.  ``provenance`` marks, per row, whether
-    the value comes from the constructed boundary arc or from a closing
-    (glue) arc: one of {"gamma", "glue", "gamma_opp", "glue_opp"}.
-    ``joints`` records (angle, incoming dh, outgoing dh) at each junction
-    between arcs, filled in by the builder.
+    ``dh`` the angular derivatives.  ``joints`` records (angle, incoming dh,
+    outgoing dh) at each junction between arcs, filled in by the builder.
     """
 
     phi: np.ndarray
     h: np.ndarray
     dh: np.ndarray
-    provenance: np.ndarray | None = None
     joints: tuple = ()
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -158,8 +153,6 @@ class SupportTable:
         self.phi = np.asarray(self.phi, dtype=float)
         self.h = np.asarray(self.h, dtype=float)
         self.dh = np.asarray(self.dh, dtype=float)
-        if self.provenance is None:
-            self.provenance = np.full(self.phi.shape, "gamma", dtype=object)
         n = len(self.phi)
         if n % 2 != 0:
             raise ValueError("table size must be even (antipodal pairing)")
@@ -274,7 +267,14 @@ class SupportTable:
 
 @dataclass
 class NormModel:
-    """A strictly convex norm given by kind plus parameters."""
+    """A strictly convex norm given by kind plus parameters.
+
+    ``p`` is set for ``lp``, ``Q`` for ``inner_product`` and ``support``
+    for ``support_table``; the other parameters stay ``None``.  ``curve``
+    is the staircase arc a ``cantor.build_norm`` table was assembled from.
+    ``_memo`` caches derived data: Q's square roots and inverse, a table's
+    kernel frame and the sphere's radius bounds.
+    """
 
     kind: str
     dim: int
@@ -446,13 +446,10 @@ def eval_norm(norm, x):
 
 def sphere_point(norm, v):
     """Radially rescale ``v`` onto the unit sphere of ``norm``."""
-    v = np.asarray(v, dtype=float)
-    r = float(eval_norm(norm, v))
+    v, r = _rescaled(np.asarray(v, dtype=float), lambda v: float(eval_norm(norm, v)))
     if r == 0.0:
         raise ValueError("cannot normalize the zero vector")
-    coords = v / r
-    ang = polar_angle(coords) if norm.dim == 2 else None
-    return SpherePoint(coords=coords, polar_angle=ang)
+    return v / r
 
 
 # ---------------------------------------------------------------------------
@@ -509,12 +506,10 @@ def _table_gauss(norm, pts):
 def gauss_map(norm, x):
     """Euclidean unit outward normal of the norm sphere at ``x``.
 
-    The direction is constant along rays, so any nonzero ``x`` (or a
-    SpherePoint) is accepted and the result is the normal at x/||x||.
-    Accepts stacked inputs (..., dim), one normal per row.
+    The direction is constant along rays, so any nonzero ``x`` is accepted
+    and the result is the normal at x/||x||.  Accepts stacked inputs
+    (..., dim), one normal per row.
     """
-    if isinstance(x, SpherePoint):
-        x = x.coords
     x = np.asarray(x, dtype=float)
     if norm.kind == "support_table":
         return _table_gauss(norm, x.reshape(-1, 2)).reshape(x.shape)
@@ -539,8 +534,8 @@ def inverse_gauss(norm, w):
     """
     if isinstance(w, HyperplaneNormal):
         w = w.w
-    w = np.asarray(w, dtype=float)
-    w = w / np.linalg.norm(w)
+    w, n = _rescaled(np.asarray(w, dtype=float), np.linalg.norm)
+    w = w / n
     if norm.kind == "euclidean":
         return sphere_point(norm, w)
     if norm.kind == "lp":
@@ -552,8 +547,7 @@ def inverse_gauss(norm, w):
         y = inv_q @ w
         return sphere_point(norm, y)
     if norm.kind == "support_table":
-        x = _require_table(norm).boundary_point(polar_angle(w))
-        return SpherePoint(coords=x, polar_angle=polar_angle(x))
+        return _require_table(norm).boundary_point(polar_angle(w))
     raise ValueError(f"unknown norm kind {norm.kind!r}")
 
 
@@ -569,7 +563,6 @@ class GaussReport:
     antipodality_defect: float
     monotone: bool
     min_inner: float
-    winding: float
 
 
 def check_gauss_properties(norm, grid_size=1024):
@@ -597,18 +590,16 @@ def check_gauss_properties(norm, grid_size=1024):
     dot = np.sum(g * g_next, axis=1)
     diffs = np.arctan2(cross, dot)
     monotone = bool(np.all(diffs > 0.0))
-    winding = float(np.sum(diffs))
     min_inner = float(np.min(np.sum(pts * g, axis=1)))
     return GaussReport(
         grid_size=grid_size,
         antipodality_defect=defect,
         monotone=monotone,
         min_inner=min_inner,
-        winding=winding,
     )
 
 
-def find_gauss_fixed_points(norm, coarse=4096):
+def find_gauss_fixed_points(norm):
     """Points of the planar sphere where G(v) is radial.
 
     Returns ``(farthest, closest)``: the sphere point maximizing and the one
@@ -621,7 +612,7 @@ def find_gauss_fixed_points(norm, coarse=4096):
     """
     if norm.dim != 2:
         raise ValueError("find_gauss_fixed_points is planar-only")
-    t = np.pi * np.arange(coarse) / coarse  # antipodal quotient suffices
+    t = np.pi * np.arange(_FIXED_POINT_GRID) / _FIXED_POINT_GRID  # antipodal quotient suffices
     radii = np.asarray(eval_norm(norm, unit_vector(t)))
     euclid_r = 1.0 / radii
 
@@ -637,7 +628,7 @@ def find_gauss_fixed_points(norm, coarse=4096):
         g = gauss_map(norm, u)
         return float(u[0] * g[1] - u[1] * g[0])
 
-    step = np.pi / coarse
+    step = np.pi / _FIXED_POINT_GRID
     far, near = (
         sphere_point(norm, unit_vector(brentq(cross, t[i] - step, t[i] + step, xtol=1e-15)))
         for i in (int(np.argmax(euclid_r)), int(np.argmin(euclid_r)))
@@ -645,17 +636,15 @@ def find_gauss_fixed_points(norm, coarse=4096):
     return far, near
 
 
-def gauss_fixed_point_defect(norm, point):
+def gauss_fixed_point_defect(norm, v):
     """|G(v) - v/|v|| for a sphere point; zero at a true fixed point."""
-    v = point.coords
     return float(np.linalg.norm(gauss_map(norm, v) - v / np.linalg.norm(v)))
 
 
-def sphere_radius_bounds(norm, grid=512):
+def sphere_radius_bounds(norm):
     """Cached (min, max) Euclidean radius of the unit sphere (planar)."""
-    key = ("radius_bounds", grid)
-    if key not in norm._memo:
-        t = 2.0 * np.pi * np.arange(grid) / grid
+    if "radius_bounds" not in norm._memo:
+        t = 2.0 * np.pi * np.arange(_RADIUS_GRID) / _RADIUS_GRID
         radii = 1.0 / np.asarray(eval_norm(norm, unit_vector(t)))
-        norm._memo[key] = (float(np.min(radii)), float(np.max(radii)))
-    return norm._memo[key]
+        norm._memo["radius_bounds"] = (float(np.min(radii)), float(np.max(radii)))
+    return norm._memo["radius_bounds"]

@@ -27,6 +27,9 @@ from .roots import brentq
 # name, and the next change to the benchmark drops it from ``SOLVERS``.
 quadratic_polish = None
 
+LINEARITY_SAMPLES = 100  # (x, y, c) draws of linearity_defect
+_KERNEL_TOL = 1e-10      # relative rank and kernel tolerance of construct_intertwiner
+
 
 def null_space(A, rcond=None):
     """Orthonormal basis of the null space of ``A``, as columns.
@@ -46,9 +49,8 @@ def null_space(A, rcond=None):
 
 @dataclass(frozen=True)
 class LinearProjector:
-    """Linear projection onto ``target`` (a hyperplane) along ``kernel_dir``."""
+    """Linear projection along the unit vector ``kernel_dir``, by ``matrix``."""
 
-    target: HyperplaneNormal
     kernel_dir: np.ndarray
     matrix: np.ndarray
 
@@ -81,7 +83,7 @@ def projector_from_kernel(w, u):
         denom = -denom
     n = w.dim
     matrix = np.eye(n) - np.outer(u, w.w) / denom
-    return LinearProjector(target=w, kernel_dir=u / np.linalg.norm(u), matrix=matrix)
+    return LinearProjector(kernel_dir=u / np.linalg.norm(u), matrix=matrix)
 
 
 def project_hyperplane(norm, w, x):
@@ -93,7 +95,7 @@ def project_hyperplane(norm, w, x):
     """
     if not isinstance(w, HyperplaneNormal):
         w = HyperplaneNormal(w)
-    u = norms.inverse_gauss(norm, w.w).coords
+    u = norms.inverse_gauss(norm, w.w)
     return projector_from_kernel(w, u).apply(np.asarray(x, dtype=float))
 
 
@@ -177,10 +179,9 @@ def project_hyperplane_direct(norm, w, x):
 
 @dataclass
 class ProjectionFamily:
-    """A projector for every hyperplane, plus the map that generated it."""
+    """A projector for every hyperplane."""
 
     projector_of: object          # HyperplaneNormal -> LinearProjector
-    gmap: object                  # HyperplaneNormal -> HyperplaneNormal
 
     def projector(self, V):
         if not isinstance(V, HyperplaneNormal):
@@ -199,14 +200,10 @@ def family_from_norm(norm):
     """The closest-point projection family of a strictly convex C^1 norm."""
 
     def projector_of(V):
-        u = norms.inverse_gauss(norm, V.w).coords
+        u = norms.inverse_gauss(norm, V.w)
         return projector_from_kernel(V, u)
 
-    def gmap(V):
-        u = norms.inverse_gauss(norm, V.w).coords
-        return HyperplaneNormal(u)
-
-    return ProjectionFamily(projector_of=projector_of, gmap=gmap)
+    return ProjectionFamily(projector_of=projector_of)
 
 
 def family_from_gmap(gmap):
@@ -222,9 +219,9 @@ def family_from_gmap(gmap):
         wprime = target.w
         n = len(wprime)
         matrix = np.eye(n) - np.outer(wprime, wprime)
-        return LinearProjector(target=V, kernel_dir=wprime, matrix=matrix)
+        return LinearProjector(kernel_dir=wprime, matrix=matrix)
 
-    return ProjectionFamily(projector_of=projector_of, gmap=gmap)
+    return ProjectionFamily(projector_of=projector_of)
 
 
 def angle_family(alpha):
@@ -243,10 +240,7 @@ def angle_family(alpha):
         kernel = unit_vector(line_angle + a)
         return projector_from_kernel(V, kernel)
 
-    def gmap(V):
-        return HyperplaneNormal(projector_of(V).kernel_dir)
-
-    return ProjectionFamily(projector_of=projector_of, gmap=gmap)
+    return ProjectionFamily(projector_of=projector_of)
 
 
 # ---------------------------------------------------------------------------
@@ -299,10 +293,10 @@ def project_line_lp(p, v, x):
     return (t[:, None] * v).reshape(x.shape)
 
 
-def linearity_defect(projector, samples=100, seed=0x5EED, dim=3):
+def linearity_defect(projector, seed=0x5EED, dim=3):
     """Worst scale-free additivity violation of a projection map.
 
-    Samples (x, y, c) and measures |P(x + c y) - P(x) - c P(y)| divided by
+    Samples ``LINEARITY_SAMPLES`` triples (x, y, c) and measures |P(x + c y) - P(x) - c P(y)| divided by
     1 + |x| + |c||y|; a linear map scores ~0, a genuinely nonlinear closest-
     point map scores well above any floating tolerance.  ``projector`` maps
     an (N, dim) stack of points to their images; the three stacks x + c y,
@@ -310,7 +304,7 @@ def linearity_defect(projector, samples=100, seed=0x5EED, dim=3):
     """
     rng = np.random.default_rng(seed)
     draws = [(rng.standard_normal(dim), rng.standard_normal(dim), rng.uniform(-2.0, 2.0))
-             for _ in range(samples)]
+             for _ in range(LINEARITY_SAMPLES)]
     x, y, c = (np.array(col) for col in zip(*draws))
     lhs = projector(x + c[:, None] * y)
     rhs = projector(x) + c[:, None] * projector(y)
@@ -330,45 +324,40 @@ class Intertwiner:
     """Bijection h between the ranges of two maps with h(f(x)) = g(x)."""
 
     matrix: np.ndarray          # acts on range(f) inside the f-codomain
-    range_f: np.ndarray         # orthonormal basis of range(f), columns
-    range_g: np.ndarray         # orthonormal basis of range(g), columns
 
     def apply(self, y):
         return np.asarray(y, dtype=float) @ self.matrix.T
 
 
-def construct_intertwiner(f, g, tol=1e-10):
+def construct_intertwiner(f, g):
     """Build h with h o f = g from two linear maps sharing a kernel.
 
     ``f`` and ``g`` are matrices with the same column count.  Kernel equality
     is verified by mutual containment of null-space bases; on mismatch the
-    construction refuses with KernelMismatch.  h is assembled on a basis of
+    construction refuses with KernelMismatch.  Ranks and containment are
+    judged relative to ``_KERNEL_TOL``.  h is assembled on a basis of
     the common row space: h(f w_j) = g w_j.
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     if f.shape[1] != g.shape[1]:
         raise KernelMismatch("maps must share a domain")
-    nf = null_space(f, rcond=tol)
-    ng = null_space(g, rcond=tol)
+    nf = null_space(f, rcond=_KERNEL_TOL)
+    ng = null_space(g, rcond=_KERNEL_TOL)
     scale_f = max(1.0, float(np.linalg.norm(f, 2)))
     scale_g = max(1.0, float(np.linalg.norm(g, 2)))
     if nf.shape[1] != ng.shape[1]:
         raise KernelMismatch("kernel dimensions differ")
-    if nf.size and float(np.max(np.abs(g @ nf))) > tol * scale_g:
+    if nf.size and float(np.max(np.abs(g @ nf))) > _KERNEL_TOL * scale_g:
         raise KernelMismatch("ker f is not contained in ker g")
-    if ng.size and float(np.max(np.abs(f @ ng))) > tol * scale_f:
+    if ng.size and float(np.max(np.abs(f @ ng))) > _KERNEL_TOL * scale_f:
         raise KernelMismatch("ker g is not contained in ker f")
 
     # complement of the kernel: the row space of f
     u_f, s_f, vt_f = np.linalg.svd(f)
     top = float(s_f.max()) if s_f.size else 1.0
-    rank = int(np.sum(s_f > tol * max(top, 1.0)))
+    rank = int(np.sum(s_f > _KERNEL_TOL * max(top, 1.0)))
     w_basis = vt_f[:rank].T                      # (n, rank)
     fw = f @ w_basis                             # (d, rank), full column rank
     gw = g @ w_basis                             # (m, rank)
-    h = gw @ np.linalg.pinv(fw)
-
-    range_f = np.linalg.qr(fw)[0]
-    range_g = np.linalg.qr(gw)[0] if rank else np.zeros((g.shape[0], 0))
-    return Intertwiner(matrix=h, range_f=range_f, range_g=range_g)
+    return Intertwiner(matrix=gw @ np.linalg.pinv(fw))

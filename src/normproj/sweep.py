@@ -49,10 +49,6 @@ class ExceptionalProfile:
         return np.array([e.slope for e in self.estimates])
 
     @property
-    def records(self):
-        return list(zip(self.grid.angles, self.estimates))
-
-    @property
     def flagged_measure(self):
         return float(np.sum(self.grid.weights[self.flagged]))
 

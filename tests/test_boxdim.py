@@ -172,8 +172,7 @@ def test_shadow_counts_equal_per_scale_oracle(ce_norm):
         assert boxdim.projector_counts(proj, cloud, scales) == \
             [_unique_bins(coords, d) for d in scales]
 
-    zero = projections.LinearProjector(target=HyperplaneNormal.from_angle(0.2),
-                                       kernel_dir=np.array([1.0, 0.0]), matrix=np.zeros((2, 2)))
+    zero = projections.LinearProjector(kernel_dir=np.array([1.0, 0.0]), matrix=np.zeros((2, 2)))
     assert boxdim.projector_counts(zero, cloud, scales) == [1] * len(scales)
 
 

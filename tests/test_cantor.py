@@ -241,7 +241,7 @@ def test_curve_samples_match_per_point_descent_at_level_10(curve10):
 
 def test_curve_level_guard(triadic_set):
     with pytest.raises(ValueError):
-        cantor.curve_samples(triadic_set, triadic_set.level_cap + 1)
+        cantor.curve_samples(triadic_set, cantor.DESCENT_CAP + 1)
 
 
 # -- Gauss map on the arc ------------------------------------------------------
@@ -374,8 +374,31 @@ def test_build_norm_table_invariants(ce_norm):
     assert table.antipodal_defect() <= 1e-10
     assert table.convexity_slack() > 0.0
     assert table.joint_tangent_mismatch() <= 1e-6
-    ranges = set(table.provenance.tolist())
-    assert ranges == {"gamma", "glue", "gamma_opp", "glue_opp"}
+    # the arc covers normal angles up to 1 + theta(1), the glue the rest of
+    # [0, pi), and both have antipodes
+    phi1 = 1.0 + ce_norm.curve.theta1
+    for lo, hi in ((0.0, phi1), (phi1, np.pi)):
+        for shift in (0.0, np.pi):
+            assert np.any((lo + shift < table.phi) & (table.phi < hi + shift))
+
+
+@pytest.mark.parametrize("m, r", [(2, Fraction(1, 3)), (3, Fraction(1, 5)), (2, Fraction(1, 4))])
+def test_closing_arc_is_a_constant(m, r):
+    # a symmetric Cantor staircase integrates to 1/2 over [0, 1], so
+    # F(1) = 1/8 and theta(1) = arctan(2/7): the glue joins the same end
+    # data for every set, and its quintic is convex
+    K = cantor.CantorSet(m, r)
+    for level in (3, 5, 7):
+        curve = cantor.curve_samples(K, level)
+        assert curve.F1 == 0.125
+        assert curve.theta1 == math.atan(2.0 / 7.0)
+        phi1 = 1.0 + curve.theta1
+        poly, _ = cantor._quintic_hermite(phi1, np.pi, (1.0 - curve.F1) * math.cos(curve.theta1),
+                                          -(1.0 - curve.F1) * math.sin(curve.theta1), 1.0, 0.0)
+        dense = np.linspace(phi1, np.pi, 4096)
+        vals = poly(dense)
+        second = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / (dense[1] - dense[0]) ** 2
+        assert np.min(vals[1:-1] + second) > 0.0
 
 
 def test_build_norm_carries_its_curve(curve10, ce_norm):
@@ -409,7 +432,6 @@ def test_build_norm_glue_failure(curve10, monkeypatch):
         return poly, dpoly
 
     monkeypatch.setattr(cantor, "_quintic_hermite", concave)
-    monkeypatch.setattr(cantor, "_cubic_hermite", concave)
     with pytest.raises(GlueFailed):
         cantor.build_norm(curve10)
 

@@ -47,6 +47,27 @@ def test_project_command(tmp_path):
     assert data["defect"] <= 1e-7
 
 
+@pytest.mark.parametrize("norm", [["--norm", "euclidean"], ["--norm", "lp", "--p", "3"],
+                                  ["--norm", "inner-product", "--Q", "1,0;0,4"]],
+                         ids=["euclidean", "lp3", "inner-product"])
+def test_huge_and_tiny_vectors_write_the_unit_scale_bytes(tmp_path, norm):
+    # only the ray of --x (gauss) and --w (project) matters, so s*v writes
+    # the bytes of v even where the size of s*v over- or underflows
+    out = tmp_path / "out.json"
+
+    def artifact(cmd, flag, v):
+        extra = ["--x", "1,2"] if cmd == "project" else []
+        argv = [cmd, *norm, flag, ",".join(repr(c) for c in v), *extra, "--out", str(out)]
+        assert run(argv) == 0
+        return out.read_bytes()
+
+    for cmd, flag in (("gauss", "--x"), ("project", "--w")):
+        for v in ((1.0, 1.0), (1.0, 0.0)):
+            want = artifact(cmd, flag, v)
+            for s in (1e200, 1e-200):
+                assert artifact(cmd, flag, [s * c for c in v]) == want, (cmd, s, v)
+
+
 def test_set_command_format(tmp_path):
     out = tmp_path / "cloud.csv"
     assert run(["set", "--set", "four-corner", "--gen", "2", "--out", str(out)]) == 0

@@ -116,7 +116,7 @@ def test_project_nd(rng):
         assert np.max(np.abs(a - b)) <= 1e-7
         assert abs(np.dot(a, w.w)) <= 1e-10
         # idempotency and rank of the underlying linear map
-        u = norms.inverse_gauss(model, w.w).coords
+        u = norms.inverse_gauss(model, w.w)
         proj = pj.projector_from_kernel(w, u)
         assert proj.idempotency_defect() <= 1e-10
         assert np.linalg.matrix_rank(proj.matrix) == 2
@@ -135,7 +135,7 @@ def test_associated_g_counterexample(ce_norm):
     fam = pj.family_from_norm(ce_norm)
     v = HyperplaneNormal(np.array([0.0, 1.0]))
     got = pj.associated_g(fam, v)
-    support = norms.inverse_gauss(ce_norm, v.w).coords
+    support = norms.inverse_gauss(ce_norm, v.w)
     expect = norms.canonicalize_direction(support / np.linalg.norm(support))
     assert np.allclose(got.w, expect, atol=1e-10)
 
@@ -288,14 +288,14 @@ def test_linearity_defect_thresholds():
     v = np.ones(3) / math.sqrt(3.0)
     proj2 = lambda x: pj.project_line_lp(2.0, v, x)
     proj4 = lambda x: pj.project_line_lp(4.0, v, x)
-    assert pj.linearity_defect(proj2, samples=100, seed=0x5EED) <= 1e-9
-    assert pj.linearity_defect(proj4, samples=100, seed=0x5EED) > 1e-3
+    assert pj.linearity_defect(proj2, seed=0x5EED) <= 1e-9
+    assert pj.linearity_defect(proj4, seed=0x5EED) > 1e-3
 
 
 def test_linearity_defect_linear_projector(rng):
     w = HyperplaneNormal(rng.standard_normal(2))
     proj = pj.projector_from_kernel(w, rng.standard_normal(2) + 2.0 * w.w)
-    defect = pj.linearity_defect(lambda x: proj.apply(x), samples=100, seed=1, dim=2)
+    defect = pj.linearity_defect(lambda x: proj.apply(x), seed=1, dim=2)
     assert defect <= 1e-12
 
 
@@ -339,7 +339,7 @@ def test_intertwiner_equal_kernel_pair(rng):
     h = pj.construct_intertwiner(f, g)
     xs = rng.standard_normal((100, 5))
     assert np.max(np.abs(h.apply(xs @ f.T) - xs @ g.T)) <= 1e-12
-    assert np.linalg.matrix_rank(h.matrix @ h.range_f) == h.range_f.shape[1]
+    assert np.linalg.matrix_rank(h.matrix @ f) == np.linalg.matrix_rank(f)  # injective on range(f)
 
 
 def test_intertwiner_angle_family_pair(rng):
