@@ -40,7 +40,8 @@ evaluated by an exact ``fractions.Fraction`` descent of the interval tree
 oracle.  Table work uses a float twin of the descent, ``_fF_float``, that
 yields f and F in one walk over whole arrays of points, one masked lane
 per point and one loop over the levels, each lane with the float steps of
-a one-point descent.
+a one-point descent.  The tilt angle is ``np.arctan`` of psi, on a point
+and on a stack alike.
 """
 
 import math
@@ -306,12 +307,9 @@ def F_eval(K, u):
 
 
 def _theta_float(K, t):
-    """Tilt angle arctan(psi) at every point of ``t``; ``math.atan`` on each
-    lane, since numpy's arctan may round differently."""
-    t = np.asarray(t, dtype=float)
+    """Tilt angle arctan(psi) at every point of ``t`` (array or scalar)."""
     f, F = _fF_float(K, t)
-    psi = np.reshape(f / (4.0 * (1.0 - F)), -1)
-    return np.fromiter(map(math.atan, psi.tolist()), float, len(psi)).reshape(t.shape)[()]
+    return np.arctan(f / (4.0 * (1.0 - F)))
 
 
 # ---------------------------------------------------------------------------
@@ -448,8 +446,8 @@ def gauss_on_gamma(curve, t):
     for this counterclockwise arc, giving normal angle t + theta(t).
     """
     t = float(t)
-    f, F = _fF_float(curve.K, t)
-    g = norms.unit_vector(t + math.atan(f / (4.0 * (1.0 - F))))
+    _, F = _fF_float(curve.K, t)
+    g = norms.unit_vector(t + _theta_float(curve.K, t))
     gamma_t = (1.0 - F) * norms.unit_vector(t)
     if not float(np.dot(gamma_t, g)) > 0.0:
         raise CurveInvariantFailed(f"normal at t = {t} does not point outward")

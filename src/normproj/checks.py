@@ -13,6 +13,7 @@ level-10 staircase grids) to keep the full suite under a minute while
 staying far above measured noise.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,22 +24,6 @@ from .errors import NormProjError
 # regression locks, frozen from the first certified run of the gap-sum oracle
 P2_LOWER_LEVEL10 = 0.126014145067989
 P2_REGRESSION_TOL = 1e-9
-
-CHECK_NAMES = (
-    "intertwiner_transport",
-    "equal_kernel_boxdim",
-    "linear_projection_families",
-    "covering_count_comparison",
-    "monotone_product_measure",
-    "gauss_homeomorphism",
-    "gauss_fixed_points",
-    "support_table_validity",
-    "inner_product_conjugation",
-    "lp_line_linearity_p2",
-    "lp_line_nonlinearity_p4",
-    "staircase_pushforward_positive",
-)
-
 
 @dataclass(frozen=True)
 class CheckReport:
@@ -258,6 +243,7 @@ _CHECK_FUNCS = {
     "lp_line_nonlinearity_p4": _check_lp_nonlinear,
     "staircase_pushforward_positive": _check_pushforward,
 }
+CHECK_NAMES = tuple(_CHECK_FUNCS)
 
 
 def run_all(seed=0, table_override=None):
@@ -276,14 +262,5 @@ def run_all(seed=0, table_override=None):
             else:
                 reports.append(func(check_seed))
         except NormProjError:
-            reports.append(
-                CheckReport(
-                    name=name,
-                    passed=False,
-                    worst_defect=float("inf"),
-                    tolerance=0.0,
-                    samples=0,
-                    seed=check_seed,
-                )
-            )
+            reports.append(_report(name, math.inf, 0.0, 0, check_seed))
     return reports

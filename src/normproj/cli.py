@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 parameter/validation error, 1 computation error.
 """
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -209,12 +210,7 @@ def _cmd_norm_info(args):
         "kind": model.kind,
         "ambient_dim": model.dim,
         "p": model.p,
-        "gauss": {
-            "grid_size": report.grid_size,
-            "antipodality_defect": report.antipodality_defect,
-            "monotone": report.monotone,
-            "min_inner": report.min_inner,
-        },
+        "gauss": dataclasses.asdict(report),
     }
     _write_json(args.out, payload)
     return 0
@@ -348,17 +344,7 @@ def _cmd_verify(args):
     payload = {
         "seed": args.seed,
         "all_passed": all(r.passed for r in reports),
-        "reports": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "worst_defect": r.worst_defect,
-                "tolerance": r.tolerance,
-                "samples": r.samples,
-                "seed": r.seed,
-            }
-            for r in reports
-        ],
+        "reports": [dataclasses.asdict(r) for r in reports],
     }
     _write_json(args.out, payload)
     for r in reports:
@@ -405,14 +391,18 @@ def build_parser():
     p = sub.add_parser("gauss", help="evaluate the Gauss map at a sphere point")
     _add_norm_flags(p)
     p.add_argument("--angle", type=_finite_float, default=None, help="polar angle of the sphere point")
-    p.add_argument("--x", default=None, help="point coordinates 'a,b' (rescaled to the sphere)")
+    p.add_argument("--x", default=None,
+                   help="point coordinates 'a,b' (rescaled to the sphere); "
+                        "write --x=-1,2 if the first one is negative")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_gauss)
 
     p = sub.add_parser("project", help="closest-point projection onto a hyperplane")
     _add_norm_flags(p)
-    p.add_argument("--w", required=True, help="hyperplane normal: angle or 'a,b'")
-    p.add_argument("--x", required=True, help="point to project, 'a,b'")
+    p.add_argument("--w", required=True,
+                   help="hyperplane normal: angle or 'a,b'; write --w=-1,2 if the first one is negative")
+    p.add_argument("--x", required=True,
+                   help="point to project, 'a,b'; write --x=-1,2 if the first one is negative")
     p.add_argument("--method", default="lemma", choices=["lemma", "direct"])
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_project)

@@ -422,26 +422,37 @@ def _contact_angle(norm, x):
     return phi
 
 
+def _q_times(norm, x):
+    """Q x at a point or at each row of a stack.  The two-operand einsum
+    gives a row the bits of the same point alone; ``x @ Q.T`` does not."""
+    return np.einsum("...j,ij->...i", x, norm.Q)
+
+
 def eval_norm(norm, x):
-    """Evaluate the norm at ``x``; accepts stacked inputs (..., dim)."""
+    """Evaluate the norm at ``x``; accepts stacked inputs (..., dim).
+
+    Every kind is evaluated on the (N, dim) stack of rows, so a point gives
+    the bits of the same row in any stack.
+    """
     x = np.asarray(x, dtype=float)
+    rows = x.reshape(-1, x.shape[-1])
     if norm.kind == "euclidean":
-        return np.linalg.norm(x, axis=-1)
-    if norm.kind == "lp":
-        return np.sum(np.abs(x) ** norm.p, axis=-1) ** (1.0 / norm.p)
-    if norm.kind == "inner_product":
-        return np.sqrt(np.einsum("...i,ij,...j->...", x, norm.Q, x))
-    if norm.kind == "support_table":
+        out = np.linalg.norm(rows, axis=-1)
+    elif norm.kind == "lp":
+        out = np.sum(np.abs(rows) ** norm.p, axis=-1) ** (1.0 / norm.p)
+    elif norm.kind == "inner_product":
+        out = np.sqrt(np.sum(rows * _q_times(norm, rows), axis=-1))
+    elif norm.kind == "support_table":
         table = _require_table(norm)
-        flat = x.reshape(-1, 2)
-        out = np.zeros(len(flat))
-        live = np.any(flat != 0.0, axis=1)
-        pts = flat[live]
+        out = np.zeros(len(rows))
+        live = np.any(rows != 0.0, axis=1)
+        pts = rows[live]
         phi = _contact_angle(norm, pts)
         u = unit_vector(phi)
         out[live] = (pts[:, 0] * u[:, 0] + pts[:, 1] * u[:, 1]) / table.support(phi)
-        return float(out[0]) if x.ndim == 1 else out.reshape(x.shape[:-1])
-    raise ValueError(f"unknown norm kind {norm.kind!r}")
+    else:
+        raise ValueError(f"unknown norm kind {norm.kind!r}")
+    return out.reshape(x.shape[:-1])[()]
 
 
 def sphere_point(norm, v):
@@ -456,30 +467,26 @@ def sphere_point(norm, v):
 # Gauss map and its inverse
 # ---------------------------------------------------------------------------
 
-def _point_gradient(norm, y):
-    """Closed-form gradient of the norm at one nonzero point."""
-    if norm.kind == "euclidean":
-        return y / np.linalg.norm(y)
-    if norm.kind == "lp":
-        return np.sign(y) * np.abs(y) ** (norm.p - 1.0) / float(eval_norm(norm, y)) ** (norm.p - 1.0)
-    return norm.Q @ y / float(eval_norm(norm, y))
-
-
 def norm_gradient(norm, y):
     """Gradient of y -> ||y|| at a nonzero point, or at each row of a stack.
 
     For tabulated models the envelope theorem gives the gradient of the
-    gauge as u(phi*) / h(phi*) at the contact angle phi* of the ray, for
-    the whole stack at once.  The closed forms run row by row: a Euclidean
-    length, a product with Q or a power of a stacked norm may round
-    differently from the same expression on one point.
+    gauge as u(phi*) / h(phi*) at the contact angle phi* of the ray.  Every
+    kind is evaluated on the (N, dim) stack of rows.
     """
     y = np.asarray(y, dtype=float)
-    if norm.kind == "support_table":
-        phi = _contact_angle(norm, y.reshape(-1, 2))
-        return (unit_vector(phi) / _require_table(norm).support(phi)[:, None]).reshape(y.shape)
     rows = y.reshape(-1, y.shape[-1])
-    return np.reshape([_point_gradient(norm, row) for row in rows], y.shape)
+    if norm.kind == "support_table":
+        phi = _contact_angle(norm, rows)
+        grad = unit_vector(phi) / _require_table(norm).support(phi)[:, None]
+    elif norm.kind == "euclidean":
+        grad = rows / np.linalg.norm(rows, axis=-1, keepdims=True)
+    elif norm.kind == "lp":
+        r = eval_norm(norm, rows)[:, None]
+        grad = np.sign(rows) * np.abs(rows) ** (norm.p - 1.0) / r ** (norm.p - 1.0)
+    else:
+        grad = _q_times(norm, rows) / eval_norm(norm, rows)[:, None]
+    return grad.reshape(y.shape)
 
 
 def _table_gauss(norm, pts):
@@ -520,7 +527,7 @@ def gauss_map(norm, x):
     elif norm.kind == "lp":
         g = np.sign(x) * np.abs(x) ** (norm.p - 1.0)
     else:
-        g = x @ norm.Q.T
+        g = _q_times(norm, x)
     return g / np.linalg.norm(g, axis=-1, keepdims=True)
 
 
@@ -608,7 +615,7 @@ def find_gauss_fixed_points(norm):
     cross(u(a), G(u(a))), the definition of a fixed point, in the window of
     one coarse grid step on either side of the coarse extremum; the radius
     has slope -r cross(u, G) / <u, G>, so the cross product changes sign
-    across that window.
+    across that window.  Both windows are one two-lane root solve.
     """
     if norm.dim != 2:
         raise ValueError("find_gauss_fixed_points is planar-only")
@@ -626,13 +633,12 @@ def find_gauss_fixed_points(norm):
     def cross(angle):
         u = unit_vector(angle)
         g = gauss_map(norm, u)
-        return float(u[0] * g[1] - u[1] * g[0])
+        return u[:, 0] * g[:, 1] - u[:, 1] * g[:, 0]
 
     step = np.pi / _FIXED_POINT_GRID
-    far, near = (
-        sphere_point(norm, unit_vector(brentq(cross, t[i] - step, t[i] + step, xtol=1e-15)))
-        for i in (int(np.argmax(euclid_r)), int(np.argmin(euclid_r)))
-    )
+    mid = t[[int(np.argmax(euclid_r)), int(np.argmin(euclid_r))]]
+    far, near = (sphere_point(norm, unit_vector(a))
+                 for a in brentq(cross, mid - step, mid + step, xtol=1e-15))
     return far, near
 
 

@@ -107,15 +107,14 @@ def _line_min(norm, x, direction, lo, hi):
     slope -<grad ||.||, direction>, one stacked root solve for all rows.
     The slope is taken as 0 where x - s*direction is the zero vector (the
     kink at the minimum), and a slope of one sign across the bracket puts
-    the minimizer at the end it points to.  Each row's dot product is its
-    own ``np.dot``, as a stacked product may round differently.
+    the minimizer at the end it points to.
     """
 
     def slope(s, x):
         y = x - s[:, None] * direction
         out = np.zeros(len(y))
         live = np.any(y != 0.0, axis=1)
-        out[live] = [-float(np.dot(g, direction)) for g in norms.norm_gradient(norm, y[live])]
+        out[live] = -np.sum(norms.norm_gradient(norm, y[live]) * direction, axis=-1)
         return out
 
     at_lo = slope(lo, x) >= 0.0
@@ -127,11 +126,11 @@ def _line_min(norm, x, direction, lo, hi):
 
 
 def _direct_2d(norm, w, x):
-    # x is an (N, 2) stack; lengths and dot products stay per row (np.dot)
+    # x is an (N, 2) stack
     v = w.line_direction()
     lo_r, hi_r = norms.sphere_radius_bounds(norm)
-    span = (1.0 + hi_r / lo_r) * (np.array([float(np.linalg.norm(row)) for row in x]) + 1.0)
-    center = np.array([float(np.dot(row, v)) for row in x])
+    span = (1.0 + hi_r / lo_r) * (np.linalg.norm(x, axis=-1) + 1.0)
+    center = np.sum(x * v, axis=-1)
     s_star = _line_min(norm, x, v, center - span, center + span)
     return s_star[:, None] * v
 
@@ -163,14 +162,23 @@ def project_hyperplane_direct(norm, w, x):
 
     ``x`` is a point or, for a planar norm, an (N, 2) stack of points whose
     line minimizations run as one stacked solve; each row equals the
-    projection of that point alone.
+    projection of that point alone.  A nonzero row whose Euclidean length
+    or norm comes out as 0 or inf is first divided by its largest
+    |coordinate|, and its projection scaled back, since P(s x) = s P(x).
     """
     if not isinstance(w, HyperplaneNormal):
         w = HyperplaneNormal(w)
     x = np.asarray(x, dtype=float)
+    rows = x.reshape(-1, norm.dim)
+    with np.errstate(over="ignore", under="ignore"):
+        sizes = np.stack([np.linalg.norm(rows, axis=-1), norms.eval_norm(norm, rows)])
+    rescale = np.any((sizes == 0.0) | np.isinf(sizes), axis=0) & np.any(rows, axis=-1)
+    scale = np.where(rescale, np.max(np.abs(rows), axis=-1), 1.0)[:, None]
     if norm.dim == 2:
-        return _direct_2d(norm, w, x.reshape(-1, 2)).reshape(x.shape)
-    return _direct_nd(norm, w, x)
+        out = _direct_2d(norm, w, rows / scale)
+    else:
+        out = _direct_nd(norm, w, rows[0] / scale[0])
+    return (out * scale).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +289,11 @@ def project_line_lp(p, v, x):
     v = v / np.linalg.norm(v)
     x = np.asarray(x, dtype=float)
     rows = x.reshape(-1, x.shape[-1])
-    bound = (rows.shape[1] + 1.0) * np.array([float(np.linalg.norm(row)) for row in rows]) + 1.0
+    bound = (rows.shape[1] + 1.0) * np.linalg.norm(rows, axis=-1) + 1.0
 
     def slope(t, x):
         r = x - t[:, None] * v
-        return np.array([-float(np.dot(v, q)) for q in np.sign(r) * np.abs(r) ** (p - 1.0)])
+        return -np.sum(np.sign(r) * np.abs(r) ** (p - 1.0) * v, axis=-1)
 
     # for x on the line and p > 2 the root has multiplicity p - 1, where
     # brentq needs up to ~150 steps
@@ -308,11 +316,8 @@ def linearity_defect(projector, seed=0x5EED, dim=3):
     x, y, c = (np.array(col) for col in zip(*draws))
     lhs = projector(x + c[:, None] * y)
     rhs = projector(x) + c[:, None] * projector(y)
-    worst = 0.0
-    for xi, yi, ci, gap in zip(x, y, c, lhs - rhs):
-        scale = 1.0 + np.linalg.norm(xi) + abs(ci) * np.linalg.norm(yi)
-        worst = max(worst, float(np.linalg.norm(gap)) / scale)
-    return worst
+    scale = 1.0 + np.linalg.norm(x, axis=-1) + np.abs(c) * np.linalg.norm(y, axis=-1)
+    return float(np.max(np.linalg.norm(lhs - rhs, axis=-1) / scale))
 
 
 # ---------------------------------------------------------------------------

@@ -131,9 +131,9 @@ def _bits(values):
 
 
 def test_theta_float_stack_equals_per_point_descent(curve10):
-    # math.atan of the one-point descents, on the whole level-10 grid
+    # np.arctan of the one-point descents, on the whole level-10 grid
     K = curve10.K
-    want = [math.atan(f / (4.0 * (1.0 - F)))
+    want = [np.arctan(f / (4.0 * (1.0 - F)))
             for f, F in (cantor._fF_float(K, t) for t in curve10.t.tolist())]
     assert np.array_equal(_bits(cantor._theta_float(K, curve10.t)), _bits(want))
 

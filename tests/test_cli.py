@@ -68,6 +68,36 @@ def test_huge_and_tiny_vectors_write_the_unit_scale_bytes(tmp_path, norm):
                 assert artifact(cmd, flag, [s * c for c in v]) == want, (cmd, s, v)
 
 
+@pytest.mark.parametrize("norm", [["--norm", "euclidean"], ["--norm", "lp", "--p", "3"],
+                                  ["--norm", "inner-product", "--Q", "1,0;0,4"],
+                                  ["--norm", "counterexample"]],
+                         ids=["euclidean", "lp3", "inner-product", "counterexample"])
+def test_huge_and_tiny_points_project_to_the_scaled_projection(tmp_path, norm):
+    # P(s x) = s P(x), also where the length or the norm of s x over- or
+    # underflows
+    out = tmp_path / "proj.json"
+
+    def projection(s, method):
+        argv = ["project", *norm, "--w", "1,2", "--x", f"{s!r},{s!r}",
+                "--method", method, "--out", str(out)]
+        assert run(argv) == 0, (s, method)
+        return read_json(out)["projection"]
+
+    for method in ("lemma", "direct"):
+        want = projection(1.0, method)
+        for s in (1e300, 1e-200):
+            got = projection(s, method)
+            assert got == pytest.approx([s * c for c in want], rel=1e-12, abs=0.0), (s, method)
+
+
+def test_negative_vector_flags_take_the_equals_form(tmp_path):
+    # argparse reads a value that starts with '-' and holds a comma as a flag
+    out = str(tmp_path / "out.json")
+    assert run(["project", "--w", "1,2", "--x=-1.5,0.25", "--out", out]) == 0
+    assert run(["gauss", "--x=-1,2", "--out", out]) == 0
+    assert run(["project", "--w", "1,2", "--x", "-1.5,0.25", "--out", out]) == 2
+
+
 def test_set_command_format(tmp_path):
     out = tmp_path / "cloud.csv"
     assert run(["set", "--set", "four-corner", "--gen", "2", "--out", str(out)]) == 0

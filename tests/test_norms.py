@@ -56,6 +56,20 @@ def test_homogeneity_support_table(ce_norm, rng):
         assert norms.eval_norm(ce_norm, -x) == pytest.approx(base, rel=1e-12)
 
 
+def test_every_kind_stack_equals_rows(ce_norm, rng):
+    # one expression per closed form on the stack of rows: a point alone
+    # gets the bits of its row in any stack
+    models = (norms.euclidean(2), norms.lp(1.5), norms.lp(3.0),
+              norms.inner_product(np.diag([1.0, 4.0])),
+              norms.inner_product(np.array([[2.0, 1.0], [1.0, 3.0]])), ce_norm)
+    xs = rng.standard_normal((2000, 2)) * rng.uniform(0.1, 10.0, size=(2000, 1))
+    for model in models:
+        for func in (norms.eval_norm, norms.gauss_map, norms.norm_gradient):
+            batch = np.asarray(func(model, xs))
+            rows = np.array([func(model, x) for x in xs])
+            assert batch.tobytes() == rows.tobytes(), (model.kind, model.p, func.__name__)
+
+
 def test_construction_rejects_non_strictly_convex():
     with pytest.raises(NotStrictlyConvex):
         norms.lp(1.0)
@@ -317,16 +331,6 @@ def test_support_spline_equals_cubic_hermite_oracle(ce_norm, rng):
 
 
 # -- the table contact-angle kernel ------------------------------------------
-
-def test_table_kernel_batch_equals_rows(ce_norm, rng):
-    xs = rng.standard_normal((300, 2)) * rng.uniform(0.1, 10.0, size=(300, 1))
-    batch = norms.eval_norm(ce_norm, xs)
-    rows = np.array([norms.eval_norm(ce_norm, x) for x in xs])
-    assert batch.tobytes() == rows.tobytes()
-    batch = norms.gauss_map(ce_norm, xs)
-    rows = np.array([norms.gauss_map(ce_norm, x) for x in xs])
-    assert batch.tobytes() == rows.tobytes()
-
 
 def test_table_contact_angle_residual(ce_norm, rng):
     # the boundary point at the contact angle lies on the ray through x
