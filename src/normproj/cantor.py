@@ -18,16 +18,19 @@ The central objects:
   theta = arctan(psi) and psi(t) = f(t) / (4 (1 - F(t))).
 
 * ``build_norm``: closes gamma and its antipode into a full strictly convex,
-  antipodally symmetric sphere by inserting one C^1 convex quintic arc (and
-  its antipode) in support-function space, yielding a support_table
-  NormModel that carries the curve it was built from.  The closing arc is
-  the same for every set: the staircase of a symmetric Cantor set
-  integrates to 1/2, so F(1) = 1/8 and theta(1) = arctan(2/7), and the arc
-  joins fixed (h, h') data at 1 + theta(1) to (1, 0) at pi.  The outward
-  normal angle along the constructed arc is t + theta(t), so the normal
-  directions of the Cantor subset {gamma(t): t in K} fill positive angular
-  measure even though K itself has zero length -- the property
-  ``image_measure_bounds`` certifies with explicit gap sums.
+  antipodally symmetric sphere, yielding a support_table NormModel that
+  carries the curve it was built from.  The arc's table nodes are the
+  curve grid itself: the outward normal angle along the arc is
+  t + theta(t), and the support values there are closed forms in F and
+  theta, so no angle is ever inverted.  One C^1 convex quintic arc (and
+  its antipode) in support-function space closes the remaining angles.
+  The closing arc is the same for every set: the staircase of a symmetric
+  Cantor set integrates to 1/2, so F(1) = 1/8 and theta(1) = arctan(2/7),
+  and the arc joins fixed (h, h') data at 1 + theta(1) to (1, 0) at pi.
+  The normal directions of the Cantor subset {gamma(t): t in K} fill
+  positive angular measure even though K itself has zero length -- the
+  property ``image_measure_bounds`` certifies with explicit gap sums, and
+  the table's Gauss map reproduces down to the grid level.
 
 Staircase and integral values are exact, so breakpoint values, F(1),
 theta(1) and the gap sums carry no floating error.  The curve grid is
@@ -37,11 +40,7 @@ column, and each value is rounded to float once.  The level intervals come
 from one integer source, ``CantorSet.level_starts``.  A single point is
 evaluated by an exact ``fractions.Fraction`` descent of the interval tree
 (``staircase``, ``f_eval``, ``F_eval``), which also serves as the grid's
-oracle.  Table work uses a float twin of the descent, ``_fF_float``, that
-yields f and F in one walk over whole arrays of points, one masked lane
-per point and one loop over the levels, each lane with the float steps of
-a one-point descent.  The tilt angle is ``np.arctan`` of psi, on a point
-and on a stack alike.
+oracle.
 """
 
 import math
@@ -53,7 +52,10 @@ import numpy as np
 from .errors import CurveInvariantFailed, GlueFailed
 from . import norms
 from .norms import SupportTable
-from .roots import brentq
+
+# No longer a solver here; perfbench/job.py still counts calls to it by
+# name, and the next change to the benchmark drops it from ``SOLVERS``.
+brentq = None
 
 DESCENT_CAP = 40  # depth of every interval-tree descent and deepest curve level
 
@@ -175,57 +177,6 @@ def _staircase_exact(K, t):
     return value + mass / 2, mass / 2
 
 
-def _fF_float(K, t):
-    """Float twins of f and F at every point of ``t`` (array or scalar), as (f, F).
-
-    One descent of the interval tree serves both: the staircase value at
-    the left end of the current interval is F's base.  The levels are the
-    loop.  Each point is a lane that takes the float steps of the one-point
-    exact descents and leaves at the level where they return.
-    """
-    t = np.asarray(t, dtype=float)
-    r, step0, m = float(K.r), float(K.branch_step), K.m
-    flat = t.reshape(-1)
-    stair = np.where(flat <= 0.0, 0.0, 1.0)
-    total = np.zeros(len(flat))   # integral of the staircase over [0, t]
-    inside = (flat > 0.0) & (flat < 1.0)
-    rows = np.flatnonzero(inside)
-    pos = flat[rows]
-    run = np.zeros(len(rows))
-    base = np.zeros(len(rows))
-    mass = length = 1.0
-    for _ in range(DESCENT_CAP):
-        if not rows.size:
-            break
-        step = step0 * length
-        sub = r * length
-        glen = step - sub
-        i = np.minimum(pos // step, m - 1)
-        for j in range(m - 1):   # the whole branches and gaps left of branch i
-            run = np.where(j < i, run + sub * (base + (j + 0.5) * mass / m)
-                           + glen * (base + (j + 1) * mass / m), run)
-        pos = pos - i * step
-        gap = pos >= sub
-        stop = gap | (pos <= 0.0)
-        if stop.any():
-            # the gap after branch i, or the left end of branch i; ending in
-            # the gap adds branch i and part of the gap to the integral
-            stair[rows[stop]] = base[stop] + np.where(gap, i + 1, i)[stop] * mass / m
-            ends = (run + sub * (base + (i + 0.5) * mass / m)
-                    + (pos - sub) * (base + (i + 1) * mass / m))
-            total[rows[stop]] = np.where(gap, ends, run)[stop]
-            keep = ~stop
-            rows, run, pos, i, base = rows[keep], run[keep], pos[keep], i[keep], base[keep]
-        base = base + i * mass / m
-        mass /= m
-        length = sub
-    stair[rows] = base + 0.5 * mass
-    total[rows] = run + pos * (base + 0.5 * mass)
-    F = np.where(flat <= 0.0, 0.0, 0.125)
-    F[inside] = (total[inside] + 0.5 * flat[inside] * flat[inside]) / 8.0
-    return (0.5 * (stair.reshape(t.shape) + t))[()], F.reshape(t.shape)[()]
-
-
 def staircase(K, t):
     """Normalized measure of [0, t]; exact at breakpoints and on gaps."""
     if not 0.0 <= float(t) <= 1.0:
@@ -304,12 +255,6 @@ def F_eval(K, u):
         raise ValueError("u must lie in [0, 1]")
     val, err = _F_exact(K, u)
     return StaircaseValue(value=float(val), error_bound=float(err))
-
-
-def _theta_float(K, t):
-    """Tilt angle arctan(psi) at every point of ``t`` (array or scalar)."""
-    f, F = _fF_float(K, t)
-    return np.arctan(f / (4.0 * (1.0 - F)))
 
 
 # ---------------------------------------------------------------------------
@@ -437,23 +382,6 @@ def curve_samples(K, level):
     )
 
 
-def gauss_on_gamma(curve, t):
-    """Outward unit normal of the assembled sphere at gamma(t).
-
-    The unit tangent at gamma(t) has angle t + pi/2 + theta(t); a quarter
-    turn maps it to the normal.  The quarter turn that points *outward*
-    (<gamma, G> > 0, as every norm's Gauss map must) is the clockwise one
-    for this counterclockwise arc, giving normal angle t + theta(t).
-    """
-    t = float(t)
-    _, F = _fF_float(curve.K, t)
-    g = norms.unit_vector(t + _theta_float(curve.K, t))
-    gamma_t = (1.0 - F) * norms.unit_vector(t)
-    if not float(np.dot(gamma_t, g)) > 0.0:
-        raise CurveInvariantFailed(f"normal at t = {t} does not point outward")
-    return g
-
-
 def image_measure_bounds(curve, k):
     """Certified (lower, upper) for the angular measure of beta over K.
 
@@ -524,81 +452,36 @@ def _quintic_hermite(x0, x1, y0, dy0, y1, dy1):
     return poly, dpoly
 
 
-def _t_of_normal_angle(curve, phi_targets):
-    """Invert phi = t + theta(t) on [0, 1] for each target angle.
-
-    The curve grid brackets each target; the brackets whose ends do not
-    already solve it go to one stacked root solve.
-    """
-    K = curve.K
-    grid_t = curve.t
-    j = np.searchsorted(curve.normal_angles, phi_targets)
-    out = np.zeros(len(phi_targets))
-    rows = np.flatnonzero(j > 0)
-    j, phi = j[rows], phi_targets[rows]
-    lo = grid_t[j - 1]
-    hi = np.append(grid_t, 1.0)[j]
-    r_lo = lo + _theta_float(K, lo) - phi
-    r_hi = hi + _theta_float(K, hi) - phi
-    t = np.where(r_lo >= 0.0, lo, hi)
-    solve = (r_lo < 0.0) & (r_hi > 0.0)
-    t[solve] = brentq(lambda s, target: s + _theta_float(K, s) - target, lo[solve], hi[solve],
-                      args=(phi[solve],), xtol=1e-14)
-    out[rows] = t
-    return out
-
-
-def build_norm(curve, table_size=4096):
+def build_norm(curve):
     """Assemble the full support table and return the resulting norm.
 
-    The arc covers outward-normal angles [0, 1 + theta(1)]; its antipode
-    covers the range shifted by pi.  The two remaining angular gaps are
-    closed by a quintic with flat end curvature in support-function space,
-    where convexity is the single checkable inequality h + h'' > 0.  Since
-    F(1) = 1/8 and theta(1) = arctan(2/7) for every set, the quintic is a
-    constant of the construction, with discrete convexity slack about 0.47;
-    a closing arc that fails the convexity proxy raises GlueFailed.  The
-    returned model carries ``curve`` as its ``curve`` field.
+    The arc covers outward-normal angles [0, 1 + theta(1)], with one node
+    per curve grid point: at normal angle t + theta(t) the support is
+    h = (1 - F) cos(theta) and h' = -(1 - F) sin(theta), so the node's
+    boundary point is gamma(t) itself.  The angular gap [1 + theta(1), pi]
+    is closed by a quintic with flat end curvature in support-function
+    space, where convexity is the single checkable inequality h + h'' > 0;
+    its nodes are the interior points of a 4096-point uniform sample.
+    Since F(1) = 1/8 and theta(1) = arctan(2/7) for every set, the quintic
+    is a constant of the construction.  The second half of the table is
+    the antipodal copy, node i + n/2 at angle phi_i + pi.  An assembled
+    table that fails the convexity proxy raises GlueFailed.  The returned
+    model carries ``curve`` as its ``curve`` field.
     """
-    if table_size % 2 != 0:
-        raise ValueError("table size must be even")
-    K = curve.K
     phi1 = 1.0 + curve.theta1
-    phi_grid = 2.0 * np.pi * np.arange(table_size) / table_size
-    half = table_size // 2
-
-    h = np.empty(table_size)
-    dh = np.empty(table_size)
-
-    arc_mask = phi_grid[:half] <= phi1
-    arc_angles = phi_grid[:half][arc_mask]
-    glue_angles = phi_grid[:half][~arc_mask]
-
-    t_vals = _t_of_normal_angle(curve, arc_angles)
-    f_vals, F_vals = _fF_float(K, t_vals)
-    theta_vals = np.arctan(f_vals / (4.0 * (1.0 - F_vals)))
-    # support identities along the arc: h = (1-F) cos(theta), h' = -(1-F) sin(theta)
-    h_arc = (1.0 - F_vals) * np.cos(theta_vals)
-    dh_arc = -(1.0 - F_vals) * np.sin(theta_vals)
-
     h_a = (1.0 - curve.F1) * math.cos(curve.theta1)
     dh_a = -(1.0 - curve.F1) * math.sin(curve.theta1)
     h_b, dh_b = 1.0, 0.0  # antipode of gamma(0) at angle pi
-
     poly, dpoly = _quintic_hermite(phi1, np.pi, h_a, dh_a, h_b, dh_b)
-    dense = np.linspace(phi1, np.pi, 4096)
-    vals = np.asarray(poly(dense))
-    step = dense[1] - dense[0]
-    second = (vals[2:] - 2.0 * vals[1:-1] + vals[:-2]) / step**2
-    if not np.min(vals[1:-1] + second) > 0.0:
-        raise GlueFailed("no convex closing arc found for the support gap")
+    glue = np.linspace(phi1, np.pi, 4096)[1:-1]
 
-    h[:half][arc_mask] = h_arc
-    dh[:half][arc_mask] = dh_arc
-    h[:half][~arc_mask] = poly(glue_angles)
-    dh[:half][~arc_mask] = dpoly(glue_angles)
-    h[half:] = h[:half]
-    dh[half:] = dh[:half]
+    radius = 1.0 - curve.F
+    phi = np.concatenate([curve.normal_angles, glue])
+    h = np.concatenate([radius * np.cos(curve.theta), poly(glue)])
+    dh = np.concatenate([-radius * np.sin(curve.theta), dpoly(glue)])
+    # pi is a multiple of 2^-48, so on the 2^-50 grid adding it is exact and
+    # every knot width of the second half equals its twin's bit for bit
+    phi = np.round(phi * 2.0**50) * 2.0**-50
 
     joints = (
         (phi1, dh_a, float(dpoly(phi1))),
@@ -606,11 +489,11 @@ def build_norm(curve, table_size=4096):
         (phi1 + np.pi, dh_a, float(dpoly(phi1))),
         (2.0 * np.pi, float(dpoly(np.pi)), dh_b),
     )
-    table = SupportTable(phi=phi_grid, h=h, dh=dh, joints=joints)
+    table = SupportTable(phi=np.concatenate([phi, phi + np.pi]), h=np.tile(h, 2),
+                         dh=np.tile(dh, 2), joints=joints)
     slack = table.convexity_slack()
     if slack <= 0.0:
         raise GlueFailed(f"assembled table fails convexity (slack {slack:.3e})")
     model = norms.from_support_table(table)
     model.curve = curve
     return model
-

@@ -23,9 +23,10 @@ from .errors import NormProjError, NotStrictlyConvex, TooLarge
 
 _FLOAT_FMT = "{:.12g}"
 
-# Deepest staircase grid: level 15 builds in ~0.7 s; at level 16 the float
-# divided differences of F no longer resolve its convexity for the default
-# ratio-1/3 set, so the build fails its curve invariants.
+# Deepest staircase grid: level 15 writes a 204,794-row table in ~1 s at
+# 84 MB peak; at level 16 the float divided differences of F no longer
+# resolve its convexity for the default ratio-1/3 set, so the build fails
+# its curve invariants.
 MAX_LEVEL = 15
 # Every set is held to what the default set handles at MAX_LEVEL: the grid
 # grows with the interval count m^level, and convexity is lost with the
@@ -258,11 +259,9 @@ def _cmd_project(args):
 
 
 def _cmd_counterexample_build(args):
-    if args.table_size < 2 or args.table_size % 2 != 0:
-        raise ValidationError("--table-size must be a positive even number")
     curve = _staircase_curve(args)
     K = curve.K
-    model = cantor.build_norm(curve, table_size=args.table_size)
+    model = cantor.build_norm(curve)
     out = Path(args.out)
     model.support.to_csv(out, version_line=VERSION_HEADER)
     lower, upper = cantor.image_measure_bounds(curve, args.level)
@@ -275,7 +274,7 @@ def _cmd_counterexample_build(args):
         "theta1": curve.theta1,
         "p2_lower_bound": lower,
         "p2_upper_bound": upper,
-        "table_size": args.table_size,
+        "table_size": len(model.support.phi),
         "convexity_slack": model.support.convexity_slack(),
     }
     _write_json(out.with_suffix(".json"), sidecar)
@@ -413,7 +412,6 @@ def build_parser():
     b.add_argument("--m", type=int, default=2)
     b.add_argument("--r", default="1/3")
     b.add_argument("--level", type=int, default=12)
-    b.add_argument("--table-size", type=int, default=4096)
     b.add_argument("--out", required=True)
     b.set_defaults(func=_cmd_counterexample_build)
 

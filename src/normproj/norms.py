@@ -6,7 +6,8 @@ A norm model is one of four concrete kinds:
 * ``lp``             -- (sum |x_i|^p)^(1/p) with p in (1, inf),
 * ``inner_product``  -- sqrt(x' Q x) for a symmetric positive-definite Q,
 * ``support_table``  -- a planar norm tabulated by the support function of
-                        its unit ball on a uniform angle grid.
+                        its unit ball at strictly increasing angles, node
+                        i + n/2 the antipode of node i.
 
 All models are antipodally symmetric and strictly convex, so the unit sphere
 has a unique outward Euclidean unit normal at every point (the Gauss map G)
@@ -115,6 +116,11 @@ class HyperplaneNormal:
         return canonicalize_direction(rot90(self.w))
 
 
+def _segment(knots, x):
+    """Index of the knot segment holding each angle of ``x`` in [0, 2*pi]."""
+    return np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 2)
+
+
 def _piecewise_poly(knots, coeffs, angle):
     """Evaluate a periodic piecewise polynomial at ``angle`` mod 2*pi.
 
@@ -125,7 +131,7 @@ def _piecewise_poly(knots, coeffs, angle):
     """
     x = np.asarray(np.mod(angle, 2.0 * np.pi), dtype=float)
     flat = x.reshape(-1)
-    seg = np.clip(np.searchsorted(knots, flat, side="right") - 1, 0, len(knots) - 2)
+    seg = _segment(knots, flat)
     s = flat - knots[seg]
     res, z = 0.0, 1.0
     for c in coeffs[::-1]:
@@ -136,11 +142,14 @@ def _piecewise_poly(knots, coeffs, angle):
 
 @dataclass
 class SupportTable:
-    """Support function of a planar convex body on a uniform angle grid.
+    """Support function of a planar convex body at tabulated angles.
 
-    ``phi`` are the grid angles on [0, 2*pi), ``h`` the support values,
-    ``dh`` the angular derivatives.  ``joints`` records (angle, incoming dh,
-    outgoing dh) at each junction between arcs, filled in by the builder.
+    ``phi`` are the node angles, strictly increasing on [0, 2*pi) and
+    spaced as the builder likes; ``h`` the support values, ``dh`` the
+    angular derivatives.  The count n is even and node i + n/2 is the
+    antipode of node i, the pairing ``antipodal_defect`` compares.
+    ``joints`` records (angle, incoming dh, outgoing dh) at each junction
+    between arcs, filled in by the builder.
     """
 
     phi: np.ndarray
@@ -211,9 +220,14 @@ class SupportTable:
         return float(max(np.max(np.abs(dh_half)), np.max(np.abs(dd_half))))
 
     def convexity_slack(self):
-        """Min over the grid of h + h'' (second differences); > 0 is convex."""
-        step = self.phi[1] - self.phi[0]
-        second = (np.roll(self.h, -1) - 2.0 * self.h + np.roll(self.h, 1)) / step**2
+        """Min over the nodes of h + h''; > 0 is convex.
+
+        h'' is the periodic second divided difference at each node, over the
+        node's own left and right spacings.
+        """
+        step = np.diff(np.append(self.phi, 2.0 * np.pi))
+        slope = np.diff(np.append(self.h, self.h[0])) / step
+        second = 2.0 * (slope - np.roll(slope, 1)) / (step + np.roll(step, 1))
         return float(np.min(self.h + second))
 
     def joint_tangent_mismatch(self):
@@ -494,14 +508,16 @@ def _table_gauss(norm, pts):
 
     A zero row raises ValueError.  A corner of the body shows up as a
     locally vanishing curvature radius h + h'' (identically zero support
-    parabola on the normal fan) at the contact angle; any such row raises
-    NotSmoothHere.
+    parabola on the normal fan) at the contact angle, probed by second
+    differences over the width of the knot segment that holds that angle;
+    any such row raises NotSmoothHere.
     """
     table = _require_table(norm)
     if np.any(np.all(pts == 0.0, axis=1)):
         raise ValueError("Gauss map undefined at the origin")
     phi = _contact_angle(norm, pts)
-    step = table.phi[1] - table.phi[0]
+    knots = _table_frame(norm)[0]
+    step = np.diff(knots)[_segment(knots, phi)]   # width of the contact segment
     h = table.support(phi)
     local = h + (table.support(phi + step) + table.support(phi - step) - 2.0 * h) / step**2
     corner = ~np.isfinite(local) | (local <= 1e-3 * h)

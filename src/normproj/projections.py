@@ -162,18 +162,17 @@ def project_hyperplane_direct(norm, w, x):
 
     ``x`` is a point or, for a planar norm, an (N, 2) stack of points whose
     line minimizations run as one stacked solve; each row equals the
-    projection of that point alone.  A nonzero row whose Euclidean length
-    or norm comes out as 0 or inf is first divided by its largest
-    |coordinate|, and its projection scaled back, since P(s x) = s P(x).
+    projection of that point alone.  Every nonzero row is first divided by
+    its largest |coordinate|, and its projection scaled back, since
+    P(s x) = s P(x): the line searches then run at unit scale, where their
+    absolute brackets and tolerances fit.
     """
     if not isinstance(w, HyperplaneNormal):
         w = HyperplaneNormal(w)
     x = np.asarray(x, dtype=float)
     rows = x.reshape(-1, norm.dim)
-    with np.errstate(over="ignore", under="ignore"):
-        sizes = np.stack([np.linalg.norm(rows, axis=-1), norms.eval_norm(norm, rows)])
-    rescale = np.any((sizes == 0.0) | np.isinf(sizes), axis=0) & np.any(rows, axis=-1)
-    scale = np.where(rescale, np.max(np.abs(rows), axis=-1), 1.0)[:, None]
+    scale = np.max(np.abs(rows), axis=-1, keepdims=True)
+    scale[scale == 0.0] = 1.0
     if norm.dim == 2:
         out = _direct_2d(norm, w, rows / scale)
     else:

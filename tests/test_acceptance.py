@@ -221,7 +221,7 @@ def test_criterion_10_determinism(tmp_path):
     same &= run_twice(["verify", "--out", "@verify.json"], ["verify.json"])
     same &= run_twice(
         ["counterexample", "build", "--m", "2", "--r", "1/3", "--level", "8",
-         "--table-size", "2048", "--out", "@ce.csv"],
+         "--out", "@ce.csv"],
         ["ce.csv", "ce.json"],
     )
     same &= run_twice(["set", "--set", "cantor-product", "--gen", "5", "--out", "@cloud.csv"],

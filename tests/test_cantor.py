@@ -117,37 +117,6 @@ def test_staircase_general_set():
     assert cantor.staircase(K, 1.0).value == 1.0
 
 
-def test_float_twin_matches_exact(triadic_set, rng):
-    for t in rng.uniform(0.0, 1.0, size=40):
-        exact = cantor.staircase(triadic_set, float(t))
-        f, F = cantor._fF_float(triadic_set, float(t))
-        fast = 2.0 * f - float(t)   # the staircase value behind f
-        assert abs(fast - exact.value) <= exact.error_bound + 1e-12
-        assert F == pytest.approx(cantor.F_eval(triadic_set, float(t)).value, abs=1e-12)
-
-
-def _bits(values):
-    return np.asarray(values, dtype=float).view(np.int64)
-
-
-def test_theta_float_stack_equals_per_point_descent(curve10):
-    # np.arctan of the one-point descents, on the whole level-10 grid
-    K = curve10.K
-    want = [np.arctan(f / (4.0 * (1.0 - F)))
-            for f, F in (cantor._fF_float(K, t) for t in curve10.t.tolist())]
-    assert np.array_equal(_bits(cantor._theta_float(K, curve10.t)), _bits(want))
-
-
-def test_t_of_normal_angle_stack_equals_one_angle_calls(curve10):
-    table_size = 4096
-    phi = 2.0 * np.pi * np.arange(table_size // 2) / table_size
-    arc = phi[phi <= 1.0 + curve10.theta1]
-    assert len(arc) == 834
-    stacked = cantor._t_of_normal_angle(curve10, arc)
-    alone = [cantor._t_of_normal_angle(curve10, arc[k:k + 1])[0] for k in range(len(arc))]
-    assert np.array_equal(_bits(stacked), _bits(alone))
-
-
 # -- f and F -----------------------------------------------------------------
 
 def test_f_endpoints_and_third(triadic_set):
@@ -175,7 +144,7 @@ def test_F_riemann_bracket_oracle(triadic_set):
     # f is nondecreasing: left/right Riemann sums bracket the integral
     n = 4096
     ts = np.arange(n + 1) / n
-    fv = np.array([cantor._fF_float(triadic_set, t)[0] for t in ts])
+    fv = np.array([cantor.f_eval(triadic_set, t) for t in ts])
     lower = np.sum(fv[:-1]) / n / 4.0
     upper = np.sum(fv[1:]) / n / 4.0
     got = cantor.F_eval(triadic_set, 1.0).value
@@ -247,16 +216,13 @@ def test_curve_level_guard(triadic_set):
 # -- Gauss map on the arc ------------------------------------------------------
 
 def test_gauss_on_gamma_orientation(curve10):
-    g0 = cantor.gauss_on_gamma(curve10, 0.0)
-    assert np.allclose(g0, [1.0, 0.0], atol=1e-15)
-    # quarter-turn relation to the unit tangent, with the outward choice
-    for t in (0.0, 0.2, 0.5, 0.8, 1.0):
-        g = cantor.gauss_on_gamma(curve10, t)
-        theta = cantor._theta_float(curve10.K, t)
-        beta = norms.unit_vector(t + np.pi / 2.0 + theta)
-        assert np.allclose(g, [beta[1], -beta[0]], atol=1e-12)  # clockwise quarter turn
-        gamma_t = (1.0 - cantor._fF_float(curve10.K, t)[1]) * norms.unit_vector(t)
-        assert float(np.dot(gamma_t, g)) > 0.0
+    # the normal at gamma(t) has angle t + theta(t): the clockwise quarter
+    # turn of the unit tangent, the one pointing outward
+    g = norms.unit_vector(curve10.normal_angles)
+    assert np.allclose(g[0], [1.0, 0.0], atol=1e-15)
+    beta = curve10.beta
+    assert np.allclose(g, np.stack([beta[:, 1], -beta[:, 0]], axis=1), atol=1e-12)
+    assert np.all(np.sum(curve10.gamma * g, axis=1) > 0.0)
 
 
 def test_curve_samples_nonconvex_F_raises_typed_error(triadic_set, monkeypatch):
@@ -273,37 +239,38 @@ def test_curve_samples_nonconvex_F_raises_typed_error(triadic_set, monkeypatch):
         cantor.curve_samples(triadic_set, 4)
 
 
-def test_gauss_on_gamma_inward_normal_raises_typed_error(curve10, monkeypatch):
-    # F > 1 flips gamma through the origin, so the normal points inward
-    monkeypatch.setattr(cantor, "_fF_float", lambda K, u: (0.5, 2.0))
-    with pytest.raises(CurveInvariantFailed):
-        cantor.gauss_on_gamma(curve10, 0.5)
-
-
 def test_gauss_on_gamma_angle_monotone(curve10):
     angles = curve10.normal_angles
     assert np.all(np.diff(angles) > 0.0)
 
 
-def test_gauss_on_gamma_matches_built_norm(curve10, ce_norm):
-    K = curve10.K
-    # resolved cells: gap midpoints of shallow levels
-    worst_smooth = 0.0
-    for lo, hi in K.gaps_upto(4):
-        t = float(lo + hi) / 2.0
-        got = cantor.gauss_on_gamma(curve10, t)
-        gamma_t = (1.0 - cantor._fF_float(K, t)[1]) * norms.unit_vector(t)
-        ref = norms.gauss_map(ce_norm, gamma_t)
-        worst_smooth = max(worst_smooth, float(np.linalg.norm(got - ref)))
-    assert worst_smooth <= 1e-5
-    # uniform cap (table cells straddling deep structure are only Hoelder)
-    worst = 0.0
-    for t in np.linspace(0.0, 1.0, 101):
-        got = cantor.gauss_on_gamma(curve10, float(t))
-        gamma_t = (1.0 - cantor._fF_float(K, float(t))[1]) * norms.unit_vector(float(t))
-        ref = norms.gauss_map(ce_norm, gamma_t)
-        worst = max(worst, float(np.linalg.norm(got - ref)))
-    assert worst <= 1e-3
+def _gauss_angles(norm, points):
+    g = norms.gauss_map(norm, points)
+    return np.arctan2(g[:, 1], g[:, 0])
+
+
+def test_table_gauss_at_arc_nodes_is_grid_normal(curve10, ce_norm):
+    # every grid point gamma(t) is a table node's boundary point, so the
+    # table's Gauss map there is the grid normal t + theta(t)
+    got = _gauss_angles(ce_norm, curve10.gamma)
+    assert np.max(np.abs(got - curve10.normal_angles)) <= 1e-13
+
+
+@pytest.mark.parametrize("level", [10, 12])
+def test_table_gauss_image_of_level_intervals(triadic_set, level):
+    # the Gauss-map angle gained over the level-L intervals of K is
+    # cover(K_L) from the t-part of t + theta(t) plus the theta gains, which
+    # are theta(1) minus the gap gains: the upper gap-sum bound
+    curve = cantor.curve_samples(triadic_set, level)
+    model = cantor.build_norm(curve)
+    ends = curve.t[~curve.is_gap_mid]   # the level intervals' endpoints, in order
+    angle = _gauss_angles(model, norms.unit_vector(ends))
+    K = curve.K
+    for L in range(level + 1):
+        every = K.m ** (level - L)
+        gained = math.fsum((angle[1::2][every - 1::every] - angle[0::2][::every]).tolist())
+        _, upper = cantor.image_measure_bounds(curve, L)
+        assert gained == pytest.approx(float(K.m * K.r) ** L + upper, abs=1e-9), L
 
 
 # -- measure bounds -----------------------------------------------------------
@@ -380,6 +347,13 @@ def test_build_norm_table_invariants(ce_norm):
     for lo, hi in ((0.0, phi1), (phi1, np.pi)):
         for shift in (0.0, np.pi):
             assert np.any((lo + shift < table.phi) & (table.phi < hi + shift))
+    # the arc's nodes are the grid normal angles, and node i + n/2 is node i
+    # turned by pi with equal knot widths
+    arc = len(ce_norm.curve.t)
+    assert np.max(np.abs(table.phi[:arc] - ce_norm.curve.normal_angles)) <= 2.0**-51
+    half = len(table.phi) // 2
+    assert np.array_equal(table.phi[half:], table.phi[:half] + np.pi)
+    assert np.array_equal(np.diff(table.phi[half:]), np.diff(table.phi[:half]))
 
 
 @pytest.mark.parametrize("m, r", [(2, Fraction(1, 3)), (3, Fraction(1, 5)), (2, Fraction(1, 4))])
@@ -434,8 +408,3 @@ def test_build_norm_glue_failure(curve10, monkeypatch):
     monkeypatch.setattr(cantor, "_quintic_hermite", concave)
     with pytest.raises(GlueFailed):
         cantor.build_norm(curve10)
-
-
-def test_build_norm_rejects_odd_table(curve10):
-    with pytest.raises(ValueError):
-        cantor.build_norm(curve10, table_size=4095)

@@ -137,7 +137,7 @@ def test_sweep_command(tmp_path):
 def test_counterexample_build(tmp_path):
     out = tmp_path / "ce.csv"
     code = run(["counterexample", "build", "--m", "2", "--r", "0.333333333",
-                "--level", "8", "--table-size", "2048", "--out", str(out)])
+                "--level", "8", "--out", str(out)])
     assert code == 0
     side = read_json(out.with_suffix(".json"))
     assert side["F1"] == pytest.approx(0.125, abs=1e-6)
@@ -146,7 +146,9 @@ def test_counterexample_build(tmp_path):
     header = out.read_text().splitlines()
     assert header[0] == f"# normproj {__version__}"
     assert header[1] == "phi,h,dh"
-    assert len(header) == 2 + 2048
+    # one row per grid point and interior glue node, and the antipodes
+    assert side["table_size"] == 2 * ((2 * 2**8 + 2**8 - 1) + 4094)
+    assert len(header) == 2 + side["table_size"]
 
 
 def test_verify_command(tmp_path, capsys):
@@ -207,7 +209,7 @@ def test_validation_errors_exit_2(tmp_path):
     assert run(["sweep", "--set", "four-corner", "--gen", "11", "--out", str(out)]) == 2
     assert run(["set", "--set", "square", "--gen", "13", "--out", str(out)]) == 2
     assert run(["--threads", "2", "verify", "--out", str(out)]) == 2
-    # negative generations, a direction grid too coarse for measure, odd tables
+    # negative generations and a direction grid too coarse for measure
     assert run(["set", "--set", "four-corner", "--gen", "-1", "--out", str(out)]) == 2
     assert run(["dim", "--set", "triadic", "--gen", "-2", "--out", str(out)]) == 2
     assert run(["sweep", "--directions", "10", "--out", str(out)]) == 2
@@ -216,8 +218,6 @@ def test_validation_errors_exit_2(tmp_path):
         assert run(["sweep", "--gen", "4", "--directions", "36", "--scales", scales,
                     "--out", str(out)]) == 2
         assert run(["dim", "--gen", "4", "--scales", scales, "--out", str(out)]) == 2
-    assert run(["counterexample", "build", "--table-size", "4095", "--out", str(out)]) == 2
-    assert run(["counterexample", "build", "--table-size", "0", "--out", str(out)]) == 2
     # one past the deepest staircase level, for both staircase entry points
     over = str(cli.MAX_LEVEL + 1)
     assert run(["counterexample", "build", "--level", over, "--out", str(out)]) == 2
@@ -308,7 +308,7 @@ def test_artifacts_identical_under_python_O(tmp_path):
     # hold without them, so the artifacts do not change
     commands = (
         (["verify", "--seed", "0", "--out", "@verify.json"], ["verify.json"]),
-        (["counterexample", "build", "--level", "8", "--table-size", "2048", "--out", "@ce.csv"],
+        (["counterexample", "build", "--level", "8", "--out", "@ce.csv"],
          ["ce.csv", "ce.json"]),
     )
     for args, outputs in commands:

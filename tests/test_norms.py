@@ -287,6 +287,44 @@ def test_support_table_corner_not_smooth():
         norms.gauss_map(model, np.array([1.0, 0.0]))
 
 
+def _warped_ellipse_table(n, rho, warp):
+    # semi-axes 1 and 1/2 turned by rho, on a grid warped by a pi-periodic
+    # shift, so node i + n/2 is still the antipode of node i
+    s = 2.0 * np.pi * np.arange(n) / n
+    phi = s + 0.5 * warp * np.sin(2.0 * s)
+    c, sn = np.cos(phi - rho), np.sin(phi - rho)
+    h = np.sqrt(c * c + 0.25 * sn * sn)
+    return SupportTable(phi=phi, h=h, dh=-0.75 * c * sn / h)
+
+
+def test_convexity_slack_on_a_non_uniform_grid():
+    # h + h'' is the curvature radius a^2 b^2 / h^3, least b^2 / a = 1/4
+    table = _warped_ellipse_table(512, rho=1.0, warp=0.4)
+    assert table.convexity_slack() == pytest.approx(0.25, abs=1e-3)
+    table.validate()
+
+
+def test_corner_probe_steps_by_the_contact_segment():
+    # a square with corners rounded off at radius 1e-4: h + h'' = 1e-4 on
+    # each corner's normal fan, a corner at the 1e-3 h threshold.  The first
+    # knot segment is 0.5 wide, the rest about 0.011; a probe 0.5 wide
+    # would see the corner's neighbouring edges and call it smooth
+    corners = math.sqrt(2.0) * norms.unit_vector(np.pi / 4 + 0.1 + 0.5 * np.pi * np.arange(4))
+    half = np.concatenate([[0.0], 0.5 + (np.pi - 0.5) * np.arange(255) / 255])
+    phi = np.concatenate([half, half + np.pi])
+    u = norms.unit_vector(phi)
+    active = corners[np.argmax(u @ corners.T, axis=1)]
+    table = SupportTable(phi=phi, h=1e-4 + np.sum(u * active, axis=1),
+                         dh=np.sum(norms.rot90(u) * active, axis=1))
+    model = norms.from_support_table(table)
+    with pytest.raises(NotSmoothHere):
+        norms.gauss_map(model, corners[1])
+    # the middle of an edge is smooth; the spline turns its normal across
+    # the one knot segment that holds the edge, about 0.011 wide
+    edge = norms.unit_vector(0.1)
+    assert norms.gauss_map(model, edge) == pytest.approx(edge, abs=1e-2)
+
+
 def test_support_table_validation_rejects_asymmetry(ce_norm):
     table = ce_norm.support
     h = table.h.copy()

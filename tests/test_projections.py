@@ -106,6 +106,18 @@ def test_direct_projection_keeps_on_plane_points(rng, ce_norm):
             assert np.max(np.abs(got - x)) <= 1e-12, f"{model.kind} at {x}"
 
 
+def test_direct_projection_is_scale_free(ce_norm):
+    # the line searches run at unit scale, so tiny and huge points project
+    # like the linear route instead of collapsing to 0 or losing digits
+    w = HyperplaneNormal(np.array([1.0, 2.0]))
+    for model in (norms.euclidean(2), norms.lp(3.0), ce_norm):
+        for s in (1e-20, 1e20):
+            x = np.array([s, s])
+            lemma = pj.project_hyperplane(model, w, x)
+            direct = pj.project_hyperplane_direct(model, w, x)
+            assert np.max(np.abs(direct - lemma)) <= 1e-12 * np.max(np.abs(lemma)), (model.kind, s)
+
+
 def test_project_nd(rng):
     model = norms.lp(4.0, dim=3)
     for _ in range(10):
