@@ -210,7 +210,7 @@ def favard_proxy(cloud, directions, delta, norm=None):
     Euclidean norm; a strictly convex model reuses its projection family.
     """
     if norm is None:
-        norm = norms.euclidean(2)
+        norm = norms.euclidean()
     angles = getattr(directions, "angles", directions)
     lengths = [
         projected_counts(norm, cloud, HyperplaneNormal.from_angle(a), [delta])[0] * float(delta)

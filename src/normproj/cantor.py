@@ -123,21 +123,6 @@ class CantorSet:
         return [(Fraction(a + length, unit), Fraction(b, unit))
                 for a, b in zip(starts, starts[1:])]
 
-    def level_breakpoints(self, k):
-        """Sorted exact endpoints of the level-k intervals."""
-        starts, length = self.level_intervals(k)
-        pts = []
-        for a in starts:
-            pts.append(a)
-            pts.append(a + length)
-        return sorted(set(pts))
-
-    def level_midpoints(self, k):
-        """Float midpoints of the level-k intervals (cell representatives)."""
-        starts, length = self.level_intervals(k)
-        half = length / 2
-        return np.array([float(a + half) for a in starts])
-
 
 @dataclass(frozen=True)
 class StaircaseValue:

@@ -223,7 +223,7 @@ def _check_pushforward(seed):
     defect = abs(lower - P2_LOWER_LEVEL10)  # regression lock on the gap sum
     if not (0.0 < lower <= upper):
         defect = max(defect, 1.0)
-    e_lo, e_hi = sweep.gauss_pushforward_measure(norms.euclidean(2), K, 10)
+    e_lo, e_hi = sweep.gauss_pushforward_measure(norms.euclidean(), K, 10)
     if not (e_lo == 0.0 and e_hi < 0.02):  # identity map squeezes K to null
         defect = max(defect, 1.0)
     return _report("staircase_pushforward_positive", defect, P2_REGRESSION_TOL, 2, seed)

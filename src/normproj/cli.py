@@ -87,6 +87,17 @@ def _finite_float(text):
     return value
 
 
+def _seed(text):
+    """argparse type of the --seed flags: numpy refuses a negative seed."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def _parse_vector(text, flag, dim, nonzero=False):
     """The ``dim`` finite comma-separated coordinates given to ``flag``."""
     try:
@@ -115,7 +126,7 @@ def _parse_matrix(text):
 def _build_norm(args):
     kind = args.norm
     if kind == "euclidean":
-        return norms.euclidean(2)
+        return norms.euclidean()
     if kind == "lp":
         if args.p is None or not 1.0 < args.p < float("inf"):
             raise ValidationError("lp norm needs --p in (1, inf)")
@@ -209,7 +220,7 @@ def _cmd_norm_info(args):
     report = norms.check_gauss_properties(model, args.grid)
     payload = {
         "kind": model.kind,
-        "ambient_dim": model.dim,
+        "ambient_dim": 2,
         "p": model.p,
         "gauss": dataclasses.asdict(report),
     }
@@ -222,7 +233,7 @@ def _cmd_gauss(args):
     if args.x is None and args.angle is None:
         raise ValidationError("gauss needs --angle or --x")
     if args.x is not None:
-        point = norms.sphere_point(model, _parse_vector(args.x, "--x", model.dim, nonzero=True))
+        point = norms.sphere_point(model, _parse_vector(args.x, "--x", 2, nonzero=True))
     else:
         point = norms.sphere_point(model, norms.unit_vector(args.angle))
     normal = norms.gauss_map(model, point)
@@ -240,10 +251,10 @@ def _cmd_gauss(args):
 def _cmd_project(args):
     model = _build_norm(args)
     if "," in args.w:
-        w = norms.HyperplaneNormal(_parse_vector(args.w, "--w", model.dim, nonzero=True))
+        w = norms.HyperplaneNormal(_parse_vector(args.w, "--w", 2, nonzero=True))
     else:
         w = norms.HyperplaneNormal.from_angle(_parse_vector(args.w, "--w", 1)[0])
-    x = _parse_vector(args.x, "--x", model.dim)
+    x = _parse_vector(args.x, "--x", 2)
     lemma = projections.project_hyperplane(model, w, x)
     direct = projections.project_hyperplane_direct(model, w, x)
     chosen = lemma if args.method == "lemma" else direct
@@ -317,6 +328,8 @@ def _cmd_dim(args):
 def _cmd_sweep(args):
     if args.directions < sweep.MIN_DIRECTIONS:
         raise ValidationError(f"--directions must be at least {sweep.MIN_DIRECTIONS}")
+    if args.set == "triadic":
+        raise ValidationError("sweep needs a planar --set; triadic is a set on the line")
     model = _build_norm(args)
     cloud, scales = _scales_from(args)
     grid = sweep.DirectionGrid(args.directions)
@@ -378,7 +391,7 @@ def build_parser():
     parser = argparse.ArgumentParser(prog="normproj",
                                      description="Projections, Gauss maps and box dimensions in normed planes")
     parser.add_argument("--config", default=None, help="key=value defaults file; flags override")
-    parser.add_argument("--seed", type=int, default=0, help="sampling seed of verify")
+    parser.add_argument("--seed", type=_seed, default=0, help="sampling seed of verify")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("norm-info", help="norm parameters plus Gauss-map diagnostics")
@@ -438,7 +451,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run the cross-cutting check suite")
     # the root --seed, also accepted after the subcommand; no default here,
     # so a seed given before the subcommand is not overwritten
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=_seed, default=argparse.SUPPRESS)
     p.add_argument("--out", default="verify_report.json")
     p.set_defaults(func=_cmd_verify)
 

@@ -41,15 +41,6 @@ class PointCloud:
     def dim(self):
         return self.points.shape[1]
 
-    def translated(self, offset):
-        return PointCloud(
-            points=self.points + np.asarray(offset, dtype=float),
-            generation=self.generation,
-            resolution=self.resolution,
-            label=self.label + "+shift",
-            base=self.base,
-        )
-
 
 def _natural_base(ratio):
     inv = 1.0 / ratio
@@ -98,11 +89,10 @@ def four_corner(generation):
 
 @dataclass(frozen=True)
 class Similarity:
-    """Contracting similarity x -> ratio * R(angle) x + offset."""
+    """Contracting similarity x -> ratio * x + offset."""
 
     ratio: float
     offset: np.ndarray
-    angle: float = 0.0
 
     def __post_init__(self):
         off = np.atleast_1d(np.asarray(self.offset, dtype=float))
@@ -116,12 +106,7 @@ class Similarity:
         return len(self.offset)
 
     def apply(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        if self.dim == 2 and self.angle != 0.0:
-            c, s = np.cos(self.angle), np.sin(self.angle)
-            rot = np.array([[c, -s], [s, c]])
-            pts = pts @ rot.T
-        return self.ratio * pts + self.offset
+        return self.ratio * np.asarray(pts, dtype=float) + self.offset
 
 
 def ifs_attractor(maps, generation):
@@ -184,18 +169,5 @@ def square_cloud(generation):
         generation=generation,
         resolution=0.5**generation * np.sqrt(2.0),
         label="unit_square",
-        base=2,
-    )
-
-
-def circle_cloud(count=4096):
-    """Evenly spaced points of the unit circle (shadow length 2 everywhere)."""
-    t = 2.0 * np.pi * np.arange(count) / count
-    pts = np.column_stack([np.cos(t), np.sin(t)])
-    return PointCloud(
-        points=pts,
-        generation=0,
-        resolution=2.0 * np.pi / count,
-        label="unit_circle",
         base=2,
     )

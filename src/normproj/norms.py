@@ -1,11 +1,11 @@
-"""Strictly convex norm models, their Gauss maps and support points.
+"""Strictly convex norms on the plane, their Gauss maps and support points.
 
-A norm model is one of four concrete kinds:
+A norm model is one of four concrete kinds of norm on R^2:
 
 * ``euclidean``      -- the standard norm |x|,
 * ``lp``             -- (sum |x_i|^p)^(1/p) with p in (1, inf),
 * ``inner_product``  -- sqrt(x' Q x) for a symmetric positive-definite Q,
-* ``support_table``  -- a planar norm tabulated by the support function of
+* ``support_table``  -- a norm tabulated by the support function of
                         its unit ball at strictly increasing angles, node
                         i + n/2 the antipode of node i.
 
@@ -103,16 +103,12 @@ class HyperplaneNormal:
         return cls(unit_vector(theta))
 
     @property
-    def dim(self):
-        return self.w.shape[0]
-
-    @property
     def angle(self):
-        """Representative angle in [0, pi) (planar only)."""
+        """Representative angle in [0, pi)."""
         return float(np.mod(np.arctan2(self.w[1], self.w[0]), np.pi))
 
     def line_direction(self):
-        """Canonical unit vector spanning w-perp (planar only)."""
+        """Canonical unit vector spanning w-perp."""
         return canonicalize_direction(rot90(self.w))
 
 
@@ -291,7 +287,6 @@ class NormModel:
     """
 
     kind: str
-    dim: int
     p: float | None = None
     Q: np.ndarray | None = None
     support: SupportTable | None = None
@@ -299,18 +294,19 @@ class NormModel:
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
 
-def euclidean(dim=2):
-    return NormModel(kind="euclidean", dim=dim)
+def euclidean():
+    return NormModel(kind="euclidean")
 
 
-def lp(p, dim=2):
+def lp(p):
     p = float(p)
     if not (1.0 < p < np.inf):
         raise NotStrictlyConvex(f"lp norm requires p in (1, inf), got {p}")
-    return NormModel(kind="lp", dim=dim, p=p)
+    return NormModel(kind="lp", p=p)
 
 
 def inner_product(Q):
+    """Norm sqrt(x' Q x); any size of Q passes, as ``conjugate_projection`` checks its Q here."""
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise NotStrictlyConvex("Q must be a square matrix")
@@ -321,7 +317,7 @@ def inner_product(Q):
         raise NotStrictlyConvex("Q must be positive-definite")
     Q = 0.5 * (Q + Q.T)
     Q.flags.writeable = False
-    return NormModel(kind="inner_product", dim=Q.shape[0], Q=Q)
+    return NormModel(kind="inner_product", Q=Q)
 
 
 def from_support_table(table):
@@ -331,7 +327,7 @@ def from_support_table(table):
     node boundary points do not turn strictly monotonically.
     """
     table.validate()
-    model = NormModel(kind="support_table", dim=2, support=table)
+    model = NormModel(kind="support_table", support=table)
     _table_frame(model)
     return model
 
@@ -443,9 +439,9 @@ def _q_times(norm, x):
 
 
 def eval_norm(norm, x):
-    """Evaluate the norm at ``x``; accepts stacked inputs (..., dim).
+    """Evaluate the norm at ``x``; accepts stacked inputs (..., 2).
 
-    Every kind is evaluated on the (N, dim) stack of rows, so a point gives
+    Every kind is evaluated on the (N, 2) stack of rows, so a point gives
     the bits of the same row in any stack.
     """
     x = np.asarray(x, dtype=float)
@@ -486,7 +482,7 @@ def norm_gradient(norm, y):
 
     For tabulated models the envelope theorem gives the gradient of the
     gauge as u(phi*) / h(phi*) at the contact angle phi* of the ray.  Every
-    kind is evaluated on the (N, dim) stack of rows.
+    kind is evaluated on the (N, 2) stack of rows.
     """
     y = np.asarray(y, dtype=float)
     rows = y.reshape(-1, y.shape[-1])
@@ -531,7 +527,7 @@ def gauss_map(norm, x):
 
     The direction is constant along rays, so any nonzero ``x`` is accepted
     and the result is the normal at x/||x||.  Accepts stacked inputs
-    (..., dim), one normal per row.
+    (..., 2), one normal per row.
     """
     x = np.asarray(x, dtype=float)
     if norm.kind == "support_table":
@@ -550,10 +546,9 @@ def gauss_map(norm, x):
 def inverse_gauss(norm, w):
     """Support point: the sphere point whose outward normal is ``w``.
 
-    Closed forms exist for the euclidean, lp and inner-product models in any
-    dimension.  A tabulated planar model is indexed by outward-normal angle,
-    so its support point is the table's boundary point at the polar angle
-    of w.
+    Closed forms exist for the euclidean, lp and inner-product models.  A
+    tabulated model is indexed by outward-normal angle, so its support point
+    is the table's boundary point at the polar angle of w.
     """
     if isinstance(w, HyperplaneNormal):
         w = w.w
@@ -580,7 +575,7 @@ def inverse_gauss(norm, w):
 
 @dataclass(frozen=True)
 class GaussReport:
-    """Summary of a full sweep of the Gauss map around a planar sphere."""
+    """Summary of a full sweep of the Gauss map around the unit sphere."""
 
     grid_size: int
     antipodality_defect: float
@@ -595,8 +590,6 @@ def check_gauss_properties(norm, grid_size=1024):
     angle of G is strictly increasing along a counterclockwise sweep (an
     injectivity proxy), and the minimum of <x, G(x)>.
     """
-    if norm.dim != 2:
-        raise ValueError("check_gauss_properties is planar-only")
     if grid_size < MIN_GAUSS_GRID:
         raise ValueError(f"grid_size must be at least {MIN_GAUSS_GRID}")
     t = 2.0 * np.pi * np.arange(grid_size) / grid_size
@@ -623,7 +616,7 @@ def check_gauss_properties(norm, grid_size=1024):
 
 
 def find_gauss_fixed_points(norm):
-    """Points of the planar sphere where G(v) is radial.
+    """Points of the unit sphere where G(v) is radial.
 
     Returns ``(farthest, closest)``: the sphere point maximizing and the one
     minimizing Euclidean distance to the origin, which are exactly the fixed
@@ -633,8 +626,6 @@ def find_gauss_fixed_points(norm):
     has slope -r cross(u, G) / <u, G>, so the cross product changes sign
     across that window.  Both windows are one two-lane root solve.
     """
-    if norm.dim != 2:
-        raise ValueError("find_gauss_fixed_points is planar-only")
     t = np.pi * np.arange(_FIXED_POINT_GRID) / _FIXED_POINT_GRID  # antipodal quotient suffices
     radii = np.asarray(eval_norm(norm, unit_vector(t)))
     euclid_r = 1.0 / radii
@@ -664,7 +655,7 @@ def gauss_fixed_point_defect(norm, v):
 
 
 def sphere_radius_bounds(norm):
-    """Cached (min, max) Euclidean radius of the unit sphere (planar)."""
+    """Cached (min, max) Euclidean radius of the unit sphere."""
     if "radius_bounds" not in norm._memo:
         t = 2.0 * np.pi * np.arange(_RADIUS_GRID) / _RADIUS_GRID
         radii = 1.0 / np.asarray(eval_norm(norm, unit_vector(t)))

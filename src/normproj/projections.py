@@ -81,8 +81,7 @@ def projector_from_kernel(w, u):
     if denom < 0:
         u = -u
         denom = -denom
-    n = w.dim
-    matrix = np.eye(n) - np.outer(u, w.w) / denom
+    matrix = np.eye(2) - np.outer(u, w.w) / denom
     return LinearProjector(kernel_dir=u / np.linalg.norm(u), matrix=matrix)
 
 
@@ -102,7 +101,7 @@ def project_hyperplane(norm, w, x):
 def _line_min(norm, x, direction, lo, hi):
     """Minimize s -> ||x - s*direction|| on [lo, hi] for each row of ``x``.
 
-    ``x`` is an (N, n) stack with brackets ``lo`` and ``hi`` of length N.
+    ``x`` is an (N, 2) stack with brackets ``lo`` and ``hi`` of length N.
     The objective is convex, so its minimizer is the root of the analytic
     slope -<grad ||.||, direction>, one stacked root solve for all rows.
     The slope is taken as 0 where x - s*direction is the zero vector (the
@@ -125,59 +124,29 @@ def _line_min(norm, x, direction, lo, hi):
     return s
 
 
-def _direct_2d(norm, w, x):
-    # x is an (N, 2) stack
-    v = w.line_direction()
-    lo_r, hi_r = norms.sphere_radius_bounds(norm)
-    span = (1.0 + hi_r / lo_r) * (np.linalg.norm(x, axis=-1) + 1.0)
-    center = np.sum(x * v, axis=-1)
-    s_star = _line_min(norm, x, v, center - span, center + span)
-    return s_star[:, None] * v
-
-
-def _direct_nd(norm, w, x):
-    # coordinate descent over an orthonormal basis of w-perp; the objective
-    # is convex, so sweeps of line minimizations converge
-    basis = null_space(w.w[None, :])  # (n, n-1), orthonormal columns
-    coeff = basis.T @ x
-    span = 4.0 * (float(np.linalg.norm(x)) + 1.0) * norm.dim
-    for _ in range(200):
-        moved = 0.0
-        residual = x - basis @ coeff
-        for j in range(basis.shape[1]):
-            base = residual + coeff[j] * basis[:, j]
-            s_new = _line_min(norm, base[None, :], basis[:, j],
-                              np.array([coeff[j] - span]), np.array([coeff[j] + span]))[0]
-            moved = max(moved, abs(s_new - coeff[j]))
-            residual = base - s_new * basis[:, j]
-            coeff[j] = s_new
-        span = max(10.0 * moved, 1e-8)
-        if moved < 1e-12:
-            break
-    return basis @ coeff
-
-
 def project_hyperplane_direct(norm, w, x):
     """Closest point of w-perp by direct norm minimization (oracle route).
 
-    ``x`` is a point or, for a planar norm, an (N, 2) stack of points whose
-    line minimizations run as one stacked solve; each row equals the
-    projection of that point alone.  Every nonzero row is first divided by
-    its largest |coordinate|, and its projection scaled back, since
-    P(s x) = s P(x): the line searches then run at unit scale, where their
-    absolute brackets and tolerances fit.
+    ``x`` is a point or an (N, 2) stack of points whose line minimizations
+    along w-perp run as one stacked solve; each row equals the projection
+    of that point alone.  Every nonzero row is first divided by its largest
+    |coordinate|, and its projection scaled back, since P(s x) = s P(x):
+    the line searches then run at unit scale, where their absolute brackets
+    and tolerances fit.
     """
     if not isinstance(w, HyperplaneNormal):
         w = HyperplaneNormal(w)
     x = np.asarray(x, dtype=float)
-    rows = x.reshape(-1, norm.dim)
+    rows = x.reshape(-1, 2)
     scale = np.max(np.abs(rows), axis=-1, keepdims=True)
     scale[scale == 0.0] = 1.0
-    if norm.dim == 2:
-        out = _direct_2d(norm, w, rows / scale)
-    else:
-        out = _direct_nd(norm, w, rows[0] / scale[0])
-    return (out * scale).reshape(x.shape)
+    rows = rows / scale
+    v = w.line_direction()
+    lo_r, hi_r = norms.sphere_radius_bounds(norm)
+    span = (1.0 + hi_r / lo_r) * (np.linalg.norm(rows, axis=-1) + 1.0)
+    center = np.sum(rows * v, axis=-1)
+    s_star = _line_min(norm, rows, v, center - span, center + span)
+    return (s_star[:, None] * v * scale).reshape(x.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +170,6 @@ def associated_g(family, V):
     proj = family.projector(V)
     u = proj.kernel_dir
     return HyperplaneNormal(canonicalize_direction(u / np.linalg.norm(u)))
-
-
-def family_from_norm(norm):
-    """The closest-point projection family of a strictly convex C^1 norm."""
-
-    def projector_of(V):
-        u = norms.inverse_gauss(norm, V.w)
-        return projector_from_kernel(V, u)
-
-    return ProjectionFamily(projector_of=projector_of)
 
 
 def family_from_gmap(gmap):

@@ -39,7 +39,7 @@ def test_criterion_1_gauss_lemma_suite():
 
 def test_criterion_2_projection_reduction(ce_norm):
     rng = np.random.default_rng(2024)
-    models = [norms.euclidean(2), norms.lp(1.5), norms.lp(3.0),
+    models = [norms.euclidean(), norms.lp(1.5), norms.lp(3.0),
               norms.inner_product(np.diag([1.0, 4.0])), ce_norm]
     worst = 0.0
     for model in models:
@@ -174,7 +174,7 @@ def test_criterion_8_marstrand_probe():
     scales = [3.0**-k for k in range(2, 8)]
     full = boxdim.estimate_dim(cloud)
     threshold = 0.9 * min(1.0, full.slope)
-    prof = sweep.dim_profile(norms.euclidean(2), cloud, grid, scales, threshold=threshold)
+    prof = sweep.dim_profile(norms.euclidean(), cloud, grid, scales, threshold=threshold)
     i_half = 360  # pi/2
     ok = (
         prof.flagged_measure <= 0.10

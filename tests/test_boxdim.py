@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -51,7 +53,7 @@ def test_count_doubling_bound():
 
 def test_projection_is_one_lipschitz_in_counts():
     cloud = fractals.four_corner(6)
-    model = norms.euclidean(2)
+    model = norms.euclidean()
     for ang in (0.0, 0.4, 1.1):
         for k in (2, 3, 4):
             delta = 4.0**-k
@@ -92,14 +94,14 @@ def test_estimate_constant_counts_single_point():
 def test_projected_counts_triadic_shadow():
     cloud = fractals.cantor_product(1.0 / 3.0, 10)
     w = HyperplaneNormal(np.array([0.0, 1.0]))
-    assert boxdim.projected_counts(norms.euclidean(2), cloud, w, [3.0**-5])[0] == 32
+    assert boxdim.projected_counts(norms.euclidean(), cloud, w, [3.0**-5])[0] == 32
 
 
 def test_projected_counts_diagonal_full_interval():
     cloud = fractals.cantor_product(1.0 / 3.0, 8)
     w = HyperplaneNormal.from_angle(np.pi / 4.0)
     scales = [3.0**-k for k in range(2, 8)]
-    counts = [boxdim.projected_counts(norms.euclidean(2), cloud, w, [d])[0] for d in scales]
+    counts = [boxdim.projected_counts(norms.euclidean(), cloud, w, [d])[0] for d in scales]
     est = boxdim.fit_loglog(scales, counts)
     assert est.slope == pytest.approx(1.0, abs=0.05)
 
@@ -107,14 +109,14 @@ def test_projected_counts_diagonal_full_interval():
 def test_projected_counts_single_point():
     cloud = PointCloud(points=np.array([[0.3, 0.7]]), generation=0,
                        resolution=1e-9, label="dot", base=2)
-    for model in (norms.euclidean(2), norms.lp(3.0)):
+    for model in (norms.euclidean(), norms.lp(3.0)):
         assert boxdim.projected_counts(model, cloud, HyperplaneNormal.from_angle(0.3), [0.1])[0] == 1
 
 
 def test_projected_counts_requires_planar():
     cloud = fractals.triadic_cloud(6)
     with pytest.raises(ValueError):
-        boxdim.projected_counts(norms.euclidean(2), cloud, HyperplaneNormal.from_angle(0.1), [0.1])
+        boxdim.projected_counts(norms.euclidean(), cloud, HyperplaneNormal.from_angle(0.1), [0.1])
 
 
 def _unique_bins(coords, delta):
@@ -145,11 +147,13 @@ def test_box_count_equals_unique_oracle():
         key = idx[:, 0] * (idx[:, 1].max() + 1) + idx[:, 1]
         return len(np.unique(key))
 
-    for cloud in (fractals.four_corner(6), fractals.cantor_product(1.0 / 3.0, 7),
-                  fractals.cantor_product(1.0 / 3.0, 7).translated([-0.6, -2.0])):
+    cantor7 = fractals.cantor_product(1.0 / 3.0, 7)
+    shifted = replace(cantor7, points=cantor7.points + np.array([-0.6, -2.0]))
+    for cloud in (fractals.four_corner(6), cantor7, shifted):
         for delta in boxdim.admissible_scales(cloud):
             assert boxdim.box_count(cloud, delta) == oracle(cloud.points, delta)
-    line = fractals.triadic_cloud(9).translated([-0.5])
+    line = fractals.triadic_cloud(9)
+    line = replace(line, points=line.points - 0.5)
     for delta in boxdim.admissible_scales(line):
         assert boxdim.box_count(line, delta) == _unique_bins(line.points[:, 0], delta)
 
@@ -181,7 +185,7 @@ def test_shadow_counts_refuse_any_under_resolved_scale():
     proj = projections.angle_family(lambda a: np.pi / 3.0).projector(HyperplaneNormal.from_angle(0.2))
     scales = [3.0**-2, 3.0**-6]
     with pytest.raises(UnderResolved):
-        boxdim.projected_counts(norms.euclidean(2), cloud, HyperplaneNormal.from_angle(0.2), scales)
+        boxdim.projected_counts(norms.euclidean(), cloud, HyperplaneNormal.from_angle(0.2), scales)
     with pytest.raises(UnderResolved):
         boxdim.projector_counts(proj, cloud, scales)
 
@@ -189,7 +193,10 @@ def test_shadow_counts_refuse_any_under_resolved_scale():
 # -- favard proxy ---------------------------------------------------------------
 
 def test_favard_disk_boundary_diameter():
-    cloud = fractals.circle_cloud(8192)
+    # evenly spaced points of the unit circle: shadow length 2 everywhere
+    t = 2.0 * np.pi * np.arange(8192) / 8192
+    cloud = PointCloud(points=np.column_stack([np.cos(t), np.sin(t)]), generation=0,
+                       resolution=2.0 * np.pi / 8192, label="unit_circle", base=2)
     angles = np.pi * np.arange(36) / 36
     got = boxdim.favard_proxy(cloud, angles, 2.0**-6)
     assert got == pytest.approx(2.0, abs=0.05)

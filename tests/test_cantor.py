@@ -91,7 +91,8 @@ def test_staircase_matches_digit_oracle(triadic_set, rng):
 
 
 def test_staircase_exact_at_breakpoints(triadic_set):
-    for b in triadic_set.level_breakpoints(6):
+    starts, length = triadic_set.level_intervals(6)
+    for b in starts + [a + length for a in starts]:
         got = cantor.staircase(triadic_set, b)
         assert got.error_bound == 0.0
 
@@ -188,7 +189,8 @@ def test_beta_dominates_w(curve10, rng):
 def _assert_grid_matches_descent(curve):
     # the one-pass grid against the per-point exact descents, bit for bit
     K, level = curve.K, curve.level
-    breaks = set(K.level_breakpoints(level))
+    starts, length = K.level_intervals(level)
+    breaks = set(starts) | {a + length for a in starts}
     ts = sorted(breaks | {(lo + hi) / 2 for lo, hi in K.gaps_upto(level)})
     assert curve.t.tobytes() == np.array([float(t) for t in ts]).tobytes()
     assert curve.f.tobytes() == np.array([float(cantor._f_exact(K, t)[0]) for t in ts]).tobytes()
@@ -377,7 +379,7 @@ def test_closing_arc_is_a_constant(m, r):
 
 def test_build_norm_carries_its_curve(curve10, ce_norm):
     assert ce_norm.curve is curve10
-    assert norms.euclidean(2).curve is None
+    assert norms.euclidean().curve is None
     assert norms.from_support_table(ce_norm.support).curve is None
 
 

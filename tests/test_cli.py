@@ -213,6 +213,10 @@ def test_validation_errors_exit_2(tmp_path):
     assert run(["set", "--set", "four-corner", "--gen", "-1", "--out", str(out)]) == 2
     assert run(["dim", "--set", "triadic", "--gen", "-2", "--out", str(out)]) == 2
     assert run(["sweep", "--directions", "10", "--out", str(out)]) == 2
+    # a set on the line has no shadows to sweep; numpy refuses a negative seed
+    assert run(["sweep", "--set", "triadic", "--gen", "6", "--out", str(out)]) == 2
+    assert run(["verify", "--seed", "-5", "--out", str(out)]) == 2
+    assert run(["--seed", "-1", "verify", "--out", str(out)]) == 2
     # --scales ranges holding fewer than four scales, or none
     for scales in ("2:3", "5:2"):
         assert run(["sweep", "--gen", "4", "--directions", "36", "--scales", scales,

@@ -12,7 +12,7 @@ from normproj.norms import HyperplaneNormal, SupportTable
 
 def closed_form_models():
     return [
-        norms.euclidean(2),
+        norms.euclidean(),
         norms.lp(1.5),
         norms.lp(3.0),
         norms.lp(8.0),
@@ -23,7 +23,7 @@ def closed_form_models():
 # -- evaluation ------------------------------------------------------------
 
 def test_eval_examples():
-    assert norms.eval_norm(norms.euclidean(2), np.array([3.0, 4.0])) == pytest.approx(5.0)
+    assert norms.eval_norm(norms.euclidean(), np.array([3.0, 4.0])) == pytest.approx(5.0)
     got = norms.eval_norm(norms.lp(3.0), np.array([1.0, 1.0]))
     assert got == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-12)
     got = norms.eval_norm(norms.inner_product(np.diag([1.0, 4.0])), np.array([1.0, 1.0]))
@@ -59,7 +59,7 @@ def test_homogeneity_support_table(ce_norm, rng):
 def test_every_kind_stack_equals_rows(ce_norm, rng):
     # one expression per closed form on the stack of rows: a point alone
     # gets the bits of its row in any stack
-    models = (norms.euclidean(2), norms.lp(1.5), norms.lp(3.0),
+    models = (norms.euclidean(), norms.lp(1.5), norms.lp(3.0),
               norms.inner_product(np.diag([1.0, 4.0])),
               norms.inner_product(np.array([[2.0, 1.0], [1.0, 3.0]])), ce_norm)
     xs = rng.standard_normal((2000, 2)) * rng.uniform(0.1, 10.0, size=(2000, 1))
@@ -82,7 +82,7 @@ def test_construction_rejects_non_strictly_convex():
 
 
 def test_support_table_not_ready():
-    model = norms.NormModel(kind="support_table", dim=2)
+    model = norms.NormModel(kind="support_table")
     with pytest.raises(ModelNotReady):
         norms.eval_norm(model, np.array([1.0, 0.0]))
 
@@ -102,7 +102,7 @@ def _finite_difference_normal(model, x, step=1e-6):
 def test_gauss_examples():
     for ang in (0.3, 1.2, 4.0):
         v = norms.unit_vector(ang)
-        assert np.allclose(norms.gauss_map(norms.euclidean(2), v), v, atol=1e-15)
+        assert np.allclose(norms.gauss_map(norms.euclidean(), v), v, atol=1e-15)
     assert np.allclose(norms.gauss_map(norms.lp(3.0), np.array([1.0, 0.0])), [1.0, 0.0])
     x = np.array([1.0, 1.0]) / 2.0 ** (1.0 / 3.0)
     got = norms.gauss_map(norms.lp(3.0), x)
@@ -142,7 +142,7 @@ def _support_oracle(model, w):
 
 def test_inverse_gauss_examples():
     w = norms.unit_vector(0.8)
-    assert np.allclose(norms.inverse_gauss(norms.euclidean(2), w), w, atol=1e-14)
+    assert np.allclose(norms.inverse_gauss(norms.euclidean(), w), w, atol=1e-14)
 
     w = np.array([1.0, 1.0]) / math.sqrt(2.0)
     got = norms.inverse_gauss(norms.lp(3.0), w)
@@ -181,7 +181,7 @@ def test_gauss_roundtrip_all_models(ce_norm):
 # -- sweep diagnostics -------------------------------------------------------
 
 def test_check_gauss_properties_examples():
-    rep = norms.check_gauss_properties(norms.euclidean(2), 1024)
+    rep = norms.check_gauss_properties(norms.euclidean(), 1024)
     assert rep.antipodality_defect == 0.0
     assert rep.monotone
     assert rep.min_inner == pytest.approx(1.0, abs=1e-15)
@@ -202,16 +202,14 @@ def test_check_gauss_properties_examples():
 
 def test_check_gauss_properties_guards():
     with pytest.raises(ValueError):
-        norms.check_gauss_properties(norms.euclidean(3), 64)
-    with pytest.raises(ValueError):
-        norms.check_gauss_properties(norms.euclidean(2), 8)
+        norms.check_gauss_properties(norms.euclidean(), 8)
 
 
 def test_fixed_points_euclidean():
-    far, near = norms.find_gauss_fixed_points(norms.euclidean(2))
+    far, near = norms.find_gauss_fixed_points(norms.euclidean())
     assert np.allclose(far, [1.0, 0.0])
     assert np.allclose(near, [0.0, 1.0])
-    assert norms.gauss_fixed_point_defect(norms.euclidean(2), far) <= 1e-12
+    assert norms.gauss_fixed_point_defect(norms.euclidean(), far) <= 1e-12
 
 
 def test_fixed_points_ellipse():
@@ -282,7 +280,7 @@ def test_support_table_corner_not_smooth():
     step = 2.0 * np.pi / n
     dh = (np.roll(h, -1) - np.roll(h, 1)) / (2.0 * step)  # periodic differences
     table = SupportTable(phi=phi, h=h, dh=dh)
-    model = norms.NormModel(kind="support_table", dim=2, support=table)
+    model = norms.NormModel(kind="support_table", support=table)
     with pytest.raises(NotSmoothHere):
         norms.gauss_map(model, np.array([1.0, 0.0]))
 

@@ -9,7 +9,7 @@ import sys
 
 # With sys.modules["scipy"] = None every scipy import raises ImportError, so a
 # lazy import inside a command fails here instead of moving its cost into the
-# job.  The CLI is planar, so the n-dimensional direct projection runs as a call.
+# job.
 BLOCKED = """
 import sys
 sys.modules["scipy"] = None
@@ -22,7 +22,7 @@ codes = [cli.main(argv + ["--out", f"{out}/{name}"]) for name, argv in (
     ("sweep", ["sweep", "--gen", "6", "--directions", "36", "--scales", "2:5"]),
     ("ce.csv", ["counterexample", "build", "--level", "6"]),
 )]
-model, w, x = norms.lp(4.0, dim=3), np.array([1.0, -2.0, 0.5]), np.array([0.3, 1.0, -2.0])
+model, w, x = norms.lp(4.0), np.array([1.0, -2.0]), np.array([[0.3, 1.0], [-2.0, 0.5]])
 gap = np.max(np.abs(projections.project_hyperplane_direct(model, w, x)
                     - projections.project_hyperplane(model, w, x)))
 print(codes, float(gap))

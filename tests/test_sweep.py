@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -22,7 +23,7 @@ def test_dim_profile_square_everywhere_one():
     grid = sweep.DirectionGrid(36)
     cloud = fractals.square_cloud(9)
     scales = [2.0**-k for k in range(3, 8)]
-    prof = sweep.dim_profile(norms.euclidean(2), cloud, grid, scales)
+    prof = sweep.dim_profile(norms.euclidean(), cloud, grid, scales)
     assert np.all(np.abs(prof.slopes - 1.0) <= 0.05)
     assert prof.flagged_measure == 0.0
     assert prof.threshold == pytest.approx(0.9, abs=1e-9)
@@ -32,7 +33,7 @@ def test_dim_profile_cantor_product_exceptional_axes():
     grid = sweep.DirectionGrid(36)
     cloud = fractals.cantor_product(1.0 / 3.0, 7)
     scales = [3.0**-k for k in range(2, 7)]
-    prof = sweep.dim_profile(norms.euclidean(2), cloud, grid, scales, threshold=0.9)
+    prof = sweep.dim_profile(norms.euclidean(), cloud, grid, scales, threshold=0.9)
     assert prof.slopes[0] == pytest.approx(np.log(2) / np.log(3), abs=0.02)
     assert prof.slopes[18] == pytest.approx(np.log(2) / np.log(3), abs=0.02)  # pi/2
     assert prof.slopes[9] == pytest.approx(1.0, abs=0.06)  # pi/4 diagonal
@@ -44,16 +45,16 @@ def test_dim_profile_grid_guard():
     grid = sweep.DirectionGrid(12)
     cloud = fractals.square_cloud(6)
     with pytest.raises(ValueError):
-        sweep.dim_profile(norms.euclidean(2), cloud, grid, [0.25, 0.125])
+        sweep.dim_profile(norms.euclidean(), cloud, grid, [0.25, 0.125])
 
 
 def test_profile_translation_stability():
     grid = sweep.DirectionGrid(36)
     cloud = fractals.cantor_product(1.0 / 3.0, 6)
     scales = [3.0**-k for k in range(2, 6)]
-    base = sweep.dim_profile(norms.euclidean(2), cloud, grid, scales, threshold=0.9)
+    base = sweep.dim_profile(norms.euclidean(), cloud, grid, scales, threshold=0.9)
     moved = sweep.dim_profile(
-        norms.euclidean(2), cloud.translated([0.37, -1.2]), grid, scales, threshold=0.9
+        norms.euclidean(), replace(cloud, points=cloud.points + np.array([0.37, -1.2])), grid, scales, threshold=0.9
     )
     assert np.array_equal(base.flagged, moved.flagged)
     assert np.mean(np.abs(base.slopes - moved.slopes)) <= 0.05
@@ -64,11 +65,11 @@ def test_profile_rotation_equivariance():
     grid = sweep.DirectionGrid(36)
     cloud = fractals.cantor_product(1.0 / 3.0, 6)
     scales = [3.0**-k for k in range(2, 6)]
-    base = sweep.dim_profile(norms.euclidean(2), cloud, grid, scales, threshold=0.9)
+    base = sweep.dim_profile(norms.euclidean(), cloud, grid, scales, threshold=0.9)
     rot = np.array([[0.0, -1.0], [1.0, 0.0]])
     turned = PointCloud(points=cloud.points @ rot.T, generation=cloud.generation,
                         resolution=cloud.resolution, label="rot", base=cloud.base)
-    prof = sweep.dim_profile(norms.euclidean(2), turned, grid, scales, threshold=0.9)
+    prof = sweep.dim_profile(norms.euclidean(), turned, grid, scales, threshold=0.9)
     assert np.allclose(prof.slopes, np.roll(base.slopes, 18), atol=1e-12)
     assert np.array_equal(prof.flagged, np.roll(base.flagged, 18))
 
@@ -81,7 +82,7 @@ def test_angle_family_profile_is_reindexed_euclidean():
     scales = [3.0**-k for k in range(2, 6)]
     fam = projections.angle_family(lambda a: np.pi / 4.0)
     fam_prof = sweep.dim_profile(fam, cloud, grid, scales, threshold=0.9)
-    euc_prof = sweep.dim_profile(norms.euclidean(2), cloud, grid, scales, threshold=0.9)
+    euc_prof = sweep.dim_profile(norms.euclidean(), cloud, grid, scales, threshold=0.9)
     shift = 27  # 3pi/4 in grid steps
     assert np.max(np.abs(fam_prof.slopes - np.roll(euc_prof.slopes, -shift))) <= 0.05
     assert np.array_equal(fam_prof.flagged, np.roll(euc_prof.flagged, -shift))
@@ -103,11 +104,11 @@ def test_gauss_pushforward_measures(triadic_set, curve10, ce_norm):
     assert (lo, hi) == cantor.image_measure_bounds(curve10, 10)
     assert lo > 0.0
 
-    e_lo, e_hi = sweep.gauss_pushforward_measure(norms.euclidean(2), triadic_set, 10)
+    e_lo, e_hi = sweep.gauss_pushforward_measure(norms.euclidean(), triadic_set, 10)
     assert e_lo == 0.0
     assert e_hi == pytest.approx((2.0 / 3.0) ** 10, abs=1e-15)
     for k in (4, 8, 12):
-        assert sweep.gauss_pushforward_measure(norms.euclidean(2), triadic_set, k)[1] == pytest.approx(
+        assert sweep.gauss_pushforward_measure(norms.euclidean(), triadic_set, k)[1] == pytest.approx(
             (2.0 / 3.0) ** k
         )
 
