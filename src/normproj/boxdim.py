@@ -12,8 +12,11 @@ upper-bounds Hausdorff dimension; every report carries that caveat.
 Counting is sort-based.  A cloud's cell keys, or a shadow's coordinates,
 are sorted once, and the number of occupied cells is one more than the
 number of changes between neighbours.  Because x -> floor(x / delta) is
-monotone for delta > 0, one sorted copy of a shadow serves every scale, so
-a shadow costs one sort per direction, not one per (direction, scale).
+monotone for delta > 0, one sorted shadow serves every scale.  A sweep over
+many directions allocates its shadow, bin and change buffers once and
+refills them for each direction: the shadow is written and sorted in place,
+so counting a direction allocates no cloud-sized array.  A cloud's cell key
+is built one contiguous coordinate column at a time.
 """
 
 from dataclasses import dataclass
@@ -61,36 +64,45 @@ def _distinct_sorted(ordered, steps=None):
     return int(ordered.size > 0) + int(np.count_nonzero(changes))
 
 
-def _bin_counts(coords, scales):
+def _bin_counts(coords, scales, bins=None, steps=None):
     """Occupied delta-bins of 1-D coordinates, one count per scale, in order.
 
-    One sort serves every scale: the bins floor(x / delta) of sorted
-    coordinates are sorted too.  The count equals the number of distinct
-    int64 bin indices whenever those fit in int64 (|x / delta| < 2**63).
-    Every scale reuses the same two buffers: on a 65,536-point shadow,
-    allocating fresh arrays per scale costs several times the arithmetic.
+    Sorts ``coords`` in place, so callers pass a buffer they own.  One sort
+    serves every scale: the bins floor(x / delta) of sorted coordinates are
+    sorted too.  The count equals the number of distinct int64 bin indices
+    whenever those fit in int64 (|x / delta| < 2**63).  Every scale reuses
+    the buffers ``bins`` (like ``coords``) and ``steps`` (boolean, one
+    shorter), allocated here unless the caller passes them.
     """
-    ordered = np.sort(coords)
-    bins = np.empty_like(ordered)
-    steps = np.empty(max(ordered.size - 1, 0), dtype=bool)
+    coords.sort()
+    if bins is None:
+        bins = np.empty_like(coords)
+    if steps is None:
+        steps = np.empty(max(coords.size - 1, 0), dtype=bool)
     counts = []
     for delta in scales:
-        np.floor(np.divide(ordered, float(delta), out=bins), out=bins)
+        np.floor(np.divide(coords, float(delta), out=bins), out=bins)
         counts.append(_distinct_sorted(bins, steps))
     return counts
 
 
 def _occupied_cells(points, delta):
     if points.shape[1] == 1:
-        return _bin_counts(points[:, 0], [delta])[0]
-    idx = np.floor(points / delta).astype(np.int64)
-    # mix the integer coordinates into a single key per point
-    idx = idx - idx.min(axis=0)
-    spans = idx.max(axis=0).astype(np.int64) + 1
-    key = idx[:, 0]
-    for j in range(1, idx.shape[1]):
-        key = key * spans[j] + idx[:, j]
-    return _distinct_sorted(np.sort(key))
+        return _bin_counts(points[:, 0].copy(), [delta])[0]
+    # mix the shifted integer coordinates into a single key per point, one
+    # contiguous column at a time
+    key = None
+    for j in range(points.shape[1]):
+        col = points[:, j] / delta
+        col = np.floor(col, out=col).astype(np.int64)
+        col -= col.min()
+        if key is None:
+            key = col
+        else:
+            key *= int(col.max()) + 1
+            key += col
+    key.sort()
+    return _distinct_sorted(key)
 
 
 def _check_resolved(cloud, scales):
@@ -156,33 +168,43 @@ def estimate_dim(cloud, scales=None):
 # shadows
 # ---------------------------------------------------------------------------
 
-def _shadow_coordinates(norm, cloud, w):
-    """Arc-length coordinate on w-perp of every projected cloud point.
+def _shadow_functional(norm, w):
+    """Linear functional giving the arc-length coordinate on w-perp of the
+    closest-point projection of a point.
 
     Projecting x along u = G^{-1}(w) and reading the coordinate against the
-    canonical unit direction v of w-perp collapses to a single linear
-    functional <x, v - (<u,v>/<u,w>) w>, applied to all points at once.
+    canonical unit direction v of w-perp collapses to the single functional
+    <x, v - (<u,v>/<u,w>) w>, applied to all points at once.
     """
     if not isinstance(w, HyperplaneNormal):
         w = HyperplaneNormal(w)
     v = w.line_direction()
     if norm.kind == "euclidean":
-        return cloud.points @ v
+        return v
     u = norms.inverse_gauss(norm, w.w)
-    functional = v - (float(np.dot(u, v)) / float(np.dot(u, w.w))) * w.w
-    return cloud.points @ functional
+    return v - (float(np.dot(u, v)) / float(np.dot(u, w.w))) * w.w
 
 
-def projected_counts(norm, cloud, w, scales):
-    """Occupied delta-bins of the cloud's shadow on the line w-perp.
+def projected_counts(norm, cloud, normals, scales):
+    """Occupied delta-bins of the cloud's shadow on w-perp, for each w in ``normals``.
 
-    Returns one count per scale in ``scales``, in the order given; the
-    support point and the shadow coordinates are computed once for all.
+    Returns one list per normal, in order, holding one count per scale in
+    the order given.  The shadow, bin and change buffers are allocated once
+    and refilled for every normal; fresh cloud-sized arrays per direction
+    would each be a new mapping whose pages fault in.
     """
     if cloud.dim != 2:
         raise ValueError("projected_counts expects a planar cloud")
     _check_resolved(cloud, scales)
-    return _bin_counts(_shadow_coordinates(norm, cloud, w), scales)
+    size = len(cloud.points)
+    shadow = np.empty(size)
+    bins = np.empty(size)
+    steps = np.empty(max(size - 1, 0), dtype=bool)
+    out = []
+    for w in normals:
+        np.matmul(cloud.points, _shadow_functional(norm, w), out=shadow)
+        out.append(_bin_counts(shadow, scales, bins, steps))
+    return out
 
 
 def projector_counts(projector, cloud, scales):
@@ -211,9 +233,6 @@ def favard_proxy(cloud, directions, delta, norm=None):
     """
     if norm is None:
         norm = norms.euclidean()
-    angles = getattr(directions, "angles", directions)
-    lengths = [
-        projected_counts(norm, cloud, HyperplaneNormal.from_angle(a), [delta])[0] * float(delta)
-        for a in np.asarray(angles, dtype=float)
-    ]
-    return float(np.mean(lengths))
+    angles = np.asarray(getattr(directions, "angles", directions), dtype=float)
+    counts = projected_counts(norm, cloud, [HyperplaneNormal.from_angle(a) for a in angles], [delta])
+    return float(np.mean([c[0] * float(delta) for c in counts]))

@@ -40,6 +40,7 @@ _ZERO_COORD_TOL = 1e-12      # "first nonzero coordinate" cutoff
 MIN_GAUSS_GRID = 16          # fewest sweep points of check_gauss_properties
 _FIXED_POINT_GRID = 4096     # coarse sweep of find_gauss_fixed_points
 _RADIUS_GRID = 512           # sweep of sphere_radius_bounds
+_CSV_CHUNK_ROWS = 8192       # table rows formatted per write of SupportTable.to_csv
 
 
 def unit_vector(angle):
@@ -69,6 +70,18 @@ def polar_angle(v):
     return a + 2.0 * np.pi if a < 0 else a
 
 
+def _planar(x):
+    """``x`` as a float array whose last axis holds two coordinates.
+
+    The library is planar; a vector of any other length is refused here
+    rather than broadcast into a wrong answer.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.shape[-1] != 2:
+        raise ValueError(f"normproj is planar: need 2 coordinates on the last axis, got shape {x.shape}")
+    return x
+
+
 def _rescaled(v, size):
     """``(v, size(v))``, with ``v`` first divided by max |v_i| when its size
     overflows to inf or underflows to 0; the ray through ``v`` is kept."""
@@ -91,7 +104,7 @@ class HyperplaneNormal:
     w: np.ndarray
 
     def __post_init__(self):
-        w, n = _rescaled(np.asarray(self.w, dtype=float), np.linalg.norm)
+        w, n = _rescaled(_planar(self.w), np.linalg.norm)
         if n == 0:
             raise ValueError("zero vector cannot define a hyperplane")
         w = canonicalize_direction(w / n)
@@ -254,8 +267,13 @@ class SupportTable:
             if version_line:
                 fh.write(version_line + "\n")
             fh.write("phi,h,dh\n")
-            for p, h, dh in zip(self.phi, self.h, self.dh):
-                fh.write(f"{p + 0.0:.12g},{h + 0.0:.12g},{dh + 0.0:.12g}\n")
+            # format Python floats a chunk at a time: numpy scalars format
+            # slowly, and one list of the whole table raises the peak memory
+            for i in range(0, len(self.phi), _CSV_CHUNK_ROWS):
+                chunk = slice(i, i + _CSV_CHUNK_ROWS)
+                rows = zip(self.phi[chunk].tolist(), self.h[chunk].tolist(), self.dh[chunk].tolist())
+                fh.write("".join(f"{p + 0.0:.12g},{h + 0.0:.12g},{dh + 0.0:.12g}\n"
+                                 for p, h, dh in rows))
 
     @classmethod
     def from_csv(cls, path):
@@ -444,8 +462,8 @@ def eval_norm(norm, x):
     Every kind is evaluated on the (N, 2) stack of rows, so a point gives
     the bits of the same row in any stack.
     """
-    x = np.asarray(x, dtype=float)
-    rows = x.reshape(-1, x.shape[-1])
+    x = _planar(x)
+    rows = x.reshape(-1, 2)
     if norm.kind == "euclidean":
         out = np.linalg.norm(rows, axis=-1)
     elif norm.kind == "lp":
@@ -484,8 +502,8 @@ def norm_gradient(norm, y):
     gauge as u(phi*) / h(phi*) at the contact angle phi* of the ray.  Every
     kind is evaluated on the (N, 2) stack of rows.
     """
-    y = np.asarray(y, dtype=float)
-    rows = y.reshape(-1, y.shape[-1])
+    y = _planar(y)
+    rows = y.reshape(-1, 2)
     if norm.kind == "support_table":
         phi = _contact_angle(norm, rows)
         grad = unit_vector(phi) / _require_table(norm).support(phi)[:, None]
@@ -529,7 +547,7 @@ def gauss_map(norm, x):
     and the result is the normal at x/||x||.  Accepts stacked inputs
     (..., 2), one normal per row.
     """
-    x = np.asarray(x, dtype=float)
+    x = _planar(x)
     if norm.kind == "support_table":
         return _table_gauss(norm, x.reshape(-1, 2)).reshape(x.shape)
     if np.any(np.all(x == 0.0, axis=-1)):
@@ -552,7 +570,7 @@ def inverse_gauss(norm, w):
     """
     if isinstance(w, HyperplaneNormal):
         w = w.w
-    w, n = _rescaled(np.asarray(w, dtype=float), np.linalg.norm)
+    w, n = _rescaled(_planar(w), np.linalg.norm)
     w = w / n
     if norm.kind == "euclidean":
         return sphere_point(norm, w)

@@ -95,7 +95,7 @@ def project_hyperplane(norm, w, x):
     if not isinstance(w, HyperplaneNormal):
         w = HyperplaneNormal(w)
     u = norms.inverse_gauss(norm, w.w)
-    return projector_from_kernel(w, u).apply(np.asarray(x, dtype=float))
+    return projector_from_kernel(w, u).apply(norms._planar(x))
 
 
 def _line_min(norm, x, direction, lo, hi):
@@ -136,7 +136,7 @@ def project_hyperplane_direct(norm, w, x):
     """
     if not isinstance(w, HyperplaneNormal):
         w = HyperplaneNormal(w)
-    x = np.asarray(x, dtype=float)
+    x = norms._planar(x)
     rows = x.reshape(-1, 2)
     scale = np.max(np.abs(rows), axis=-1, keepdims=True)
     scale[scale == 0.0] = 1.0

@@ -70,15 +70,12 @@ def dim_profile(model, cloud, grid, scales, threshold=None):
         full = boxdim.estimate_dim(cloud)
         threshold = min(1.0, full.slope) - 0.1
 
-    is_family = hasattr(model, "projector")
-    estimates = []
-    for angle in grid.angles:
-        w = HyperplaneNormal.from_angle(angle)
-        if is_family:
-            counts = boxdim.projector_counts(model.projector(w), cloud, scales)
-        else:
-            counts = boxdim.projected_counts(model, cloud, w, scales)
-        estimates.append(boxdim.fit_loglog(scales, counts))
+    normals = [HyperplaneNormal.from_angle(angle) for angle in grid.angles]
+    if hasattr(model, "projector"):
+        counts = [boxdim.projector_counts(model.projector(w), cloud, scales) for w in normals]
+    else:
+        counts = boxdim.projected_counts(model, cloud, normals, scales)
+    estimates = [boxdim.fit_loglog(scales, c) for c in counts]
     slopes = np.array([e.slope for e in estimates])
     flagged = slopes < threshold
     return ExceptionalProfile(

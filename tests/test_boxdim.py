@@ -1,9 +1,14 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from normproj import boxdim, fractals, norms, projections
+import normproj
+from normproj import boxdim, fractals, norms, projections, sweep
 from normproj.errors import LowQualityFit, UnderResolved
 from normproj.fractals import PointCloud
 from normproj.norms import HyperplaneNormal
@@ -57,7 +62,7 @@ def test_projection_is_one_lipschitz_in_counts():
     for ang in (0.0, 0.4, 1.1):
         for k in (2, 3, 4):
             delta = 4.0**-k
-            shadow = boxdim.projected_counts(model, cloud, HyperplaneNormal.from_angle(ang), [delta])[0]
+            shadow = boxdim.projected_counts(model, cloud, [HyperplaneNormal.from_angle(ang)], [delta])[0][0]
             assert shadow <= 3 * boxdim.box_count(cloud, delta)
 
 
@@ -94,14 +99,14 @@ def test_estimate_constant_counts_single_point():
 def test_projected_counts_triadic_shadow():
     cloud = fractals.cantor_product(1.0 / 3.0, 10)
     w = HyperplaneNormal(np.array([0.0, 1.0]))
-    assert boxdim.projected_counts(norms.euclidean(), cloud, w, [3.0**-5])[0] == 32
+    assert boxdim.projected_counts(norms.euclidean(), cloud, [w], [3.0**-5]) == [[32]]
 
 
 def test_projected_counts_diagonal_full_interval():
     cloud = fractals.cantor_product(1.0 / 3.0, 8)
     w = HyperplaneNormal.from_angle(np.pi / 4.0)
     scales = [3.0**-k for k in range(2, 8)]
-    counts = [boxdim.projected_counts(norms.euclidean(), cloud, w, [d])[0] for d in scales]
+    counts = boxdim.projected_counts(norms.euclidean(), cloud, [w], scales)[0]
     est = boxdim.fit_loglog(scales, counts)
     assert est.slope == pytest.approx(1.0, abs=0.05)
 
@@ -110,13 +115,13 @@ def test_projected_counts_single_point():
     cloud = PointCloud(points=np.array([[0.3, 0.7]]), generation=0,
                        resolution=1e-9, label="dot", base=2)
     for model in (norms.euclidean(), norms.lp(3.0)):
-        assert boxdim.projected_counts(model, cloud, HyperplaneNormal.from_angle(0.3), [0.1])[0] == 1
+        assert boxdim.projected_counts(model, cloud, [HyperplaneNormal.from_angle(0.3)], [0.1]) == [[1]]
 
 
 def test_projected_counts_requires_planar():
     cloud = fractals.triadic_cloud(6)
     with pytest.raises(ValueError):
-        boxdim.projected_counts(norms.euclidean(), cloud, HyperplaneNormal.from_angle(0.1), [0.1])
+        boxdim.projected_counts(norms.euclidean(), cloud, [HyperplaneNormal.from_angle(0.1)], [0.1])
 
 
 def _unique_bins(coords, delta):
@@ -161,11 +166,11 @@ def test_box_count_equals_unique_oracle():
 def test_shadow_counts_equal_per_scale_oracle(ce_norm):
     cloud = fractals.cantor_product(1.0 / 3.0, 7)
     scales = [3.0**-k for k in (4, 2, 6, 3, 5)]
-    for ang in (0.0, 0.7, 2.0, 3.0):
-        w = HyperplaneNormal.from_angle(ang)
-        coords = boxdim._shadow_coordinates(ce_norm, cloud, w)
-        assert boxdim.projected_counts(ce_norm, cloud, w, scales) == \
-            [_unique_bins(coords, d) for d in scales]
+    normals = [HyperplaneNormal.from_angle(ang) for ang in (0.0, 0.7, 2.0, 3.0)]
+    got = boxdim.projected_counts(ce_norm, cloud, normals, scales)
+    for w, counts in zip(normals, got, strict=True):
+        coords = cloud.points @ boxdim._shadow_functional(ce_norm, w)
+        assert counts == [_unique_bins(coords, d) for d in scales]
 
     fam = projections.angle_family(lambda a: np.pi / 3.0)
     for ang in (0.2, 1.3, 2.9):
@@ -180,12 +185,103 @@ def test_shadow_counts_equal_per_scale_oracle(ce_norm):
     assert boxdim.projector_counts(zero, cloud, scales) == [1] * len(scales)
 
 
+def _sweep_normals(count):
+    return [HyperplaneNormal.from_angle(a) for a in sweep.DirectionGrid(count).angles]
+
+
+def _assert_counts_match_unique_oracle(norm, cloud, normals, scales):
+    got = boxdim.projected_counts(norm, cloud, normals, scales)
+    assert len(got) == len(normals)
+    for w, counts in zip(normals, got):
+        shadow = cloud.points @ boxdim._shadow_functional(norm, w)
+        assert counts == [len(np.unique(np.floor(shadow / d))) for d in scales], w.angle
+
+
+def test_projected_counts_sweep_equal_unique_oracle():
+    # the benchmark's sweep: 120 normals over both 65,536-point clouds, scales 2:7
+    normals = _sweep_normals(120)
+    for cloud in (fractals.cantor_product(1.0 / 3.0, 8), fractals.four_corner(8)):
+        scales = [float(cloud.base) ** -k for k in range(2, 8)]
+        _assert_counts_match_unique_oracle(norms.euclidean(), cloud, normals, scales)
+
+
+def test_projected_counts_norm_sweeps_equal_unique_oracle(ce_norm):
+    cloud = fractals.four_corner(8)
+    scales = [4.0**-k for k in range(2, 8)]
+    for model in (norms.lp(3.0), ce_norm):
+        _assert_counts_match_unique_oracle(model, cloud, _sweep_normals(36), scales)
+
+
+def test_counting_leaves_cloud_points_untouched():
+    plane = fractals.cantor_product(1.0 / 3.0, 6)
+    line = replace(fractals.triadic_cloud(8), points=np.linspace(0.9, -0.1, 3**8 + 1))
+    before = {id(c): c.points.copy() for c in (plane, line)}
+    scales = [3.0**-k for k in range(1, 5)]
+    for delta in scales:
+        boxdim.box_count(plane, delta)
+        boxdim.box_count(line, delta)
+    boxdim.projected_counts(norms.lp(3.0), plane, _sweep_normals(36), scales)
+    proj = projections.angle_family(lambda a: np.pi / 3.0).projector(HyperplaneNormal.from_angle(0.2))
+    boxdim.projector_counts(proj, plane, scales)
+    for cloud in (plane, line):
+        assert not cloud.points.flags.writeable
+        assert np.array_equal(cloud.points, before[id(cloud)])
+
+
+def test_dim_profile_default_threshold_same_estimates():
+    cloud = fractals.cantor_product(1.0 / 3.0, 7)
+    grid = sweep.DirectionGrid(36)
+    scales = [3.0**-k for k in range(2, 7)]
+    computed = sweep.dim_profile(norms.euclidean(), cloud, grid, scales)
+    passed = sweep.dim_profile(norms.euclidean(), cloud, grid, scales, threshold=computed.threshold)
+    assert passed.threshold == computed.threshold
+    for a, b in zip(computed.estimates, passed.estimates, strict=True):
+        assert np.array_equal(a.counts, b.counts)
+        assert (a.slope, a.r2) == (b.slope, b.r2)
+    assert np.array_equal(computed.flagged, passed.flagged)
+
+
+# Minor page faults of projected_counts over 10 and then 130 normals of a
+# 65,536-point cloud, measured in a fresh interpreter.
+_FAULT_PROBE = """
+import resource
+import numpy as np
+from normproj import boxdim, fractals, norms
+from normproj.norms import HyperplaneNormal
+
+cloud = fractals.cantor_product(1.0 / 3.0, 8)
+scales = [3.0**-k for k in range(2, 8)]
+
+def faults(count):
+    normals = [HyperplaneNormal.from_angle(a) for a in np.pi * np.arange(count) / count]
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    boxdim.projected_counts(norms.euclidean(), cloud, normals, scales)
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+print(faults(10), faults(130))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads minor page faults from Linux getrusage")
+def test_projected_counts_page_faults_flat_in_normals():
+    # each direction must reuse the sweep's buffers: fresh cloud-sized
+    # arrays per direction fault in about 350 pages each
+    src = str(Path(normproj.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
+                          capture_output=True, text=True, check=True)
+    few, many = map(int, proc.stdout.split())
+    assert (many - few) / 120 < 16, (few, many)
+
+
 def test_shadow_counts_refuse_any_under_resolved_scale():
     cloud = fractals.cantor_product(1.0 / 3.0, 4)
     proj = projections.angle_family(lambda a: np.pi / 3.0).projector(HyperplaneNormal.from_angle(0.2))
     scales = [3.0**-2, 3.0**-6]
     with pytest.raises(UnderResolved):
-        boxdim.projected_counts(norms.euclidean(), cloud, HyperplaneNormal.from_angle(0.2), scales)
+        boxdim.projected_counts(norms.euclidean(), cloud, [HyperplaneNormal.from_angle(0.2)], scales)
     with pytest.raises(UnderResolved):
         boxdim.projector_counts(proj, cloud, scales)
 

@@ -259,6 +259,17 @@ def test_hyperplane_rejects_zero():
         HyperplaneNormal(np.zeros(2))
 
 
+def test_non_planar_vectors_refused(ce_norm):
+    models = closed_form_models() + [ce_norm]
+    for bad in ([1.0, 2.0, 2.0], [[1.0, 2.0, 2.0]], [3.0], 5.0):
+        with pytest.raises(ValueError, match="planar"):
+            HyperplaneNormal(bad)
+        for model in models:
+            for fn in (norms.eval_norm, norms.gauss_map, norms.norm_gradient, norms.inverse_gauss):
+                with pytest.raises(ValueError, match="planar"):
+                    fn(model, bad)
+
+
 # -- support tables ---------------------------------------------------------
 
 def test_support_table_csv_roundtrip(tmp_path, ce_norm):
@@ -270,6 +281,28 @@ def test_support_table_csv_roundtrip(tmp_path, ce_norm):
     assert np.allclose(loaded.h, table.h, atol=1e-12)
     assert np.allclose(loaded.dh, table.dh, atol=1e-12)
     loaded.validate()
+
+
+def _per_row_csv(table, version_line):
+    # the row-at-a-time writer to_csv replaced
+    rows = [f"{p + 0.0:.12g},{h + 0.0:.12g},{dh + 0.0:.12g}\n"
+            for p, h, dh in zip(table.phi, table.h, table.dh)]
+    return (version_line + "\nphi,h,dh\n" + "".join(rows)).encode("utf-8")
+
+
+def test_support_table_csv_bytes_equal_per_row_writer(tmp_path, monkeypatch, triadic_set):
+    from normproj import cantor
+
+    level8 = cantor.build_norm(cantor.curve_samples(triadic_set, 8)).support
+    signed = SupportTable(phi=[-0.0, 0.5, np.pi, 4.0], h=[1.0, -0.0, 1.0 / 3.0, 2.0e-300],
+                          dh=[0.0, -0.0, -1.0e-17, 123456789.123456789])
+    path = tmp_path / "table.csv"
+    for chunk in (8192, 7):
+        monkeypatch.setattr(norms, "_CSV_CHUNK_ROWS", chunk)
+        for table in (level8, signed):
+            table.to_csv(path, version_line="# normproj test")
+            assert path.read_bytes() == _per_row_csv(table, "# normproj test")
+    assert b"-0," not in path.read_bytes()
 
 
 def test_support_table_corner_not_smooth():

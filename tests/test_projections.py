@@ -10,6 +10,18 @@ from normproj.errors import DegenerateSplitting, KernelMismatch
 from normproj.norms import HyperplaneNormal
 
 
+def test_projections_refuse_non_planar_vectors(ce_norm):
+    w = HyperplaneNormal.from_angle(0.4)
+    for model in (norms.euclidean(), norms.lp(3.0), ce_norm):
+        for fn in (pj.project_hyperplane, pj.project_hyperplane_direct):
+            # a (4,) point used to pass project_hyperplane_direct as two rows
+            for bad in ([1.0, 1.0, 1.0], np.ones((4, 3)), np.ones(4)):
+                with pytest.raises(ValueError, match="planar"):
+                    fn(model, w, bad)
+            with pytest.raises(ValueError, match="planar"):
+                fn(model, [1.0, 2.0, 2.0], [1.0, 1.0])
+
+
 def test_projector_algebra(rng):
     for _ in range(100):
         w = HyperplaneNormal(rng.standard_normal(2))
