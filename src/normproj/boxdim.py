@@ -16,7 +16,8 @@ monotone for delta > 0, one sorted shadow serves every scale.  A sweep over
 many directions allocates its shadow, bin and change buffers once and
 refills them for each direction: the shadow is written and sorted in place,
 so counting a direction allocates no cloud-sized array.  A cloud's cell key
-is built one contiguous coordinate column at a time.
+is built one contiguous coordinate column at a time, in buffers shared by
+every scale of a ladder.
 """
 
 from dataclasses import dataclass
@@ -86,23 +87,35 @@ def _bin_counts(coords, scales, bins=None, steps=None):
     return counts
 
 
-def _occupied_cells(points, delta):
+def _occupied_counts(points, scales):
+    """Occupied cells of the grid delta * Z^n, one count per scale, in order.
+
+    The shifted integer cell coordinates of each point mix into one int64
+    key, one contiguous column at a time; the key is sorted and its changes
+    counted.  The column, key and change buffers are allocated once and
+    refilled for every scale: fresh cloud-sized arrays per scale would each
+    be a new mapping whose pages fault in.
+    """
     if points.shape[1] == 1:
-        return _bin_counts(points[:, 0].copy(), [delta])[0]
-    # mix the shifted integer coordinates into a single key per point, one
-    # contiguous column at a time
-    key = None
-    for j in range(points.shape[1]):
-        col = points[:, j] / delta
-        col = np.floor(col, out=col).astype(np.int64)
-        col -= col.min()
-        if key is None:
-            key = col
-        else:
-            key *= int(col.max()) + 1
-            key += col
-    key.sort()
-    return _distinct_sorted(key)
+        return _bin_counts(points[:, 0].copy(), scales)
+    size = len(points)
+    cell = np.empty(size)
+    col = np.empty(size, dtype=np.int64)
+    key = np.empty(size, dtype=np.int64)
+    steps = np.empty(max(size - 1, 0), dtype=bool)
+    counts = []
+    for delta in scales:
+        for j in range(points.shape[1]):
+            np.floor(np.divide(points[:, j], delta, out=cell), out=cell)
+            dest = col if j else key
+            np.copyto(dest, cell, casting="unsafe")
+            dest -= dest.min()
+            if j:
+                key *= int(col.max()) + 1
+                key += col
+        key.sort()
+        counts.append(_distinct_sorted(key, steps))
+    return counts
 
 
 def _check_resolved(cloud, scales):
@@ -116,7 +129,7 @@ def _check_resolved(cloud, scales):
 def box_count(cloud, delta):
     """Number of occupied cells of the grid delta * Z^n."""
     _check_resolved(cloud, [delta])
-    return _occupied_cells(cloud.points, float(delta))
+    return _occupied_counts(cloud.points, [float(delta)])[0]
 
 
 def admissible_scales(cloud):
@@ -157,7 +170,7 @@ def estimate_dim(cloud, scales=None):
     scales = [s for s in scales if s >= 2.0 * cloud.resolution]
     if len(scales) < MIN_SCALES:
         raise UnderResolved("need at least four admissible scales")
-    counts = [box_count(cloud, s) for s in scales]
+    counts = _occupied_counts(cloud.points, scales)
     est = fit_loglog(scales, counts)
     if est.r2 < MIN_R2:
         raise LowQualityFit(f"log-log fit r2 {est.r2:.4f} below {MIN_R2}")

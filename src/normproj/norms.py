@@ -28,17 +28,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelNotReady, NotSmoothHere, NotStrictlyConvex
-from .roots import brentq
 
-# No longer a solver here; perfbench/job.py still counts calls to it by
-# name, and the next change to the benchmark drops it from ``SOLVERS``.
+# No longer solvers here; perfbench/job.py still counts calls to them by
+# name, and the next change to the benchmark drops them from ``SOLVERS``.
+brentq = None
 golden_section_max = None
 
 ANTIPODAL_TABLE_TOL = 1e-10  # h(phi+pi) = h(phi) for stored tables
 JOINT_TANGENT_TOL = 1e-6     # C^1 mismatch allowed at glue joints
 _ZERO_COORD_TOL = 1e-12      # "first nonzero coordinate" cutoff
 MIN_GAUSS_GRID = 16          # fewest sweep points of check_gauss_properties
-_FIXED_POINT_GRID = 4096     # coarse sweep of find_gauss_fixed_points
 _RADIUS_GRID = 512           # sweep of sphere_radius_bounds
 _CSV_CHUNK_ROWS = 8192       # table rows formatted per write of SupportTable.to_csv
 
@@ -456,6 +455,13 @@ def _q_times(norm, x):
     return np.einsum("...j,ij->...i", x, norm.Q)
 
 
+def _lp_power_sum_root(rows, p):
+    """(sum_i |x_i|^p)^(1/p) of each row of an (N, 2) stack, as written: far
+    from the unit scale |x_i|^p over- or underflows to inf or 0."""
+    with np.errstate(over="ignore", under="ignore"):
+        return np.sum(np.abs(rows) ** p, axis=-1) ** (1.0 / p)
+
+
 def eval_norm(norm, x):
     """Evaluate the norm at ``x``; accepts stacked inputs (..., 2).
 
@@ -467,7 +473,12 @@ def eval_norm(norm, x):
     if norm.kind == "euclidean":
         out = np.linalg.norm(rows, axis=-1)
     elif norm.kind == "lp":
-        out = np.sum(np.abs(rows) ** norm.p, axis=-1) ** (1.0 / norm.p)
+        out = _lp_power_sum_root(rows, norm.p)
+        # |x_i|^p over- or underflowed: rescale those rows by m = max |x_i|
+        m = np.max(np.abs(rows), axis=1)
+        redo = ((out == 0.0) | np.isinf(out)) & (m > 0.0) & np.isfinite(m)
+        if np.any(redo):
+            out[redo] = m[redo] * _lp_power_sum_root(rows[redo] / m[redo, None], norm.p)
     elif norm.kind == "inner_product":
         out = np.sqrt(np.sum(rows * _q_times(norm, rows), axis=-1))
     elif norm.kind == "support_table":
@@ -484,8 +495,20 @@ def eval_norm(norm, x):
 
 
 def sphere_point(norm, v):
-    """Radially rescale ``v`` onto the unit sphere of ``norm``."""
-    v, r = _rescaled(np.asarray(v, dtype=float), lambda v: float(eval_norm(norm, v)))
+    """Radially rescale ``v`` onto the unit sphere of ``norm``.
+
+    Where the size of ``v`` over- or underflows, ``v`` is first divided by
+    max |v_i|, so every scale of a ray gives the bits of its unit-scale
+    point.  For lp that is where the plain power sum does, which
+    ``eval_norm`` rescues by the same division.
+    """
+    if norm.kind == "lp":
+        def size(v):
+            return _lp_power_sum_root(_planar(v).reshape(-1, 2), norm.p).item()
+    else:
+        def size(v):
+            return float(eval_norm(norm, v))
+    v, r = _rescaled(np.asarray(v, dtype=float), size)
     if r == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return v / r
@@ -637,34 +660,47 @@ def find_gauss_fixed_points(norm):
     """Points of the unit sphere where G(v) is radial.
 
     Returns ``(farthest, closest)``: the sphere point maximizing and the one
-    minimizing Euclidean distance to the origin, which are exactly the fixed
-    points of the normalized Gauss map.  Each is the root of
-    cross(u(a), G(u(a))), the definition of a fixed point, in the window of
-    one coarse grid step on either side of the coarse extremum; the radius
-    has slope -r cross(u, G) / <u, G>, so the cross product changes sign
-    across that window.  Both windows are one two-lane root solve.
+    minimizing Euclidean distance to the origin.  A fixed point of the
+    normalized Gauss map is a sphere point at a critical Euclidean radius,
+    where the support function h has h' = 0 and the support point is h u;
+    the extreme radii are max h and min h.  Each kind has a closed form:
+
+    * ``support_table``: on each knot segment h' is a quadratic, so the
+      candidates are the knots and the in-segment roots of those
+      quadratics; the answers are the boundary points at the largest and
+      smallest h among them;
+    * ``inner_product``: the eigenvectors of Q for its smallest and largest
+      eigenvalue, canonicalized and scaled onto the sphere;
+    * ``lp``: the diagonal and an axis, farthest first for p > 2 and the
+      other way round for p < 2.
+
+    Where every point is fixed (the euclidean norm, lp with p = 2, Q with
+    equal eigenvalues, a table of constant h) the sphere points on the axes
+    through (1, 0) and (0, 1) stand for them.
     """
-    t = np.pi * np.arange(_FIXED_POINT_GRID) / _FIXED_POINT_GRID  # antipodal quotient suffices
-    radii = np.asarray(eval_norm(norm, unit_vector(t)))
-    euclid_r = 1.0 / radii
-
-    spread = float(np.max(euclid_r) - np.min(euclid_r))
-    if spread < 1e-12:
-        # isometric circle: every point is fixed, return axis representatives
-        return sphere_point(norm, np.array([1.0, 0.0])), sphere_point(
-            norm, np.array([0.0, 1.0])
-        )
-
-    def cross(angle):
-        u = unit_vector(angle)
-        g = gauss_map(norm, u)
-        return u[:, 0] * g[:, 1] - u[:, 1] * g[:, 0]
-
-    step = np.pi / _FIXED_POINT_GRID
-    mid = t[[int(np.argmax(euclid_r)), int(np.argmin(euclid_r))]]
-    far, near = (sphere_point(norm, unit_vector(a))
-                 for a in brentq(cross, mid - step, mid + step, xtol=1e-15))
-    return far, near
+    axis, other_axis, diagonal = np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.ones(2)
+    if norm.kind == "support_table":
+        table = _require_table(norm)
+        knots, _, (a, b, c) = table._spline()   # h' = a s^2 + b s + c on each segment
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+            s = np.concatenate([q / a, c / q])
+        seg = np.tile(np.arange(len(a)), 2)
+        inside = np.isfinite(s) & (s > 0.0) & (s < np.diff(knots)[seg])
+        roots = knots[seg[inside]] + s[inside]
+        angles = np.concatenate([table.phi, roots])
+        values = np.concatenate([table.h, table.support(roots)])
+        if np.max(values) > np.min(values):
+            return (table.boundary_point(angles[np.argmax(values)]),
+                    table.boundary_point(angles[np.argmin(values)]))
+    elif norm.kind == "inner_product":
+        evals, vecs = np.linalg.eigh(norm.Q)
+        if evals[0] < evals[1]:
+            return tuple(sphere_point(norm, canonicalize_direction(v)) for v in vecs.T)
+    elif norm.kind == "lp" and norm.p != 2.0:
+        far, near = (diagonal, axis) if norm.p > 2.0 else (axis, diagonal)
+        return sphere_point(norm, far), sphere_point(norm, near)
+    return sphere_point(norm, axis), sphere_point(norm, other_axis)
 
 
 def gauss_fixed_point_defect(norm, v):

@@ -145,18 +145,20 @@ def test_bin_counts_equal_unique_oracle(rng):
         assert got == [_unique_bins(coords, d) for d in scales], name
 
 
-def test_box_count_equals_unique_oracle():
-    def oracle(points, delta):
-        idx = np.floor(points / delta).astype(np.int64)
-        idx = idx - idx.min(axis=0)
-        key = idx[:, 0] * (idx[:, 1].max() + 1) + idx[:, 1]
-        return len(np.unique(key))
+def _unique_cells(points, delta):
+    # the per-scale cell count of a planar cloud the sort-based engine replaced
+    idx = np.floor(points / delta).astype(np.int64)
+    idx = idx - idx.min(axis=0)
+    key = idx[:, 0] * (idx[:, 1].max() + 1) + idx[:, 1]
+    return len(np.unique(key))
 
+
+def test_box_count_equals_unique_oracle():
     cantor7 = fractals.cantor_product(1.0 / 3.0, 7)
     shifted = replace(cantor7, points=cantor7.points + np.array([-0.6, -2.0]))
     for cloud in (fractals.four_corner(6), cantor7, shifted):
         for delta in boxdim.admissible_scales(cloud):
-            assert boxdim.box_count(cloud, delta) == oracle(cloud.points, delta)
+            assert boxdim.box_count(cloud, delta) == _unique_cells(cloud.points, delta)
     line = fractals.triadic_cloud(9)
     line = replace(line, points=line.points - 0.5)
     for delta in boxdim.admissible_scales(line):
@@ -241,6 +243,16 @@ def test_dim_profile_default_threshold_same_estimates():
     assert np.array_equal(computed.flagged, passed.flagged)
 
 
+def _fault_counts(probe):
+    # the integers a probe script prints, run in a fresh interpreter
+    src = str(Path(normproj.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    return tuple(map(int, proc.stdout.split()))
+
+
 # Minor page faults of projected_counts over 10 and then 130 normals of a
 # 65,536-point cloud, measured in a fresh interpreter.
 _FAULT_PROBE = """
@@ -267,13 +279,46 @@ print(faults(10), faults(130))
 def test_projected_counts_page_faults_flat_in_normals():
     # each direction must reuse the sweep's buffers: fresh cloud-sized
     # arrays per direction fault in about 350 pages each
-    src = str(Path(normproj.__file__).resolve().parents[1])
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE], env=env,
-                          capture_output=True, text=True, check=True)
-    few, many = map(int, proc.stdout.split())
+    few, many = _fault_counts(_FAULT_PROBE)
     assert (many - few) / 120 < 16, (few, many)
+
+
+# Minor page faults of estimate_dim over a ladder of 4 and then of 7 scales
+# of a 65,536-point cloud, measured in a fresh interpreter.
+_LADDER_FAULT_PROBE = """
+import resource
+from normproj import boxdim, fractals
+
+cloud = fractals.cantor_product(1.0 / 3.0, 8)
+
+def faults(count):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    boxdim.estimate_dim(cloud, [3.0**-k for k in range(1, count + 1)])
+    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+
+print(faults(4), faults(7))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="reads minor page faults from Linux getrusage")
+def test_estimate_dim_page_faults_flat_in_scales():
+    # every scale must reuse the ladder's key buffers: fresh cloud-sized
+    # arrays per scale fault in about 340 pages each
+    few, many = _fault_counts(_LADDER_FAULT_PROBE)
+    assert (many - few) / 3 < 16, (few, many)
+
+
+def test_estimate_dim_counts_equal_unique_oracle():
+    # one call counts the whole ladder in shared buffers
+    cantor7 = fractals.cantor_product(1.0 / 3.0, 7)
+    shifted = replace(cantor7, points=cantor7.points + np.array([-0.6, -2.0]))
+    for cloud in (fractals.four_corner(6), cantor7, shifted):
+        est = boxdim.estimate_dim(cloud)
+        assert list(est.counts) == [_unique_cells(cloud.points, d) for d in est.scales]
+    line = replace(fractals.triadic_cloud(9), points=fractals.triadic_cloud(9).points - 0.5)
+    est = boxdim.estimate_dim(line)
+    assert list(est.counts) == [_unique_bins(line.points[:, 0], d) for d in est.scales]
 
 
 def test_shadow_counts_refuse_any_under_resolved_scale():

@@ -28,6 +28,15 @@ def test_norm_info(tmp_path):
     assert data["gauss"]["antipodality_defect"] <= 1e-12
 
 
+def test_norm_info_huge_p_holds_no_nan(tmp_path):
+    # at p = 3000 every |x_i|^p of the unit circle's points underflows to 0
+    out = tmp_path / "info.json"
+    assert run(["norm-info", "--norm", "lp", "--p", "3000", "--out", str(out)]) == 0
+    data = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in {out.name}"))
+    assert data["gauss"]["antipodality_defect"] <= 1e-12
+    assert 0.0 < data["gauss"]["min_inner"] <= 1.0
+
+
 def test_gauss_command(tmp_path):
     out = tmp_path / "gauss.json"
     assert run(["gauss", "--norm", "lp", "--p", "3", "--angle", str(math.pi / 4), "--out", str(out)]) == 0

@@ -5,9 +5,10 @@ import pytest
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import minimize_scalar
 
-from normproj import norms
+from normproj import cantor, norms
 from normproj.errors import ModelNotReady, NotSmoothHere, NotStrictlyConvex
 from normproj.norms import HyperplaneNormal, SupportTable
+from normproj.roots import brentq
 
 
 def closed_form_models():
@@ -34,6 +35,23 @@ def test_eval_zero_iff_origin():
     for model in closed_form_models():
         assert norms.eval_norm(model, np.zeros(2)) == 0.0
         assert norms.eval_norm(model, np.array([1e-8, 0.0])) > 0.0
+
+
+def test_eval_lp_huge_p_rescales_out_of_range_rows(rng):
+    # |x_i|^p under- or overflows long before the norm does
+    assert norms.eval_norm(norms.lp(500.0), np.array([1e-3, 0.0])) == 1e-3
+    assert norms.eval_norm(norms.lp(1100.0), np.array([2.0, 0.0])) == 2.0
+    for p in (500.0, 1100.0, 3000.0):
+        model = norms.lp(p)
+        assert norms.eval_norm(model, np.zeros(2)) == 0.0
+        xs = rng.standard_normal((200, 2)) * 10.0 ** rng.uniform(-200.0, 200.0, size=(200, 1))
+        got = np.asarray(norms.eval_norm(model, xs))
+        m = np.max(np.abs(xs), axis=1)
+        assert np.all(np.isfinite(got)) and np.all(got > 0.0)
+        # max |x_i| <= ||x||_p <= 2^(1/p) max |x_i|
+        assert np.all(got >= m * (1.0 - 1e-15)) and np.all(got <= m * 2.0 ** (1.0 / p) * (1.0 + 1e-15))
+        rows = np.array([norms.eval_norm(model, x) for x in xs])
+        assert got.tobytes() == rows.tobytes()
 
 
 def test_homogeneity_and_symmetry(rng):
@@ -241,6 +259,92 @@ def test_fixed_points_counterexample(ce_norm):
     assert np.linalg.norm(far) > np.linalg.norm(near)
 
 
+def test_fixed_points_round_models_give_axis_points():
+    circle = SupportTable(phi=2.0 * np.pi * np.arange(8) / 8, h=np.full(8, 2.0), dh=np.zeros(8))
+    for model in (norms.lp(2.0), norms.inner_product(3.0 * np.eye(2)), norms.from_support_table(circle)):
+        far, near = norms.find_gauss_fixed_points(model)
+        assert np.allclose(far / np.linalg.norm(far), [1.0, 0.0], rtol=0.0, atol=1e-15)
+        assert np.allclose(near / np.linalg.norm(near), [0.0, 1.0], rtol=0.0, atol=1e-15)
+        assert norms.eval_norm(model, far) == pytest.approx(1.0, abs=1e-15)
+        assert norms.eval_norm(model, near) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_fixed_points_inner_product_eigen_axes():
+    # a spread of 3e-11 once passed the round-circle cutoff of a grid search
+    # whose root window then held no sign change
+    near_round = norms.inner_product(np.diag([1.0, 1.0 + 3e-11]))
+    far, near = norms.find_gauss_fixed_points(near_round)
+    assert np.array_equal(far, [1.0, 0.0])
+    assert np.allclose(near, [0.0, (1.0 + 3e-11) ** -0.5], rtol=0.0, atol=1e-15)
+    # eigenvalues (5 -+ sqrt 5) / 2 with eigenvectors (1, lambda - 2)
+    model = norms.inner_product(np.array([[2.0, 1.0], [1.0, 3.0]]))
+    far, near = norms.find_gauss_fixed_points(model)
+    for got, lam in zip((far, near), ((5.0 - math.sqrt(5.0)) / 2.0, (5.0 + math.sqrt(5.0)) / 2.0)):
+        v = np.array([1.0, lam - 2.0])
+        assert np.allclose(got, v / np.linalg.norm(v) / math.sqrt(lam), rtol=0.0, atol=1e-15)
+    for m in (near_round, model):
+        for v in norms.find_gauss_fixed_points(m):
+            assert norms.gauss_fixed_point_defect(m, v) <= 1e-15
+
+
+def _rotated_ellipse_table(count=64, a=1.0, b=0.6, tilt=0.3):
+    # support function of an ellipse with semi-axes a, b turned by ``tilt``,
+    # whose extremes fall strictly inside knot segments
+    phi = 2.0 * np.pi * np.arange(count) / count
+    c, s = np.cos(phi - tilt), np.sin(phi - tilt)
+    h = np.sqrt((a * c) ** 2 + (b * s) ** 2)
+    return SupportTable(phi=phi, h=h, dh=(b * b - a * a) * s * c / h)
+
+
+@pytest.fixture(scope="module")
+def fixed_point_tables(ce_norm, curve12):
+    return {"staircase10": ce_norm, "staircase12": cantor.build_norm(curve12),
+            "ellipse": norms.from_support_table(_rotated_ellipse_table())}
+
+
+@pytest.mark.parametrize("name", ["staircase10", "staircase12", "ellipse"])
+def test_fixed_points_bound_dense_spline_grid(fixed_point_tables, name):
+    model = fixed_point_tables[name]
+    table = model.support
+    values = table.support(2.0 * np.pi * np.arange(2**20) / 2**20)
+    far, near = norms.find_gauss_fixed_points(model)
+    assert table.support(norms.polar_angle(far)) >= np.max(values)
+    assert table.support(norms.polar_angle(near)) <= np.min(values)
+    assert norms.gauss_fixed_point_defect(model, far) <= 1e-15
+    assert norms.gauss_fixed_point_defect(model, near) <= 1e-15
+    if name == "ellipse":
+        # both extremes are interior roots of h', not knots
+        for v in (far, near):
+            assert np.min(np.abs(norms.polar_angle(v) - table.phi)) > 1e-3
+
+
+def _grid_search_fixed_points(norm, grid=4096):
+    # the coarse radius sweep plus bracketed root of cross(u, G(u)) that the
+    # closed forms replaced, kept as an oracle
+    t = np.pi * np.arange(grid) / grid
+    euclid_r = 1.0 / np.asarray(norms.eval_norm(norm, norms.unit_vector(t)))
+
+    def cross(angle):
+        u = norms.unit_vector(angle)
+        g = norms.gauss_map(norm, u)
+        return u[:, 0] * g[:, 1] - u[:, 1] * g[:, 0]
+
+    step = np.pi / grid
+    mid = t[[int(np.argmax(euclid_r)), int(np.argmin(euclid_r))]]
+    return [norms.sphere_point(norm, norms.unit_vector(a))
+            for a in brentq(cross, mid - step, mid + step, xtol=1e-15)]
+
+
+def test_fixed_points_match_grid_search_oracle(ce_norm):
+    models = (norms.lp(1.5), norms.lp(4.0), norms.lp(40.0), norms.inner_product(np.diag([1.0, 4.0])),
+              norms.inner_product(np.array([[2.0, 1.0], [1.0, 3.0]])), ce_norm)
+    for model in models:
+        got = norms.find_gauss_fixed_points(model)
+        for v, ref in zip(got, _grid_search_fixed_points(model), strict=True):
+            # a fixed point stands for its antipode too
+            assert min(np.max(np.abs(v - ref)), np.max(np.abs(v + ref))) <= 1e-9, (model.kind, model.p)
+
+
 # -- hyperplane normals ------------------------------------------------------
 
 def test_hyperplane_canonicalization(rng):
@@ -291,8 +395,6 @@ def _per_row_csv(table, version_line):
 
 
 def test_support_table_csv_bytes_equal_per_row_writer(tmp_path, monkeypatch, triadic_set):
-    from normproj import cantor
-
     level8 = cantor.build_norm(cantor.curve_samples(triadic_set, 8)).support
     signed = SupportTable(phi=[-0.0, 0.5, np.pi, 4.0], h=[1.0, -0.0, 1.0 / 3.0, 2.0e-300],
                           dh=[0.0, -0.0, -1.0e-17, 123456789.123456789])
