@@ -2,7 +2,8 @@
 
 Subpackages cover strictly convex norm models and their Gauss maps
 (``norms``), exact Cantor-staircase arithmetic and the staircase-built norm
-(``cantor``), linear projection families and intertwiners (``projections``),
+(``cantor``), hyperplane projections, the angle family of linear
+projections and the intertwiner of equal-kernel maps (``projections``),
 deterministic self-similar point clouds (``fractals``), box-counting
 dimension estimation (``boxdim``), direction-sweep experiments (``sweep``)
 and the cross-cutting verification suite (``checks``).
@@ -25,7 +26,7 @@ from .norms import (  # noqa: E402
     lp,
 )
 from .cantor import CantorSet, CounterexampleCurve, StaircaseValue  # noqa: E402
-from .fractals import PointCloud, Similarity  # noqa: E402
+from .fractals import PointCloud  # noqa: E402
 from .boxdim import DimensionEstimate  # noqa: E402
 from .sweep import DirectionGrid, ExceptionalProfile  # noqa: E402
 from .checks import CheckReport, run_all  # noqa: E402

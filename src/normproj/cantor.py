@@ -81,7 +81,7 @@ class CantorSet:
 
     @property
     def dimension(self):
-        """Similarity dimension log m / log(1/r), in (0, 1)."""
+        """Dimension log m / log(1/r) of the self-similar set, in (0, 1)."""
         return math.log(self.m) / math.log(1.0 / float(self.r))
 
     @property

@@ -43,12 +43,6 @@ def _g(value):
         return {k: _g(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_g(v) for v in value]
-    if isinstance(value, (np.floating,)):
-        return float(_FLOAT_FMT.format(float(value)))
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return [_g(v) for v in value.tolist()]
     return value
 
 

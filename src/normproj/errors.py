@@ -43,7 +43,3 @@ class LowQualityFit(NormProjError):
 
 class TooLarge(NormProjError):
     """Requested generation would produce an unreasonable point count."""
-
-
-class NotContracting(NormProjError):
-    """An iterated-function-system map has ratio >= 1."""

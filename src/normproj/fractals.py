@@ -9,9 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NotContracting, TooLarge
-
-MAX_POINTS = 1 << 24
+from .errors import TooLarge
 
 
 @dataclass(frozen=True)
@@ -48,11 +46,12 @@ def _natural_base(ratio):
 
 
 def _cantor_starts(r, generation):
-    """Left endpoints of the generation-level intervals of C_r, sorted."""
+    """Left endpoints of the generation-level intervals of C_r, sorted: for
+    r < 1/2 the left copy ends below the right one starts."""
     starts = np.array([0.0])
     length = 1.0
     for _ in range(generation):
-        starts = np.sort(np.concatenate([starts * r, starts * r + (1.0 - r)]))
+        starts = np.concatenate([starts * r, starts * r + (1.0 - r)])
         length *= r
     return starts, length
 
@@ -87,67 +86,23 @@ def four_corner(generation):
     return replace(cantor_product(0.25, generation), label="four_corner")
 
 
-@dataclass(frozen=True)
-class Similarity:
-    """Contracting similarity x -> ratio * x + offset."""
-
-    ratio: float
-    offset: np.ndarray
-
-    def __post_init__(self):
-        off = np.atleast_1d(np.asarray(self.offset, dtype=float))
-        off.flags.writeable = False
-        object.__setattr__(self, "offset", off)
-        if abs(self.ratio) >= 1.0:
-            raise NotContracting(f"ratio {self.ratio} is not a contraction")
-
-    @property
-    def dim(self):
-        return len(self.offset)
-
-    def apply(self, pts):
-        return self.ratio * np.asarray(pts, dtype=float) + self.offset
-
-
-def ifs_attractor(maps, generation):
-    """Cell midpoints of the forward orbit of the unit cube center.
-
-    The open-set condition is not checked; overlapping systems simply yield
-    overlapping clouds.
-    """
-    if not maps:
-        raise ValueError("need at least one map")
-    dim = maps[0].dim
-    if any(m.dim != dim for m in maps):
-        raise ValueError("all maps must share a dimension")
+def _ifs_points(ratio, offsets, generation, cap):
+    """Images of the unit cube center under every word of ``generation``
+    maps x -> ratio * x + offset, in lexicographic order of the words."""
     if generation < 0:
         raise ValueError("generation must be non-negative")
-    if len(maps) ** generation > MAX_POINTS:
-        raise TooLarge("generation would exceed the point budget")
-    pts = np.full((1, dim), 0.5)
+    if generation > cap:
+        raise TooLarge(f"generation {generation} is above the cap {cap}")
+    pts = np.full((1, offsets.shape[1]), 0.5)
     for _ in range(generation):
-        pts = np.concatenate([m.apply(pts) for m in maps], axis=0)
-    ratio_max = max(abs(m.ratio) for m in maps)
-    ratios = {round(abs(m.ratio), 12) for m in maps}
-    base = _natural_base(ratio_max) if len(ratios) == 1 else 2
-    return PointCloud(
-        points=pts,
-        generation=generation,
-        resolution=ratio_max**generation * np.sqrt(dim),
-        label=f"ifs({len(maps)} maps)",
-        base=base,
-    )
+        pts = np.concatenate([ratio * pts + off for off in offsets], axis=0)
+    return pts
 
 
 def triadic_cloud(generation):
     """Level-``generation`` cell midpoints of the triadic Cantor set (1-D)."""
-    maps = [
-        Similarity(ratio=1.0 / 3.0, offset=np.array([0.0])),
-        Similarity(ratio=1.0 / 3.0, offset=np.array([2.0 / 3.0])),
-    ]
-    cloud = ifs_attractor(maps, generation)
     return PointCloud(
-        points=cloud.points,
+        points=_ifs_points(1.0 / 3.0, np.array([[0.0], [2.0 / 3.0]]), generation, 24),
         generation=generation,
         resolution=(1.0 / 3.0) ** generation,
         label="triadic_cantor",
@@ -157,15 +112,9 @@ def triadic_cloud(generation):
 
 def square_cloud(generation):
     """Midpoints of all dyadic cells of the unit square (box dimension 2)."""
-    maps = [
-        Similarity(ratio=0.5, offset=np.array([0.0, 0.0])),
-        Similarity(ratio=0.5, offset=np.array([0.5, 0.0])),
-        Similarity(ratio=0.5, offset=np.array([0.0, 0.5])),
-        Similarity(ratio=0.5, offset=np.array([0.5, 0.5])),
-    ]
-    cloud = ifs_attractor(maps, generation)
+    offsets = np.array([[0.0, 0.0], [0.5, 0.0], [0.0, 0.5], [0.5, 0.5]])
     return PointCloud(
-        points=cloud.points,
+        points=_ifs_points(0.5, offsets, generation, 12),
         generation=generation,
         resolution=0.5**generation * np.sqrt(2.0),
         label="unit_square",

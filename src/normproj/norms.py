@@ -38,8 +38,9 @@ ANTIPODAL_TABLE_TOL = 1e-10  # h(phi+pi) = h(phi) for stored tables
 JOINT_TANGENT_TOL = 1e-6     # C^1 mismatch allowed at glue joints
 _ZERO_COORD_TOL = 1e-12      # "first nonzero coordinate" cutoff
 MIN_GAUSS_GRID = 16          # fewest sweep points of check_gauss_properties
-_RADIUS_GRID = 512           # sweep of sphere_radius_bounds
 _CSV_CHUNK_ROWS = 8192       # table rows formatted per write of SupportTable.to_csv
+_FLOAT_TINY = np.finfo(float).tiny   # smallest normal float
+_SQRT_FLOAT_TINY = np.sqrt(_FLOAT_TINY)
 
 
 def unit_vector(angle):
@@ -518,6 +519,27 @@ def sphere_point(norm, v):
 # Gauss map and its inverse
 # ---------------------------------------------------------------------------
 
+def _along_rays(f, rows, low):
+    """``f(rows)``, a pair of values and sizes for a map constant along rays,
+    with each row whose size fell below ``low`` or overflowed (powers of its
+    coordinates left the float range) recomputed on the row divided by its
+    largest |coordinate|; the other rows keep their bits."""
+    values, size = f(rows)
+    redo = ~(size >= low) | np.isinf(size)
+    if np.any(redo):
+        unit = rows[redo] / np.max(np.abs(rows[redo]), axis=1, keepdims=True)
+        values[redo], size[redo] = f(unit)
+    return values, size
+
+
+def _lp_gradient(norm, rows):
+    """sgn(y) |y|^(p-1) / r^(p-1), r = ||y||_p, at each row of an (N, 2)
+    stack, as written, and the scale r^(p-1) of each row."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        scale = eval_norm(norm, rows) ** (norm.p - 1.0)
+        return np.sign(rows) * np.abs(rows) ** (norm.p - 1.0) / scale[:, None], scale
+
+
 def norm_gradient(norm, y):
     """Gradient of y -> ||y|| at a nonzero point, or at each row of a stack.
 
@@ -533,8 +555,7 @@ def norm_gradient(norm, y):
     elif norm.kind == "euclidean":
         grad = rows / np.linalg.norm(rows, axis=-1, keepdims=True)
     elif norm.kind == "lp":
-        r = eval_norm(norm, rows)[:, None]
-        grad = np.sign(rows) * np.abs(rows) ** (norm.p - 1.0) / r ** (norm.p - 1.0)
+        grad = _along_rays(lambda r: _lp_gradient(norm, r), rows, _FLOAT_TINY)[0]
     else:
         grad = _q_times(norm, rows) / eval_norm(norm, rows)[:, None]
     return grad.reshape(y.shape)
@@ -563,6 +584,19 @@ def _table_gauss(norm, pts):
     return unit_vector(phi)
 
 
+def _normal_direction(norm, rows):
+    """An outward normal of a closed-form model at each row of an (N, 2)
+    stack, unnormalized, and its Euclidean length."""
+    with np.errstate(over="ignore", under="ignore"):
+        if norm.kind == "euclidean":
+            g = rows.copy()   # _along_rays writes rescued rows into g
+        elif norm.kind == "lp":
+            g = np.sign(rows) * np.abs(rows) ** (norm.p - 1.0)
+        else:
+            g = _q_times(norm, rows)
+        return g, np.linalg.norm(g, axis=-1)
+
+
 def gauss_map(norm, x):
     """Euclidean unit outward normal of the norm sphere at ``x``.
 
@@ -573,15 +607,12 @@ def gauss_map(norm, x):
     x = _planar(x)
     if norm.kind == "support_table":
         return _table_gauss(norm, x.reshape(-1, 2)).reshape(x.shape)
-    if np.any(np.all(x == 0.0, axis=-1)):
+    rows = x.reshape(-1, 2)
+    if np.any(np.all(rows == 0.0, axis=1)):
         raise ValueError("Gauss map undefined at the origin")
-    if norm.kind == "euclidean":
-        g = x
-    elif norm.kind == "lp":
-        g = np.sign(x) * np.abs(x) ** (norm.p - 1.0)
-    else:
-        g = _q_times(norm, x)
-    return g / np.linalg.norm(g, axis=-1, keepdims=True)
+    # below sqrt(tiny) the squares summed into the length are subnormal
+    g, size = _along_rays(lambda r: _normal_direction(norm, r), rows, _SQRT_FLOAT_TINY)
+    return (g / size[:, None]).reshape(x.shape)
 
 
 def inverse_gauss(norm, w):
@@ -709,9 +740,12 @@ def gauss_fixed_point_defect(norm, v):
 
 
 def sphere_radius_bounds(norm):
-    """Cached (min, max) Euclidean radius of the unit sphere."""
+    """Cached (min, max) Euclidean radius of the unit sphere.
+
+    The extreme radii are the extremes of the support function h, taken at
+    the fixed points of the normalized Gauss map.
+    """
     if "radius_bounds" not in norm._memo:
-        t = 2.0 * np.pi * np.arange(_RADIUS_GRID) / _RADIUS_GRID
-        radii = 1.0 / np.asarray(eval_norm(norm, unit_vector(t)))
-        norm._memo["radius_bounds"] = (float(np.min(radii)), float(np.max(radii)))
+        radii = [float(np.linalg.norm(v)) for v in find_gauss_fixed_points(norm)]
+        norm._memo["radius_bounds"] = (min(radii), max(radii))
     return norm._memo["radius_bounds"]

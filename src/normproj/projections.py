@@ -1,4 +1,4 @@
-"""Closest-point projections onto hyperplanes and general linear families.
+"""Closest-point projections onto hyperplanes and linear projection maps.
 
 For a strictly convex C^1 norm the closest-point projection onto a
 hyperplane w-perp is *linear*: every point is moved along the fixed
@@ -7,11 +7,10 @@ direction u = G^{-1}(w) (the support point of w) until it hits the plane.
 recomputes the same point by direct norm minimization and serves as the
 independent cross-check.
 
-Beyond norms, any assignment g of hyperplanes to hyperplanes induces a family
-of linear surjective projections P_V = (Euclidean projection onto g(V)); the
-map g is recovered from a family as the orthogonal complement of the kernel.
-The intertwiner of two linear maps with equal kernels realizes the change of
-target plane explicitly.
+Beyond norms, the angle family splits each line against a rotated copy of
+itself; its associated map g sends V to the orthogonal complement of the
+kernel, and the intertwiner of two linear maps with equal kernels realizes
+the change of target plane explicitly.
 """
 
 from dataclasses import dataclass
@@ -150,52 +149,23 @@ def project_hyperplane_direct(norm, w, x):
 
 
 # ---------------------------------------------------------------------------
-# families of linear projections over the hyperplane Grassmannian
+# the angle family of linear projections
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ProjectionFamily:
-    """A projector for every hyperplane."""
-
-    projector_of: object          # HyperplaneNormal -> LinearProjector
-
-    def projector(self, V):
-        if not isinstance(V, HyperplaneNormal):
-            V = HyperplaneNormal(V)
-        return self.projector_of(V)
-
-
-def associated_g(family, V):
-    """The hyperplane orthogonal to the family's kernel at V, canonicalized."""
-    proj = family.projector(V)
-    u = proj.kernel_dir
+def associated_g(projector):
+    """The hyperplane orthogonal to the projector's kernel, canonicalized."""
+    u = projector.kernel_dir
     return HyperplaneNormal(canonicalize_direction(u / np.linalg.norm(u)))
-
-
-def family_from_gmap(gmap):
-    """Family projecting orthogonally onto g(V), labeled by V.
-
-    The kernel at V is the normal of g(V), so the associated map of the
-    returned family reproduces ``gmap`` pointwise; no continuity of ``gmap``
-    is required.
-    """
-
-    def projector_of(V):
-        target = gmap(V)
-        wprime = target.w
-        n = len(wprime)
-        matrix = np.eye(n) - np.outer(wprime, wprime)
-        return LinearProjector(kernel_dir=wprime, matrix=matrix)
-
-    return ProjectionFamily(projector_of=projector_of)
 
 
 def angle_family(alpha):
     """Planar family splitting each line L against L rotated by alpha(L).
 
-    ``alpha`` maps the line angle in [0, pi) to an angle in (0, pi); the
-    projection onto L kills the rotated line.  The associated map has a
-    fixed point exactly where alpha(L) = pi/2.
+    Returns the map from a HyperplaneNormal V to the LinearProjector onto
+    L = V-perp.  ``alpha`` maps the line angle in [0, pi) to an angle in
+    (0, pi); the projection onto L kills the rotated line.  The associated
+    map V -> associated_g(projector_of(V)) has a fixed point exactly where
+    alpha(L) = pi/2.
     """
 
     def projector_of(V):
@@ -206,7 +176,7 @@ def angle_family(alpha):
         kernel = unit_vector(line_angle + a)
         return projector_from_kernel(V, kernel)
 
-    return ProjectionFamily(projector_of=projector_of)
+    return projector_of
 
 
 # ---------------------------------------------------------------------------
@@ -259,17 +229,17 @@ def project_line_lp(p, v, x):
     return (t[:, None] * v).reshape(x.shape)
 
 
-def linearity_defect(projector, seed=0x5EED, dim=3):
+def linearity_defect(projector, seed=0x5EED):
     """Worst scale-free additivity violation of a projection map.
 
     Samples ``LINEARITY_SAMPLES`` triples (x, y, c) and measures |P(x + c y) - P(x) - c P(y)| divided by
     1 + |x| + |c||y|; a linear map scores ~0, a genuinely nonlinear closest-
     point map scores well above any floating tolerance.  ``projector`` maps
-    an (N, dim) stack of points to their images; the three stacks x + c y,
+    an (N, 3) stack of points to their images; the three stacks x + c y,
     x and y are each one call.
     """
     rng = np.random.default_rng(seed)
-    draws = [(rng.standard_normal(dim), rng.standard_normal(dim), rng.uniform(-2.0, 2.0))
+    draws = [(rng.standard_normal(3), rng.standard_normal(3), rng.uniform(-2.0, 2.0))
              for _ in range(LINEARITY_SAMPLES)]
     x, y, c = (np.array(col) for col in zip(*draws))
     lhs = projector(x + c[:, None] * y)
@@ -282,20 +252,11 @@ def linearity_defect(projector, seed=0x5EED, dim=3):
 # intertwiner of equal-kernel linear maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Intertwiner:
-    """Bijection h between the ranges of two maps with h(f(x)) = g(x)."""
-
-    matrix: np.ndarray          # acts on range(f) inside the f-codomain
-
-    def apply(self, y):
-        return np.asarray(y, dtype=float) @ self.matrix.T
-
-
 def construct_intertwiner(f, g):
-    """Build h with h o f = g from two linear maps sharing a kernel.
+    """The matrix h with h o f = g, for two linear maps sharing a kernel.
 
-    ``f`` and ``g`` are matrices with the same column count.  Kernel equality
+    ``f`` and ``g`` are matrices with the same column count; h maps
+    range(f) onto range(g), so a stack y of f-images goes to ``y @ h.T``.  Kernel equality
     is verified by mutual containment of null-space bases; on mismatch the
     construction refuses with KernelMismatch.  Ranks and containment are
     judged relative to ``_KERNEL_TOL``.  h is assembled on a basis of
@@ -323,4 +284,4 @@ def construct_intertwiner(f, g):
     w_basis = vt_f[:rank].T                      # (n, rank)
     fw = f @ w_basis                             # (d, rank), full column rank
     gw = g @ w_basis                             # (m, rank)
-    return Intertwiner(matrix=gw @ np.linalg.pinv(fw))
+    return gw @ np.linalg.pinv(fw)

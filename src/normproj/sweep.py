@@ -53,17 +53,15 @@ class ExceptionalProfile:
         return float(np.sum(self.grid.weights[self.flagged]))
 
 
-def dim_profile(model, cloud, grid, scales, threshold=None):
-    """Estimate the shadow dimension in every grid direction.
+def dim_profile(norm, cloud, grid, scales, threshold=None):
+    """Estimate the dimension of the closest-point shadow of a planar cloud
+    under ``norm`` in every grid direction.
 
-    ``model`` is either a NormModel (closest-point projections) or a
-    ProjectionFamily (its linear projectors).  Per-direction fits are never
-    refused; slope and fit quality are recorded as-is and directions whose
-    slope drops below the threshold are flagged.  The default threshold is
-    min(1, full-cloud dimension) - 0.1, one noise floor below generic.
+    Per-direction fits are never refused; slope and fit quality are
+    recorded as-is and directions whose slope drops below the threshold are
+    flagged.  The default threshold is min(1, full-cloud dimension) - 0.1,
+    one noise floor below generic.
     """
-    if cloud.dim != 2:
-        raise ValueError("dim_profile expects a planar cloud")
     if grid.count < MIN_DIRECTIONS:
         raise ValueError("direction grid too coarse to speak of measure")
     if threshold is None:
@@ -71,10 +69,7 @@ def dim_profile(model, cloud, grid, scales, threshold=None):
         threshold = min(1.0, full.slope) - 0.1
 
     normals = [HyperplaneNormal.from_angle(angle) for angle in grid.angles]
-    if hasattr(model, "projector"):
-        counts = [boxdim.projector_counts(model.projector(w), cloud, scales) for w in normals]
-    else:
-        counts = boxdim.projected_counts(model, cloud, normals, scales)
+    counts = boxdim.projected_counts(norm, cloud, normals, scales)
     estimates = [boxdim.fit_loglog(scales, c) for c in counts]
     slopes = np.array([e.slope for e in estimates])
     flagged = slopes < threshold

@@ -73,13 +73,11 @@ def test_criterion_3_intertwiner():
         g = rng.standard_normal((3, 2)) @ f
         h = pj.construct_intertwiner(f, g)
         xs = rng.standard_normal((100, 4))
-        worst = max(worst, float(np.max(np.abs(h.apply(xs @ f.T) - xs @ g.T))))
+        worst = max(worst, float(np.max(np.abs((xs @ f.T) @ h.T - xs @ g.T))))
 
     cloud = fractals.cantor_product(1.0 / 3.0, 8)
-    fam = pj.angle_family(lambda a: np.pi / 4.0)
-    v = HyperplaneNormal.from_angle(1.3)
-    oblique = fam.projector(v)
-    orthogonal = pj.projector_from_kernel(pj.associated_g(fam, v), oblique.kernel_dir)
+    oblique = pj.angle_family(lambda a: np.pi / 4.0)(HyperplaneNormal.from_angle(1.3))
+    orthogonal = pj.projector_from_kernel(pj.associated_g(oblique), oblique.kernel_dir)
     scales = [3.0**-k for k in range(2, 8)]
     slopes = []
     for proj in (oblique, orthogonal):

@@ -174,9 +174,9 @@ def test_shadow_counts_equal_per_scale_oracle(ce_norm):
         coords = cloud.points @ boxdim._shadow_functional(ce_norm, w)
         assert counts == [_unique_bins(coords, d) for d in scales]
 
-    fam = projections.angle_family(lambda a: np.pi / 3.0)
+    projector_of = projections.angle_family(lambda a: np.pi / 3.0)
     for ang in (0.2, 1.3, 2.9):
-        proj = fam.projector(HyperplaneNormal.from_angle(ang))
+        proj = projector_of(HyperplaneNormal.from_angle(ang))
         col = proj.matrix @ np.array([1.0, 0.0])
         direction = norms.canonicalize_direction(col / np.linalg.norm(col))
         coords = proj.apply(cloud.points) @ direction
@@ -223,7 +223,7 @@ def test_counting_leaves_cloud_points_untouched():
         boxdim.box_count(plane, delta)
         boxdim.box_count(line, delta)
     boxdim.projected_counts(norms.lp(3.0), plane, _sweep_normals(36), scales)
-    proj = projections.angle_family(lambda a: np.pi / 3.0).projector(HyperplaneNormal.from_angle(0.2))
+    proj = projections.angle_family(lambda a: np.pi / 3.0)(HyperplaneNormal.from_angle(0.2))
     boxdim.projector_counts(proj, plane, scales)
     for cloud in (plane, line):
         assert not cloud.points.flags.writeable
@@ -323,7 +323,7 @@ def test_estimate_dim_counts_equal_unique_oracle():
 
 def test_shadow_counts_refuse_any_under_resolved_scale():
     cloud = fractals.cantor_product(1.0 / 3.0, 4)
-    proj = projections.angle_family(lambda a: np.pi / 3.0).projector(HyperplaneNormal.from_angle(0.2))
+    proj = projections.angle_family(lambda a: np.pi / 3.0)(HyperplaneNormal.from_angle(0.2))
     scales = [3.0**-2, 3.0**-6]
     with pytest.raises(UnderResolved):
         boxdim.projected_counts(norms.euclidean(), cloud, [HyperplaneNormal.from_angle(0.2)], scales)

@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 
 from normproj import cantor, checks
-from normproj.norms import SupportTable
+from normproj.norms import NormModel, SupportTable
 
 
 def test_run_all_passes():
@@ -27,7 +27,7 @@ def test_pass_vector_stable_across_seeds():
     assert len(set(vectors)) == 1
 
 
-def test_sabotaged_glue_surfaces_as_failing_report(ce_norm):
+def test_sabotaged_glue_surfaces_as_failing_report(ce_norm, monkeypatch):
     table = ce_norm.support
     h = table.h.copy()
     # negate the convexity slack on a glue stretch: push a dent into h
@@ -38,11 +38,10 @@ def test_sabotaged_glue_surfaces_as_failing_report(ce_norm):
     h[(mid + len(h) // 2) % len(h)] -= 0.05  # keep antipodal symmetry
     broken = SupportTable(phi=table.phi.copy(), h=h, dh=table.dh.copy())
     assert broken.convexity_slack() <= 0.0
-    reports = checks.run_all(seed=0, table_override=broken)
-    by_name = {r.name: r for r in reports}
-    assert not by_name["support_table_validity"].passed
-    others = [r for r in reports if r.name != "support_table_validity"]
-    assert all(r.passed for r in others)
+    monkeypatch.setitem(checks._DEFAULT_BUILD, "ce", NormModel(kind="support_table", support=broken))
+    report = checks._check_table_validity(0)
+    assert report.name == "support_table_validity"
+    assert not report.passed and report.worst_defect == 2.0
 
 
 def test_reports_carry_seeds():

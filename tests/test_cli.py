@@ -37,6 +37,16 @@ def test_norm_info_huge_p_holds_no_nan(tmp_path):
     assert 0.0 < data["gauss"]["min_inner"] <= 1.0
 
 
+def test_project_huge_p_lp_both_methods(tmp_path):
+    # the direct route's slope once raised |y|^(p-1) to 0 / 0 at unit scale
+    out = tmp_path / "proj.json"
+    for p in ("500", "1000", "3000"):
+        for method in ("lemma", "direct"):
+            assert run(["project", "--norm", "lp", "--p", p, "--w", "0.3", "--x", "1,2",
+                        "--method", method, "--out", str(out)]) == 0, (p, method)
+            assert read_json(out)["defect"] <= 1e-12, (p, method)
+
+
 def test_gauss_command(tmp_path):
     out = tmp_path / "gauss.json"
     assert run(["gauss", "--norm", "lp", "--p", "3", "--angle", str(math.pi / 4), "--out", str(out)]) == 0
@@ -217,6 +227,7 @@ def test_validation_errors_exit_2(tmp_path):
     assert run(["dim", "--set", "cantor-product", "--gen", "13", "--out", str(out)]) == 2
     assert run(["sweep", "--set", "four-corner", "--gen", "11", "--out", str(out)]) == 2
     assert run(["set", "--set", "square", "--gen", "13", "--out", str(out)]) == 2
+    assert run(["dim", "--set", "triadic", "--gen", "25", "--out", str(out)]) == 2
     assert run(["--threads", "2", "verify", "--out", str(out)]) == 2
     # negative generations and a direction grid too coarse for measure
     assert run(["set", "--set", "four-corner", "--gen", "-1", "--out", str(out)]) == 2

@@ -1,9 +1,11 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from normproj import fractals
-from normproj.errors import NotContracting, TooLarge
-from normproj.fractals import Similarity
+from normproj.errors import TooLarge
 
 
 def _level_midpoints(K, k):
@@ -55,41 +57,40 @@ def test_shadow_matches_cantor_midpoints(triadic_set):
         assert np.max(np.abs(np.sort(shadow) - _level_midpoints(triadic_set, g))) <= 1e-12
 
 
-def test_ifs_single_map_collapses():
-    fixed = np.array([0.5, 0.5])
-    cloud = fractals.ifs_attractor([Similarity(0.5, fixed - 0.5 * fixed)], 30)
-    assert len(cloud.points) == 1
-    assert np.linalg.norm(cloud.points[0] - fixed) <= 1e-8
-
-
 def test_ifs_line_matches_triadic(triadic_set):
-    maps = [Similarity(1.0 / 3.0, np.array([0.0])), Similarity(1.0 / 3.0, np.array([2.0 / 3.0]))]
     for g in (4, 7):
-        cloud = fractals.ifs_attractor(maps, g)
+        cloud = fractals.triadic_cloud(g)
         assert np.max(np.abs(np.sort(cloud.points[:, 0]) - _level_midpoints(triadic_set, g))) <= 1e-12
 
 
-def test_ifs_square_reproduces_cantor_product():
-    r = 1.0 / 3.0
-    offs = [np.array([a, b]) for a in (0.0, 2.0 / 3.0) for b in (0.0, 2.0 / 3.0)]
-    maps = [Similarity(r, off) for off in offs]
-    g = 4
-    got = fractals.ifs_attractor(maps, g)
-    expect = fractals.cantor_product(r, g)
-    got_sorted = got.points[np.lexsort(got.points.T)]
-    expect_sorted = expect.points[np.lexsort(expect.points.T)]
-    assert np.max(np.abs(got_sorted - expect_sorted)) <= 1e-12
+def test_square_cloud_first_generation_in_map_order():
+    cloud = fractals.square_cloud(1)
+    assert cloud.points.tolist() == [[0.25, 0.25], [0.75, 0.25], [0.25, 0.75], [0.75, 0.75]]
+
+
+def test_cloud_bytes_locked():
+    # SHA-256 of the point arrays as first written by the general IFS engine
+    locked = {
+        "249404d3fc5d5bec1e584f05190ae38a74bbf23d4bfdd1cb8f7a39089b871d0f": fractals.square_cloud(6),
+        "dd04ef9783fe4e3f394679be68fb84f3568f6b34a2887003b9a363c59b55a2cb": fractals.triadic_cloud(10),
+    }
+    for digest, cloud in locked.items():
+        assert hashlib.sha256(cloud.points.tobytes()).hexdigest() == digest, cloud.label
 
 
 def test_ifs_guards():
-    with pytest.raises(NotContracting):
-        Similarity(1.0, np.zeros(2))
-    with pytest.raises(TooLarge):
-        fractals.ifs_attractor([Similarity(0.5, np.zeros(2))] * 4, 13)
-    with pytest.raises(ValueError):
-        fractals.ifs_attractor([], 3)
-    with pytest.raises(ValueError, match="non-negative"):
-        fractals.ifs_attractor([Similarity(0.5, np.zeros(2))] * 4, -1)
+    # each IFS cloud refuses a generation above its cap before it allocates
+    for build, cap in ((fractals.triadic_cloud, 24), (fractals.square_cloud, 12)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge):
+                build(cap + 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16, build.__name__
+        with pytest.raises(ValueError, match="non-negative"):
+            build(-1)
 
 
 def test_square_cloud_is_dyadic_grid():

@@ -143,6 +143,33 @@ def test_gauss_antipodality(rng, ce_norm):
             assert defect <= 1e-12
 
 
+def test_gauss_and_gradient_rescue_out_of_range_rows(rng):
+    # |x_i|^(p-1), the squares of the Gauss vector and r^(p-1) under- or
+    # overflow long before x does; both maps are constant along rays
+    assert np.array_equal(norms.gauss_map(norms.lp(3000.0), [1e-3, 0.0]), [1.0, 0.0])
+    diagonal = np.full(2, math.sqrt(0.5))
+    for model, s in ((norms.lp(400.0), 1e-3), (norms.lp(3.0), 1e100), (norms.euclidean(), 1e200),
+                     (norms.euclidean(), 1e-200), (norms.inner_product(2.0 * np.eye(2)), 1e200)):
+        assert np.allclose(norms.gauss_map(model, [s, s]), diagonal, rtol=0.0, atol=4e-16), model
+    for p in (500.0, 1000.0, 3000.0):
+        model = norms.lp(p)
+        xs = rng.standard_normal((200, 2)) * 10.0 ** rng.uniform(-200.0, 200.0, size=(200, 1))
+        unit = xs / np.max(np.abs(xs), axis=1, keepdims=True)
+        for fn in (norms.gauss_map, norms.norm_gradient):
+            got = fn(model, xs)
+            assert np.allclose(got, fn(model, unit), rtol=0.0, atol=1e-15), (fn.__name__, p)
+        # Euler's identity <grad ||x||, x> = ||x||
+        euler = np.sum(norms.norm_gradient(model, xs) * xs, axis=-1)
+        assert np.allclose(euler, norms.eval_norm(model, xs), rtol=1e-12, atol=0.0), p
+    # rows in range keep the bits of the formulas as written
+    for model in (norms.lp(3.0), norms.lp(8.0)):
+        xs = rng.standard_normal((200, 2))
+        g = np.sign(xs) * np.abs(xs) ** (model.p - 1.0)
+        assert norms.gauss_map(model, xs).tobytes() == (g / np.linalg.norm(g, axis=-1, keepdims=True)).tobytes()
+        r = norms.eval_norm(model, xs)[:, None]
+        assert norms.norm_gradient(model, xs).tobytes() == (g / r ** (model.p - 1.0)).tobytes()
+
+
 # -- inverse Gauss -----------------------------------------------------------
 
 def _support_oracle(model, w):
@@ -285,6 +312,20 @@ def test_fixed_points_inner_product_eigen_axes():
     for m in (near_round, model):
         for v in norms.find_gauss_fixed_points(m):
             assert norms.gauss_fixed_point_defect(m, v) <= 1e-15
+
+
+def test_sphere_radius_bounds_are_the_extreme_radii(ce_norm):
+    # the extreme radii of an ellipse turned off the axes fall between rays
+    # of any fixed grid; they are 1/sqrt of the eigenvalues (5 +- sqrt 5)/2
+    model = norms.inner_product(np.array([[2.0, 1.0], [1.0, 3.0]]))
+    lo, hi = norms.sphere_radius_bounds(model)
+    assert lo == pytest.approx(((5.0 + math.sqrt(5.0)) / 2.0) ** -0.5, rel=1e-15, abs=0.0)
+    assert hi == pytest.approx(((5.0 - math.sqrt(5.0)) / 2.0) ** -0.5, rel=1e-15, abs=0.0)
+    t = 2.0 * np.pi * np.arange(1 << 16) / (1 << 16)
+    for model in closed_form_models() + [ce_norm]:
+        lo, hi = norms.sphere_radius_bounds(model)
+        radii = 1.0 / np.asarray(norms.eval_norm(model, norms.unit_vector(t)))
+        assert lo <= np.min(radii) * (1.0 + 1e-15) and np.max(radii) <= hi * (1.0 + 1e-15), model.kind
 
 
 def _rotated_ellipse_table(count=64, a=1.0, b=0.6, tilt=0.3):
