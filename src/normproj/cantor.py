@@ -49,7 +49,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CurveInvariantFailed, GlueFailed
+from .errors import CurveInvariantFailed
 from . import norms
 from .norms import SupportTable
 
@@ -450,8 +450,9 @@ def build_norm(curve):
     Since F(1) = 1/8 and theta(1) = arctan(2/7) for every set, the quintic
     is a constant of the construction.  The second half of the table is
     the antipodal copy, node i + n/2 at angle phi_i + pi.  An assembled
-    table that fails the convexity proxy raises GlueFailed.  The returned
-    model carries ``curve`` as its ``curve`` field.
+    table that fails ``SupportTable.validate`` (the convexity proxy among
+    its tests) raises NotStrictlyConvex.  The returned model carries
+    ``curve`` as its ``curve`` field.
     """
     phi1 = 1.0 + curve.theta1
     h_a = (1.0 - curve.F1) * math.cos(curve.theta1)
@@ -476,9 +477,6 @@ def build_norm(curve):
     )
     table = SupportTable(phi=np.concatenate([phi, phi + np.pi]), h=np.tile(h, 2),
                          dh=np.tile(dh, 2), joints=joints)
-    slack = table.convexity_slack()
-    if slack <= 0.0:
-        raise GlueFailed(f"assembled table fails convexity (slack {slack:.3e})")
     model = norms.from_support_table(table)
     model.curve = curve
     return model

@@ -169,8 +169,8 @@ def _check_table_validity(seed):
     # single threshold is 1.0
     table = _shared_norm().support
     worst = max(
-        table.antipodal_defect() / 1e-10,
-        table.joint_tangent_mismatch() / 1e-6,
+        table.antipodal_defect() / norms.ANTIPODAL_TABLE_TOL,
+        table.joint_tangent_mismatch() / norms.JOINT_TANGENT_TOL,
         0.0 if table.convexity_slack() > 0.0 else 2.0,
     )
     return _report("support_table_validity", worst, 1.0, 1, seed)

@@ -25,10 +25,6 @@ class CurveInvariantFailed(NormProjError):
     """The sampled staircase arc breaks monotonicity, convexity or orientation."""
 
 
-class GlueFailed(NormProjError):
-    """The closing arcs of an assembled sphere violate convexity."""
-
-
 class DegenerateSplitting(NormProjError):
     """An angle function touches {0, pi}, so line and kernel coincide."""
 

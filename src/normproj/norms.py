@@ -16,6 +16,10 @@ sphere where <x, w> is maximal (the support point).  Non-strictly-convex
 parameters (p = 1 or infinity, singular Q, a table failing its convexity
 check) are rejected at construction time, never at use.
 
+The closed forms share one core, a row's size (``_size``) and its outward
+normal (``_direction``) as written.  Every kind rescues a nonzero row whose
+size over- or underflows by evaluating it divided by its largest |x_i|.
+
 Everything here is pure and the model objects are treated as immutable; the
 only mutation is an internal memo cache of derived matrices and of a table's
 cubic Hermite coefficients.  A table built by ``cantor.build_norm`` also
@@ -38,6 +42,7 @@ ANTIPODAL_TABLE_TOL = 1e-10  # h(phi+pi) = h(phi) for stored tables
 JOINT_TANGENT_TOL = 1e-6     # C^1 mismatch allowed at glue joints
 _ZERO_COORD_TOL = 1e-12      # "first nonzero coordinate" cutoff
 MIN_GAUSS_GRID = 16          # fewest sweep points of check_gauss_properties
+_TURN_TOL = 1e-9             # |total turn of G - 2*pi| a monotone sweep allows
 _CSV_CHUNK_ROWS = 8192       # table rows formatted per write of SupportTable.to_csv
 _FLOAT_TINY = np.finfo(float).tiny   # smallest normal float
 _SQRT_FLOAT_TINY = np.sqrt(_FLOAT_TINY)
@@ -84,10 +89,10 @@ def _planar(x):
 
 def _rescaled(v, size):
     """``(v, size(v))``, with ``v`` first divided by max |v_i| when its size
-    overflows to inf or underflows to 0; the ray through ``v`` is kept."""
+    overflows to inf or NaN or underflows to 0; the ray through ``v`` is kept."""
     with np.errstate(over="ignore"):
         n = size(v)
-    if (n == 0.0 or np.isinf(n)) and np.any(v):
+    if not 0.0 < n < np.inf and np.any(v):
         v = v / np.max(np.abs(v))
         n = size(v)
     return v, n
@@ -456,33 +461,18 @@ def _q_times(norm, x):
     return np.einsum("...j,ij->...i", x, norm.Q)
 
 
-def _lp_power_sum_root(rows, p):
-    """(sum_i |x_i|^p)^(1/p) of each row of an (N, 2) stack, as written: far
-    from the unit scale |x_i|^p over- or underflows to inf or 0."""
-    with np.errstate(over="ignore", under="ignore"):
-        return np.sum(np.abs(rows) ** p, axis=-1) ** (1.0 / p)
-
-
-def eval_norm(norm, x):
-    """Evaluate the norm at ``x``; accepts stacked inputs (..., 2).
-
-    Every kind is evaluated on the (N, 2) stack of rows, so a point gives
-    the bits of the same row in any stack.
-    """
-    x = _planar(x)
-    rows = x.reshape(-1, 2)
-    if norm.kind == "euclidean":
-        out = np.linalg.norm(rows, axis=-1)
-    elif norm.kind == "lp":
-        out = _lp_power_sum_root(rows, norm.p)
-        # |x_i|^p over- or underflowed: rescale those rows by m = max |x_i|
-        m = np.max(np.abs(rows), axis=1)
-        redo = ((out == 0.0) | np.isinf(out)) & (m > 0.0) & np.isfinite(m)
-        if np.any(redo):
-            out[redo] = m[redo] * _lp_power_sum_root(rows[redo] / m[redo, None], norm.p)
-    elif norm.kind == "inner_product":
-        out = np.sqrt(np.sum(rows * _q_times(norm, rows), axis=-1))
-    elif norm.kind == "support_table":
+def _size(norm, rows):
+    """The norm of each row of an (N, 2) stack as written: far from the unit
+    scale powers of the coordinates over- or underflow, and the size reads
+    inf, 0 or (inf - inf) NaN.  ``eval_norm`` and ``sphere_point`` rescue."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        if norm.kind == "euclidean":
+            return np.linalg.norm(rows, axis=-1)
+        if norm.kind == "lp":
+            return np.sum(np.abs(rows) ** norm.p, axis=-1) ** (1.0 / norm.p)
+        if norm.kind == "inner_product":
+            return np.sqrt(np.sum(rows * _q_times(norm, rows), axis=-1))
+    if norm.kind == "support_table":
         table = _require_table(norm)
         out = np.zeros(len(rows))
         live = np.any(rows != 0.0, axis=1)
@@ -490,8 +480,24 @@ def eval_norm(norm, x):
         phi = _contact_angle(norm, pts)
         u = unit_vector(phi)
         out[live] = (pts[:, 0] * u[:, 0] + pts[:, 1] * u[:, 1]) / table.support(phi)
-    else:
-        raise ValueError(f"unknown norm kind {norm.kind!r}")
+        return out
+    raise ValueError(f"unknown norm kind {norm.kind!r}")
+
+
+def eval_norm(norm, x):
+    """Evaluate the norm at ``x``; accepts stacked inputs (..., 2).
+
+    Every kind is evaluated on the (N, 2) stack of rows, so a point gives
+    the bits of the same row in any stack.  A nonzero row whose size over-
+    or underflows is evaluated divided by m = max |x_i| and scaled back.
+    """
+    x = _planar(x)
+    rows = x.reshape(-1, 2)
+    out = _size(norm, rows)
+    m = np.max(np.abs(rows), axis=1)
+    redo = (~(out > 0.0) | np.isinf(out)) & (m > 0.0) & np.isfinite(m)
+    if np.any(redo):
+        out[redo] = m[redo] * _size(norm, rows[redo] / m[redo, None])
     return out.reshape(x.shape[:-1])[()]
 
 
@@ -499,17 +505,9 @@ def sphere_point(norm, v):
     """Radially rescale ``v`` onto the unit sphere of ``norm``.
 
     Where the size of ``v`` over- or underflows, ``v`` is first divided by
-    max |v_i|, so every scale of a ray gives the bits of its unit-scale
-    point.  For lp that is where the plain power sum does, which
-    ``eval_norm`` rescues by the same division.
+    max |v_i|: every scale of a ray gives the bits of its unit-scale point.
     """
-    if norm.kind == "lp":
-        def size(v):
-            return _lp_power_sum_root(_planar(v).reshape(-1, 2), norm.p).item()
-    else:
-        def size(v):
-            return float(eval_norm(norm, v))
-    v, r = _rescaled(np.asarray(v, dtype=float), size)
+    v, r = _rescaled(_planar(v), lambda v: _size(norm, v.reshape(-1, 2)).item())
     if r == 0.0:
         raise ValueError("cannot normalize the zero vector")
     return v / r
@@ -519,25 +517,33 @@ def sphere_point(norm, v):
 # Gauss map and its inverse
 # ---------------------------------------------------------------------------
 
-def _along_rays(f, rows, low):
-    """``f(rows)``, a pair of values and sizes for a map constant along rays,
-    with each row whose size fell below ``low`` or overflowed (powers of its
-    coordinates left the float range) recomputed on the row divided by its
-    largest |coordinate|; the other rows keep their bits."""
-    values, size = f(rows)
-    redo = ~(size >= low) | np.isinf(size)
+def _direction(norm, rows):
+    """Outward normal of a closed-form model at each row of an (N, 2) stack,
+    unnormalized and as written: the gradient of ||y||^p / p, with p = 2
+    for the euclidean and inner-product kinds."""
+    if norm.kind == "lp":
+        return np.sign(rows) * np.abs(rows) ** (norm.p - 1.0)
+    if norm.kind == "inner_product":
+        return _q_times(norm, rows)
+    return rows
+
+
+def _along_rays(norm, rows, size, low):
+    """``_direction / size(rows, direction)`` at each row of an (N, 2) stack,
+    for a map constant along rays.  A row whose size fell below ``low`` or
+    overflowed is recomputed divided by its largest |coordinate|; the other
+    rows keep their bits."""
+    def ratio(r):
+        with np.errstate(all="ignore"):
+            g = _direction(norm, r)
+            scale = size(r, g)
+            return g / scale[:, None], scale
+
+    values, scale = ratio(rows)
+    redo = ~(scale >= low) | np.isinf(scale)
     if np.any(redo):
-        unit = rows[redo] / np.max(np.abs(rows[redo]), axis=1, keepdims=True)
-        values[redo], size[redo] = f(unit)
-    return values, size
-
-
-def _lp_gradient(norm, rows):
-    """sgn(y) |y|^(p-1) / r^(p-1), r = ||y||_p, at each row of an (N, 2)
-    stack, as written, and the scale r^(p-1) of each row."""
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        scale = eval_norm(norm, rows) ** (norm.p - 1.0)
-        return np.sign(rows) * np.abs(rows) ** (norm.p - 1.0) / scale[:, None], scale
+        values[redo] = ratio(rows[redo] / np.max(np.abs(rows[redo]), axis=1, keepdims=True))[0]
+    return values
 
 
 def norm_gradient(norm, y):
@@ -552,12 +558,10 @@ def norm_gradient(norm, y):
     if norm.kind == "support_table":
         phi = _contact_angle(norm, rows)
         grad = unit_vector(phi) / _require_table(norm).support(phi)[:, None]
-    elif norm.kind == "euclidean":
-        grad = rows / np.linalg.norm(rows, axis=-1, keepdims=True)
-    elif norm.kind == "lp":
-        grad = _along_rays(lambda r: _lp_gradient(norm, r), rows, _FLOAT_TINY)[0]
     else:
-        grad = _q_times(norm, rows) / eval_norm(norm, rows)[:, None]
+        # _direction / ||y||^(p-1), p = 2 but for lp: x ** 1.0 is exact
+        p = norm.p if norm.kind == "lp" else 2.0
+        grad = _along_rays(norm, rows, lambda r, g: eval_norm(norm, r) ** (p - 1.0), _FLOAT_TINY)
     return grad.reshape(y.shape)
 
 
@@ -584,19 +588,6 @@ def _table_gauss(norm, pts):
     return unit_vector(phi)
 
 
-def _normal_direction(norm, rows):
-    """An outward normal of a closed-form model at each row of an (N, 2)
-    stack, unnormalized, and its Euclidean length."""
-    with np.errstate(over="ignore", under="ignore"):
-        if norm.kind == "euclidean":
-            g = rows.copy()   # _along_rays writes rescued rows into g
-        elif norm.kind == "lp":
-            g = np.sign(rows) * np.abs(rows) ** (norm.p - 1.0)
-        else:
-            g = _q_times(norm, rows)
-        return g, np.linalg.norm(g, axis=-1)
-
-
 def gauss_map(norm, x):
     """Euclidean unit outward normal of the norm sphere at ``x``.
 
@@ -605,40 +596,34 @@ def gauss_map(norm, x):
     (..., 2), one normal per row.
     """
     x = _planar(x)
-    if norm.kind == "support_table":
-        return _table_gauss(norm, x.reshape(-1, 2)).reshape(x.shape)
     rows = x.reshape(-1, 2)
+    if norm.kind == "support_table":
+        return _table_gauss(norm, rows).reshape(x.shape)
     if np.any(np.all(rows == 0.0, axis=1)):
         raise ValueError("Gauss map undefined at the origin")
     # below sqrt(tiny) the squares summed into the length are subnormal
-    g, size = _along_rays(lambda r: _normal_direction(norm, r), rows, _SQRT_FLOAT_TINY)
-    return (g / size[:, None]).reshape(x.shape)
+    g = _along_rays(norm, rows, lambda r, g: np.linalg.norm(g, axis=-1), _SQRT_FLOAT_TINY)
+    return g.reshape(x.shape)
 
 
 def inverse_gauss(norm, w):
     """Support point: the sphere point whose outward normal is ``w``.
 
-    Closed forms exist for the euclidean, lp and inner-product models.  A
-    tabulated model is indexed by outward-normal angle, so its support point
-    is the table's boundary point at the polar angle of w.
+    A closed-form model maps w to its dual direction (w itself, the dual
+    exponent q = p/(p-1) applied to w, or Q^-1 w) and scales that onto the
+    sphere.  A tabulated model is indexed by outward-normal angle, so its
+    support point is the table's boundary point at the polar angle of w.
     """
-    if isinstance(w, HyperplaneNormal):
-        w = w.w
     w, n = _rescaled(_planar(w), np.linalg.norm)
     w = w / n
-    if norm.kind == "euclidean":
-        return sphere_point(norm, w)
-    if norm.kind == "lp":
-        q_conj = norm.p / (norm.p - 1.0)
-        y = np.sign(w) * np.abs(w) ** (q_conj - 1.0)
-        return sphere_point(norm, y)
-    if norm.kind == "inner_product":
-        _, inv_q, _ = _q_matrices(norm)
-        y = inv_q @ w
-        return sphere_point(norm, y)
     if norm.kind == "support_table":
         return _require_table(norm).boundary_point(polar_angle(w))
-    raise ValueError(f"unknown norm kind {norm.kind!r}")
+    if norm.kind == "lp":
+        q_conj = norm.p / (norm.p - 1.0)
+        w = np.sign(w) * np.abs(w) ** (q_conj - 1.0)
+    elif norm.kind == "inner_product":
+        w = _q_matrices(norm)[1] @ w
+    return sphere_point(norm, w)
 
 
 # ---------------------------------------------------------------------------
@@ -659,8 +644,8 @@ def check_gauss_properties(norm, grid_size=1024):
     """Sweep S^1 of the norm and test homeomorphism-style properties.
 
     Reports the worst antipodality defect |G(-x) + G(x)|, whether the polar
-    angle of G is strictly increasing along a counterclockwise sweep (an
-    injectivity proxy), and the minimum of <x, G(x)>.
+    angle of G never decreases along a counterclockwise sweep and turns once
+    in all (an injectivity proxy), and the minimum of <x, G(x)>.
     """
     if grid_size < MIN_GAUSS_GRID:
         raise ValueError(f"grid_size must be at least {MIN_GAUSS_GRID}")
@@ -672,12 +657,13 @@ def check_gauss_properties(norm, grid_size=1024):
     g_neg = gauss_map(norm, -pts)
     defect = float(np.max(np.linalg.norm(g_neg + g, axis=1)))
     # relative angle between consecutive normals via cross/dot: absolute
-    # angles flatten to identical floats on very flat spheres (high p)
+    # angles flatten to identical floats on very flat spheres (high p), and
+    # there neighbouring normals can round to the same pair, a zero step
     g_next = np.roll(g, -1, axis=0)
     cross = g[:, 0] * g_next[:, 1] - g[:, 1] * g_next[:, 0]
     dot = np.sum(g * g_next, axis=1)
     diffs = np.arctan2(cross, dot)
-    monotone = bool(np.all(diffs > 0.0))
+    monotone = bool(np.all(diffs >= 0.0) and abs(np.sum(diffs) - 2.0 * np.pi) <= _TURN_TOL)
     min_inner = float(np.min(np.sum(pts * g, axis=1)))
     return GaussReport(
         grid_size=grid_size,

@@ -30,22 +30,6 @@ LINEARITY_SAMPLES = 100  # (x, y, c) draws of linearity_defect
 _KERNEL_TOL = 1e-10      # relative rank and kernel tolerance of construct_intertwiner
 
 
-def null_space(A, rcond=None):
-    """Orthonormal basis of the null space of ``A``, as columns.
-
-    Singular values up to max(s) * rcond count as zero, where rcond defaults
-    to eps * max(A.shape): the rank rule of SciPy's ``null_space``.  The
-    basis is a column slice of a row-major matrix, the layout SciPy returns:
-    matrix products over another layout may round differently.
-    """
-    A = np.asarray(A, dtype=float)
-    _, s, vh = np.linalg.svd(A, full_matrices=True)
-    if rcond is None:
-        rcond = np.finfo(float).eps * max(A.shape)
-    rank = np.sum(s > np.amax(s, initial=0.0) * rcond, dtype=int)
-    return np.ascontiguousarray(vh.T)[:, rank:]
-
-
 @dataclass(frozen=True)
 class LinearProjector:
     """Linear projection along the unit vector ``kernel_dir``, by ``matrix``."""
@@ -252,36 +236,37 @@ def linearity_defect(projector, seed=0x5EED):
 # intertwiner of equal-kernel linear maps
 # ---------------------------------------------------------------------------
 
+def _row_space_and_kernel(a):
+    """Orthonormal bases, as columns, of the row space and the kernel of
+    ``a`` from one SVD, and the scale max(max s, 1) of its singular values
+    s; those up to ``_KERNEL_TOL`` times that scale count as zero."""
+    _, s, vt = np.linalg.svd(a)
+    scale = max(float(np.amax(s, initial=0.0)), 1.0)
+    rank = int(np.sum(s > _KERNEL_TOL * scale))
+    return vt[:rank].T, vt[rank:].T, scale
+
+
 def construct_intertwiner(f, g):
     """The matrix h with h o f = g, for two linear maps sharing a kernel.
 
     ``f`` and ``g`` are matrices with the same column count; h maps
-    range(f) onto range(g), so a stack y of f-images goes to ``y @ h.T``.  Kernel equality
-    is verified by mutual containment of null-space bases; on mismatch the
-    construction refuses with KernelMismatch.  Ranks and containment are
-    judged relative to ``_KERNEL_TOL``.  h is assembled on a basis of
-    the common row space: h(f w_j) = g w_j.
+    range(f) onto range(g), so a stack y of f-images goes to ``y @ h.T``.
+    Kernel equality is verified by mutual containment of the kernel bases;
+    on mismatch the construction refuses with KernelMismatch.  Ranks and
+    containment are judged relative to ``_KERNEL_TOL``.  h is assembled on
+    a basis of the common row space: h(f w_j) = g w_j.
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     if f.shape[1] != g.shape[1]:
         raise KernelMismatch("maps must share a domain")
-    nf = null_space(f, rcond=_KERNEL_TOL)
-    ng = null_space(g, rcond=_KERNEL_TOL)
-    scale_f = max(1.0, float(np.linalg.norm(f, 2)))
-    scale_g = max(1.0, float(np.linalg.norm(g, 2)))
+    w_basis, nf, scale_f = _row_space_and_kernel(f)
+    _, ng, scale_g = _row_space_and_kernel(g)
     if nf.shape[1] != ng.shape[1]:
         raise KernelMismatch("kernel dimensions differ")
     if nf.size and float(np.max(np.abs(g @ nf))) > _KERNEL_TOL * scale_g:
         raise KernelMismatch("ker f is not contained in ker g")
     if ng.size and float(np.max(np.abs(f @ ng))) > _KERNEL_TOL * scale_f:
         raise KernelMismatch("ker g is not contained in ker f")
-
-    # complement of the kernel: the row space of f
-    u_f, s_f, vt_f = np.linalg.svd(f)
-    top = float(s_f.max()) if s_f.size else 1.0
-    rank = int(np.sum(s_f > _KERNEL_TOL * max(top, 1.0)))
-    w_basis = vt_f[:rank].T                      # (n, rank)
-    fw = f @ w_basis                             # (d, rank), full column rank
-    gw = g @ w_basis                             # (m, rank)
-    return gw @ np.linalg.pinv(fw)
+    # f is injective on its row space, so f w_basis has full column rank
+    return (g @ w_basis) @ np.linalg.pinv(f @ w_basis)

@@ -6,7 +6,7 @@ import pytest
 
 from normproj import cantor, norms
 from normproj.cantor import CantorSet
-from normproj.errors import CurveInvariantFailed, GlueFailed
+from normproj.errors import CurveInvariantFailed, NotStrictlyConvex
 
 
 def ternary_digit_oracle(t, digits=80):
@@ -408,5 +408,5 @@ def test_build_norm_glue_failure(curve10, monkeypatch):
         return poly, dpoly
 
     monkeypatch.setattr(cantor, "_quintic_hermite", concave)
-    with pytest.raises(GlueFailed):
+    with pytest.raises(NotStrictlyConvex):
         cantor.build_norm(curve10)

@@ -35,6 +35,9 @@ def test_norm_info_huge_p_holds_no_nan(tmp_path):
     data = json.loads(out.read_text(), parse_constant=lambda c: pytest.fail(f"{c} in {out.name}"))
     assert data["gauss"]["antipodality_defect"] <= 1e-12
     assert 0.0 < data["gauss"]["min_inner"] <= 1.0
+    # neighbouring normals on the flat sides round to the same pair: zero
+    # steps of a sweep that still turns once
+    assert data["gauss"]["monotone"] is True
 
 
 def test_project_huge_p_lp_both_methods(tmp_path):

@@ -170,6 +170,29 @@ def test_gauss_and_gradient_rescue_out_of_range_rows(rng):
         assert norms.norm_gradient(model, xs).tobytes() == (g / r ** (model.p - 1.0)).tobytes()
 
 
+@pytest.mark.parametrize("model", [norms.euclidean(), norms.inner_product(np.diag([1.0, 4.0]))],
+                         ids=["euclidean", "inner-product"])
+@pytest.mark.parametrize("x", [[1e200, 1e200], [1e-200, 1e-200], [1e-170, 0.0]],
+                         ids=["huge", "tiny", "tiny-axis"])
+def test_p2_kinds_rescue_out_of_range_rows(model, x):
+    # x_i^2 over- or underflows long before x does
+    x = np.array(x)
+    m = np.max(np.abs(x))
+    assert norms.eval_norm(model, x) == m * norms.eval_norm(model, x / m)
+    grad, unit = norms.norm_gradient(model, x), norms.norm_gradient(model, x / m)
+    assert np.all(np.isfinite(grad))
+    assert np.allclose(grad, unit, rtol=0.0, atol=1e-15)
+
+
+def test_sphere_point_rescues_a_nan_size():
+    # the two terms x_i (Q x)_i of <x, Q x> overflow to +inf and -inf
+    model = norms.inner_product(np.array([[2.0, 1.0], [1.0, 3.0]]))
+    x = np.array([-1e200, 3e199])
+    m = np.max(np.abs(x))
+    assert norms.sphere_point(model, x).tobytes() == norms.sphere_point(model, x / m).tobytes()
+    assert norms.eval_norm(model, x) == m * norms.eval_norm(model, x / m)
+
+
 # -- inverse Gauss -----------------------------------------------------------
 
 def _support_oracle(model, w):
@@ -243,6 +266,25 @@ def test_check_gauss_properties_examples():
     g_next = np.roll(g, -1, axis=0)
     turns = np.arctan2(g[:, 0] * g_next[:, 1] - g[:, 1] * g_next[:, 0], np.sum(g * g_next, axis=1))
     assert float(np.sum(turns)) == pytest.approx(2.0 * np.pi, abs=1e-9)
+
+    # on the flat sides neighbouring normals round to the same float pair
+    for p in (300.0, 3000.0):
+        assert norms.check_gauss_properties(norms.lp(p), 1024).monotone, p
+
+
+@pytest.mark.parametrize("bend", ["back", "constant"])
+def test_check_gauss_properties_flags_a_map_that_does_not_turn_once(monkeypatch, bend):
+    true_map = norms.gauss_map
+
+    def fake(norm, x):
+        g = true_map(norm, x)
+        if bend == "back":
+            return g[..., ::-1]   # the reflection turns clockwise
+        return np.broadcast_to(np.array([1.0, 0.0]), g.shape)
+
+    monkeypatch.setattr(norms, "gauss_map", fake)
+    for model in (norms.euclidean(), norms.lp(3.0)):
+        assert not norms.check_gauss_properties(model, 256).monotone
 
 
 def test_check_gauss_properties_guards():
