@@ -122,9 +122,12 @@ def _build_norm(args):
     if kind == "euclidean":
         return norms.euclidean()
     if kind == "lp":
-        if args.p is None or not 1.0 < args.p < float("inf"):
-            raise ValidationError("lp norm needs --p in (1, inf)")
-        return norms.lp(args.p)
+        if args.p is None:
+            raise ValidationError("lp norm needs --p")
+        try:
+            return norms.lp(args.p)
+        except NotStrictlyConvex as exc:
+            raise ValidationError(f"bad --p: {exc}") from exc
     if kind == "inner-product":
         if args.Q is None:
             raise ValidationError("inner-product norm needs --Q")

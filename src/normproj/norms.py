@@ -17,8 +17,11 @@ parameters (p = 1 or infinity, singular Q, a table failing its convexity
 check) are rejected at construction time, never at use.
 
 The closed forms share one core, a row's size (``_size``) and its outward
-normal (``_direction``) as written.  Every kind rescues a nonzero row whose
-size over- or underflows by evaluating it divided by its largest |x_i|.
+normal (``_direction``) as written.  Every function of a ray (Gauss map,
+gradient, support and sphere point, hyperplane normal) raises ValueError at
+the zero vector, where ``eval_norm`` returns 0.  A row whose size leaves the
+normal float range, a subnormal power sum included, is evaluated divided by
+its largest |x_i|.
 
 Everything here is pure and the model objects are treated as immutable; the
 only mutation is an internal memo cache of derived matrices and of a table's
@@ -45,13 +48,13 @@ MIN_GAUSS_GRID = 16          # fewest sweep points of check_gauss_properties
 _TURN_TOL = 1e-9             # |total turn of G - 2*pi| a monotone sweep allows
 _CSV_CHUNK_ROWS = 8192       # table rows formatted per write of SupportTable.to_csv
 _FLOAT_TINY = np.finfo(float).tiny   # smallest normal float
-_SQRT_FLOAT_TINY = np.sqrt(_FLOAT_TINY)
+_SQRT_FLOAT_TINY = np.sqrt(_FLOAT_TINY)   # a length below it sums subnormal squares
 
 
 def unit_vector(angle):
     """Unit vector (cos a, sin a); vectorized over ``angle``."""
-    angle = np.asarray(angle, dtype=float)
-    return np.stack([np.cos(angle), np.sin(angle)], axis=-1)
+    angle = np.asarray(angle, dtype=float)[..., None]
+    return np.concatenate([np.cos(angle), np.sin(angle)], axis=-1)
 
 
 def rot90(v):
@@ -87,15 +90,36 @@ def _planar(x):
     return x
 
 
-def _rescaled(v, size):
-    """``(v, size(v))``, with ``v`` first divided by max |v_i| when its size
-    overflows to inf or NaN or underflows to 0; the ray through ``v`` is kept."""
-    with np.errstate(over="ignore"):
-        n = size(v)
-    if not 0.0 < n < np.inf and np.any(v):
-        v = v / np.max(np.abs(v))
-        n = size(v)
-    return v, n
+def _rays(x):
+    """The (N, 2) rows of ``x``; a zero row spans no ray and is refused."""
+    rows = _planar(x).reshape(-1, 2)
+    if np.count_nonzero(rows) < rows.size and not rows.any(axis=1).all():   # cheap test first
+        raise ValueError("the zero vector spans no ray")
+    return rows
+
+
+def _on_rays(rows, fn, low):
+    """The values of ``fn(rows)``, a pair (values, sizes), where a row whose
+    size is below ``low``, inf or NaN, and whose largest |coordinate| m is
+    finite, is evaluated again at row / m; and m, 1 on the rows kept."""
+    with np.errstate(all="ignore"):
+        values, size = fn(rows)
+        keep = (size >= low) & (size < np.inf)
+        if keep.all():
+            return values, 1.0
+        m = np.max(np.abs(rows), axis=1)
+        redo = ~keep & (m < np.inf)
+        m = np.where(redo, m, 1.0)
+        values[redo] = fn(rows[redo] / m[redo, None])[0]
+    return values, m
+
+
+def _unit(v):
+    """One vector over its length sqrt(v @ v), rounded as ``np.linalg.norm`` does."""
+    def fn(r):
+        n = np.sqrt(r.ravel() @ r.ravel())
+        return r / n, n   # a scalar size: the cheap test of a single row
+    return _on_rays(_rays(v), fn, _SQRT_FLOAT_TINY)[0].reshape(np.shape(v))
 
 
 @dataclass(frozen=True)
@@ -109,10 +133,7 @@ class HyperplaneNormal:
     w: np.ndarray
 
     def __post_init__(self):
-        w, n = _rescaled(_planar(self.w), np.linalg.norm)
-        if n == 0:
-            raise ValueError("zero vector cannot define a hyperplane")
-        w = canonicalize_direction(w / n)
+        w = canonicalize_direction(_unit(self.w))
         w.flags.writeable = False
         object.__setattr__(self, "w", w)
 
@@ -462,55 +483,53 @@ def _q_times(norm, x):
 
 
 def _size(norm, rows):
-    """The norm of each row of an (N, 2) stack as written: far from the unit
-    scale powers of the coordinates over- or underflow, and the size reads
-    inf, 0 or (inf - inf) NaN.  ``eval_norm`` and ``sphere_point`` rescue."""
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        if norm.kind == "euclidean":
-            return np.linalg.norm(rows, axis=-1)
-        if norm.kind == "lp":
-            return np.sum(np.abs(rows) ** norm.p, axis=-1) ** (1.0 / norm.p)
-        if norm.kind == "inner_product":
-            return np.sqrt(np.sum(rows * _q_times(norm, rows), axis=-1))
+    """The norm of each nonzero row of an (N, 2) stack as written: far from
+    the unit scale powers of the coordinates over- or underflow, and the
+    size reads inf, 0 or (inf - inf) NaN.  Callers rescue with ``_on_rays``."""
+    if norm.kind == "euclidean":
+        return np.linalg.norm(rows, axis=-1)
+    if norm.kind == "lp":
+        return np.sum(np.abs(rows) ** norm.p, axis=-1) ** (1.0 / norm.p)
+    if norm.kind == "inner_product":
+        return np.sqrt(np.sum(rows * _q_times(norm, rows), axis=-1))
     if norm.kind == "support_table":
-        table = _require_table(norm)
-        out = np.zeros(len(rows))
-        live = np.any(rows != 0.0, axis=1)
-        pts = rows[live]
-        phi = _contact_angle(norm, pts)
+        phi = _contact_angle(norm, rows)
         u = unit_vector(phi)
-        out[live] = (pts[:, 0] * u[:, 0] + pts[:, 1] * u[:, 1]) / table.support(phi)
-        return out
+        return (rows[:, 0] * u[:, 0] + rows[:, 1] * u[:, 1]) / _require_table(norm).support(phi)
     raise ValueError(f"unknown norm kind {norm.kind!r}")
+
+
+def _size_floor(norm):
+    """Below tiny^(1/p) a size's power sum is subnormal; p = 2 but for lp."""
+    return _FLOAT_TINY ** (1.0 / (norm.p or 2.0))
 
 
 def eval_norm(norm, x):
     """Evaluate the norm at ``x``; accepts stacked inputs (..., 2).
 
     Every kind is evaluated on the (N, 2) stack of rows, so a point gives
-    the bits of the same row in any stack.  A nonzero row whose size over-
-    or underflows is evaluated divided by m = max |x_i| and scaled back.
+    the bits of the same row in any stack.  A row whose size leaves the
+    normal float range is evaluated at x / m, m = max |x_i|, and scaled
+    back; the zero vector has norm 0.
     """
-    x = _planar(x)
-    rows = x.reshape(-1, 2)
-    out = _size(norm, rows)
-    m = np.max(np.abs(rows), axis=1)
-    redo = (~(out > 0.0) | np.isinf(out)) & (m > 0.0) & np.isfinite(m)
-    if np.any(redo):
-        out[redo] = m[redo] * _size(norm, rows[redo] / m[redo, None])
-    return out.reshape(x.shape[:-1])[()]
+    rows = _planar(x).reshape(-1, 2)
+    live = rows.any(axis=1)
+    out = np.zeros(len(rows))
+    size, m = _on_rays(rows[live], lambda r: (_size(norm, r),) * 2, _size_floor(norm))
+    out[live] = m * size
+    return out.reshape(np.shape(x)[:-1])[()]
 
 
 def sphere_point(norm, v):
     """Radially rescale ``v`` onto the unit sphere of ``norm``.
 
-    Where the size of ``v`` over- or underflows, ``v`` is first divided by
-    max |v_i|: every scale of a ray gives the bits of its unit-scale point.
+    Where the size of ``v`` leaves the normal float range, ``v`` is first
+    divided by max |v_i|: every scale of a ray gives its unit-scale bits.
     """
-    v, r = _rescaled(_planar(v), lambda v: _size(norm, v.reshape(-1, 2)).item())
-    if r == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return v / r
+    def fn(r):
+        size = _size(norm, r)
+        return r / size[:, None], size
+    return _on_rays(_rays(v), fn, _size_floor(norm))[0].reshape(np.shape(v))
 
 
 # ---------------------------------------------------------------------------
@@ -519,31 +538,12 @@ def sphere_point(norm, v):
 
 def _direction(norm, rows):
     """Outward normal of a closed-form model at each row of an (N, 2) stack,
-    unnormalized and as written: the gradient of ||y||^p / p, with p = 2
-    for the euclidean and inner-product kinds."""
+    unnormalized and as written: the gradient of ||y||^p / p, p = 2 but for lp."""
     if norm.kind == "lp":
         return np.sign(rows) * np.abs(rows) ** (norm.p - 1.0)
     if norm.kind == "inner_product":
         return _q_times(norm, rows)
     return rows
-
-
-def _along_rays(norm, rows, size, low):
-    """``_direction / size(rows, direction)`` at each row of an (N, 2) stack,
-    for a map constant along rays.  A row whose size fell below ``low`` or
-    overflowed is recomputed divided by its largest |coordinate|; the other
-    rows keep their bits."""
-    def ratio(r):
-        with np.errstate(all="ignore"):
-            g = _direction(norm, r)
-            scale = size(r, g)
-            return g / scale[:, None], scale
-
-    values, scale = ratio(rows)
-    redo = ~(scale >= low) | np.isinf(scale)
-    if np.any(redo):
-        values[redo] = ratio(rows[redo] / np.max(np.abs(rows[redo]), axis=1, keepdims=True))[0]
-    return values
 
 
 def norm_gradient(norm, y):
@@ -553,39 +553,16 @@ def norm_gradient(norm, y):
     gauge as u(phi*) / h(phi*) at the contact angle phi* of the ray.  Every
     kind is evaluated on the (N, 2) stack of rows.
     """
-    y = _planar(y)
-    rows = y.reshape(-1, 2)
+    rows = _rays(y)
     if norm.kind == "support_table":
         phi = _contact_angle(norm, rows)
         grad = unit_vector(phi) / _require_table(norm).support(phi)[:, None]
     else:
-        # _direction / ||y||^(p-1), p = 2 but for lp: x ** 1.0 is exact
-        p = norm.p if norm.kind == "lp" else 2.0
-        grad = _along_rays(norm, rows, lambda r, g: eval_norm(norm, r) ** (p - 1.0), _FLOAT_TINY)
-    return grad.reshape(y.shape)
-
-
-def _table_gauss(norm, pts):
-    """Outward unit normals of a table norm at the rows of an (N, 2) stack.
-
-    A zero row raises ValueError.  A corner of the body shows up as a
-    locally vanishing curvature radius h + h'' (identically zero support
-    parabola on the normal fan) at the contact angle, probed by second
-    differences over the width of the knot segment that holds that angle;
-    any such row raises NotSmoothHere.
-    """
-    table = _require_table(norm)
-    if np.any(np.all(pts == 0.0, axis=1)):
-        raise ValueError("Gauss map undefined at the origin")
-    phi = _contact_angle(norm, pts)
-    knots = _table_frame(norm)[0]
-    step = np.diff(knots)[_segment(knots, phi)]   # width of the contact segment
-    h = table.support(phi)
-    local = h + (table.support(phi + step) + table.support(phi - step) - 2.0 * h) / step**2
-    corner = ~np.isfinite(local) | (local <= 1e-3 * h)
-    if np.any(corner):
-        raise NotSmoothHere(f"no unique normal at angle {phi[np.argmax(corner)]:.6f}")
-    return unit_vector(phi)
+        def fn(r):   # _direction / ||y||^(p-1), p = 2 but for lp: x ** 1.0 is exact
+            scale = eval_norm(norm, r) ** ((norm.p or 2.0) - 1.0)
+            return _direction(norm, r) / scale[:, None], scale
+        grad = _on_rays(rows, fn, _FLOAT_TINY)[0]
+    return grad.reshape(np.shape(y))
 
 
 def gauss_map(norm, x):
@@ -593,17 +570,29 @@ def gauss_map(norm, x):
 
     The direction is constant along rays, so any nonzero ``x`` is accepted
     and the result is the normal at x/||x||.  Accepts stacked inputs
-    (..., 2), one normal per row.
+    (..., 2), one normal per row.  A row at a corner of a table's body, a
+    locally vanishing curvature radius h + h'' at the contact angle probed
+    by second differences over the width of its knot segment, raises
+    NotSmoothHere.
     """
-    x = _planar(x)
-    rows = x.reshape(-1, 2)
+    rows = _rays(x)
     if norm.kind == "support_table":
-        return _table_gauss(norm, rows).reshape(x.shape)
-    if np.any(np.all(rows == 0.0, axis=1)):
-        raise ValueError("Gauss map undefined at the origin")
-    # below sqrt(tiny) the squares summed into the length are subnormal
-    g = _along_rays(norm, rows, lambda r, g: np.linalg.norm(g, axis=-1), _SQRT_FLOAT_TINY)
-    return g.reshape(x.shape)
+        table = _require_table(norm)
+        phi = _contact_angle(norm, rows)
+        knots = _table_frame(norm)[0]
+        step = np.diff(knots)[_segment(knots, phi)]   # width of the contact segment
+        h = table.support(phi)
+        local = h + (table.support(phi + step) + table.support(phi - step) - 2.0 * h) / step**2
+        corner = ~np.isfinite(local) | (local <= 1e-3 * h)
+        if np.any(corner):
+            raise NotSmoothHere(f"no unique normal at angle {phi[np.argmax(corner)]:.6f}")
+        return unit_vector(phi).reshape(np.shape(x))
+
+    def fn(r):
+        g = _direction(norm, r)
+        n = np.linalg.norm(g, axis=-1)
+        return g / n[:, None], n
+    return _on_rays(rows, fn, _SQRT_FLOAT_TINY)[0].reshape(np.shape(x))
 
 
 def inverse_gauss(norm, w):
@@ -614,8 +603,7 @@ def inverse_gauss(norm, w):
     sphere.  A tabulated model is indexed by outward-normal angle, so its
     support point is the table's boundary point at the polar angle of w.
     """
-    w, n = _rescaled(_planar(w), np.linalg.norm)
-    w = w / n
+    w = _unit(w)
     if norm.kind == "support_table":
         return _require_table(norm).boundary_point(polar_angle(w))
     if norm.kind == "lp":

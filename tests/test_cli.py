@@ -70,11 +70,14 @@ def test_project_command(tmp_path):
 
 
 @pytest.mark.parametrize("norm", [["--norm", "euclidean"], ["--norm", "lp", "--p", "3"],
-                                  ["--norm", "inner-product", "--Q", "1,0;0,4"]],
-                         ids=["euclidean", "lp3", "inner-product"])
+                                  ["--norm", "inner-product", "--Q", "1,0;0,4"],
+                                  ["--norm", "inner-product", "--Q", "2,1;1,3"],
+                                  ["--norm", "counterexample"]],
+                         ids=["euclidean", "lp3", "inner-product", "inner-product-skew", "counterexample"])
 def test_huge_and_tiny_vectors_write_the_unit_scale_bytes(tmp_path, norm):
     # only the ray of --x (gauss) and --w (project) matters, so s*v writes
-    # the bytes of v even where the size of s*v over- or underflows
+    # the bytes of v even where the size of s*v over- or underflows, or
+    # its power sum is subnormal (1e-160, 1e-162)
     out = tmp_path / "out.json"
 
     def artifact(cmd, flag, v):
@@ -86,7 +89,7 @@ def test_huge_and_tiny_vectors_write_the_unit_scale_bytes(tmp_path, norm):
     for cmd, flag in (("gauss", "--x"), ("project", "--w")):
         for v in ((1.0, 1.0), (1.0, 0.0)):
             want = artifact(cmd, flag, v)
-            for s in (1e200, 1e-200):
+            for s in (1e200, 1e-200, 1e-160, 1e-162):
                 assert artifact(cmd, flag, [s * c for c in v]) == want, (cmd, s, v)
 
 

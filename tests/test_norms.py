@@ -52,6 +52,10 @@ def test_eval_lp_huge_p_rescales_out_of_range_rows(rng):
         assert np.all(got >= m * (1.0 - 1e-15)) and np.all(got <= m * 2.0 ** (1.0 / p) * (1.0 + 1e-15))
         rows = np.array([norms.eval_norm(model, x) for x in xs])
         assert got.tobytes() == rows.tobytes()
+    # on the check_gauss_properties grid of lp 3000 some power sums are subnormal
+    model, xs = norms.lp(3000.0), norms.unit_vector(2.0 * np.pi * np.arange(1024) / 1024)
+    m = np.max(np.abs(xs), axis=1)
+    assert norms.eval_norm(model, xs).tobytes() == (m * norms.eval_norm(model, xs / m[:, None])).tobytes()
 
 
 def test_homogeneity_and_symmetry(rng):
@@ -172,13 +176,16 @@ def test_gauss_and_gradient_rescue_out_of_range_rows(rng):
 
 @pytest.mark.parametrize("model", [norms.euclidean(), norms.inner_product(np.diag([1.0, 4.0]))],
                          ids=["euclidean", "inner-product"])
-@pytest.mark.parametrize("x", [[1e200, 1e200], [1e-200, 1e-200], [1e-170, 0.0]],
-                         ids=["huge", "tiny", "tiny-axis"])
+@pytest.mark.parametrize("x", [[1e200, 1e200], [1e-200, 1e-200], [1e-170, 0.0],
+                               [1e-160, 1e-160], [1e-162, 1e-162]],
+                         ids=["huge", "tiny", "tiny-axis", "subnormal", "subnormal-edge"])
 def test_p2_kinds_rescue_out_of_range_rows(model, x):
-    # x_i^2 over- or underflows long before x does
+    # x_i^2 over- or underflows, or sums to a subnormal, long before x does
     x = np.array(x)
     m = np.max(np.abs(x))
     assert norms.eval_norm(model, x) == m * norms.eval_norm(model, x / m)
+    assert norms.sphere_point(model, x).tobytes() == norms.sphere_point(model, x / m).tobytes()
+    assert HyperplaneNormal(x).w.tobytes() == HyperplaneNormal(x / m).w.tobytes()
     grad, unit = norms.norm_gradient(model, x), norms.norm_gradient(model, x / m)
     assert np.all(np.isfinite(grad))
     assert np.allclose(grad, unit, rtol=0.0, atol=1e-15)
@@ -270,6 +277,8 @@ def test_check_gauss_properties_examples():
     # on the flat sides neighbouring normals round to the same float pair
     for p in (300.0, 3000.0):
         assert norms.check_gauss_properties(norms.lp(p), 1024).monotone, p
+    # grid radii whose power sums are subnormal are read at unit scale
+    assert norms.check_gauss_properties(norms.lp(3000.0), 1024).min_inner == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("bend", ["back", "constant"])
@@ -439,6 +448,25 @@ def test_hyperplane_canonicalization(rng):
     w = HyperplaneNormal.from_angle(2.0)  # cos < 0: flipped representative
     assert w.w[0] > 0.0
     assert 0.0 <= w.angle < np.pi
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "lp", "inner_product", "support_table"])
+def test_zero_and_non_finite_rows(kind, ce_norm):
+    model = {"euclidean": norms.euclidean(), "lp": norms.lp(3.0), "support_table": ce_norm,
+             "inner_product": norms.inner_product(np.array([[2.0, 1.0], [1.0, 3.0]]))}[kind]
+    # the zero vector spans no ray, alone or as a row of a stack
+    for fn in (norms.gauss_map, norms.norm_gradient, norms.inverse_gauss, norms.sphere_point):
+        with pytest.raises(ValueError, match="spans no ray"):
+            fn(model, [0.0, 0.0])
+    for fn in (norms.gauss_map, norms.norm_gradient):
+        with pytest.raises(ValueError, match="spans no ray"):
+            fn(model, [[1.0, 2.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="spans no ray"):
+        HyperplaneNormal([0.0, 0.0])
+    # the norm is defined there, and an infinite coordinate keeps it infinite
+    assert norms.eval_norm(model, [0.0, 0.0]) == 0.0
+    assert norms.eval_norm(model, [np.inf, 1.0]) == np.inf
+    assert norms.eval_norm(model, [[0.0, 0.0], [np.inf, 1.0]]).tolist() == [0.0, np.inf]
 
 
 def test_hyperplane_rejects_zero():
