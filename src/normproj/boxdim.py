@@ -9,15 +9,23 @@ The fitted slope of log N against log delta stands in for Hausdorff
 dimension.  The stand-in is honest but one-sided: box-counting dimension
 upper-bounds Hausdorff dimension; every report carries that caveat.
 
-Counting is sort-based.  A cloud's cell keys, or a shadow's coordinates,
-are sorted once, and the number of occupied cells is one more than the
-number of changes between neighbours.  Because x -> floor(x / delta) is
-monotone for delta > 0, one sorted shadow serves every scale.  A sweep over
-many directions allocates its shadow, bin and change buffers once and
-refills them for each direction: the shadow is written and sorted in place,
-so counting a direction allocates no cloud-sized array.  A cloud's cell key
-is built one contiguous coordinate column at a time, in buffers shared by
-every scale of a ladder.
+A planar cloud's cells are counted by sorting: its cell keys are sorted
+once per scale, and the number of occupied cells is one more than the
+number of changes between neighbours.  A key is built one contiguous
+coordinate column at a time, in buffers shared by every scale of a ladder.
+
+A line shadow is counted without sorting.  One floor pass at the finest
+scale scatters the unsorted coordinates into a table of their bins that
+keeps each bin's smallest and largest point.  Because x -> floor(x / delta)
+is monotone for delta > 0, the finest count is the number of occupied
+bins, and the bins' extremes form one sorted sequence.  Each coarser scale
+counts the changes of its bins along the first and last points of the runs
+of the next finer scale; ``_bin_counts`` gives the argument why that is
+exact while consecutive scales are not nearly equal.  A shadow whose finest
+bins span more indices than it has points, or whose scales fail that test,
+is sorted instead.  A sweep over many directions allocates its shadow,
+table and scratch buffers once and refills them for each direction, so
+counting a direction allocates no cloud-sized array.
 """
 
 from dataclasses import dataclass
@@ -35,6 +43,7 @@ DIMENSION_CAVEAT = (
 MIN_SCALES = 4
 MIN_R2 = 0.98
 MAX_SCALES = 12  # longest ladder of admissible_scales
+_EPS = 2.0**-53   # unit roundoff of float64
 
 
 @dataclass(frozen=True)
@@ -65,24 +74,137 @@ def _distinct_sorted(ordered, steps=None):
     return int(ordered.size > 0) + int(np.count_nonzero(changes))
 
 
-def _bin_counts(coords, scales, bins=None, steps=None):
+def _workspace(size):
+    """Scratch for ``_bin_counts`` over ``size`` coordinates: two float
+    buffers of twice that length and a slot table of that length.
+
+    ``np.empty`` maps them lazily, so only the slots a count touches become
+    resident; a caller that counts many shadows allocates this once and
+    may write each shadow into the head of the first buffer.
+    """
+    return np.empty(2 * size), np.empty(2 * size), np.empty(size)
+
+
+def _finest_bins(coords, order):
+    """First index and number of the finest scale's bins, if the cascade of
+    ``_bin_counts`` counts ``coords`` exactly at the ascending ``order``:
+    the bins span at most as many indices as there are points, and every
+    pair of consecutive scales meets delta' + 4 eps M < delta.  Else None.
+    """
+    if not (coords.size and order and order[0] > 0.0):
+        return None
+    lo_x, hi_x = float(coords.min()), float(coords.max())
+    first = float(np.floor(lo_x / order[0]))
+    span = float(np.floor(hi_x / order[0])) - first + 1.0
+    if not span <= coords.size:   # also where an extreme is inf or NaN
+        return None
+    slack = 4.0 * _EPS * max(-lo_x, hi_x)    # 4 eps M
+    if all((prev + slack) * (1.0 + 4.0 * _EPS) < delta for prev, delta in zip(order, order[1:])):
+        return first, int(span)
+    return None
+
+
+def _bin_counts(coords, scales, work=None):
     """Occupied delta-bins of 1-D coordinates, one count per scale, in order.
 
-    Sorts ``coords`` in place, so callers pass a buffer they own.  One sort
-    serves every scale: the bins floor(x / delta) of sorted coordinates are
-    sorted too.  The count equals the number of distinct int64 bin indices
-    whenever those fit in int64 (|x / delta| < 2**63).  Every scale reuses
-    the buffers ``bins`` (like ``coords``) and ``steps`` (boolean, one
-    shorter), allocated here unless the caller passes them.
+    The count is the number of distinct floor(x / delta), the float
+    quotient floored as numpy rounds it.  ``coords`` is clobbered, so
+    callers pass a buffer they own; ``work`` is a ``_workspace`` of its
+    length, allocated here unless the caller passes it.
+
+    One floor pass at the finest scale delta_f scatters the unsorted
+    coordinates into a table with one slot per bin index between the
+    smallest and the largest, keeping each occupied slot's smallest and
+    largest point (``np.minimum.at``, ``np.maximum.at``).  Why that is exact:
+
+    * floor(fl(x / delta)) is non-decreasing in x, so the finest count is
+      the number of occupied slots, and the slot pairs lo_k <= hi_k <
+      lo_{k+1} interleave into one sorted sequence of kept points.
+    * Each coarser scale delta, in ascending order, is counted over the
+      points kept at the next finer scale delta', and keeps for the next
+      one only the first and last point of each of its runs.  A point not
+      kept lies between two adjacent kept points, and that interval is no
+      wider than delta' + 2 eps M, with eps = 2**-53 and M = max |x|: two
+      points with one floor at delta' are less than delta' + 2 eps M
+      apart, and an interval that joins two runs of delta' joined two
+      adjacent kept points of a finer scale already, or holds no point.
+    * So if delta' + 4 eps M < delta, the floors at delta of the two kept
+      ends differ by at most one, and every hidden point, lying between
+      them, takes a value a kept point takes: the count is one more than
+      the number of changes along the kept sequence.
+
+    The condition is checked for each consecutive pair of distinct scales
+    (with a margin for the rounding of the check itself); a duplicated
+    scale reuses its twin's count.  A set of coordinates whose finest bins
+    span more indices than it has points, or whose scales fail the
+    condition (near-equal scales, or huge |x| / delta), is sorted instead:
+    then each scale's bins are sorted too, and their changes are counted
+    over all points.  Counts are equal either way; only the cost differs.
     """
+    order = sorted({float(d) for d in scales})
+    work = _workspace(coords.size) if work is None else work
+    finest = _finest_bins(coords, order)
+    if finest is None:
+        found = _sorted_counts(coords, order, work)
+    else:
+        found = _cascade_counts(coords, order, *finest, work)
+    counts = dict(zip(order, found))
+    return [counts[float(d)] for d in scales]
+
+
+def _cascade_counts(coords, order, first, width, work):
+    """Counts at the ascending scales ``order`` by the scatter and cascade of
+    ``_bin_counts``; the finest bins are first, ..., first + width - 1."""
+    size = coords.size
+    a, b, table = work
+    floors = b[:size]
+    np.floor(np.divide(coords, order[0], out=floors), out=floors)
+    np.subtract(floors, first, out=floors)      # exact: 0 <= value < size
+    slot = floors.view(np.int64)
+    np.copyto(slot, floors, casting="unsafe")  # in place, unbuffered
+    ends = table[:width]
+    ends.fill(np.inf)
+    np.minimum.at(ends, slot, coords)
+    lows = b[size:size + width]
+    np.copyto(lows, ends)
+    ends.fill(-np.inf)
+    np.maximum.at(ends, slot, coords)
+    # coords and slots are dead: the kept points now alternate between b
+    # and a.  The slots are in range, and mode="clip" lets take write its
+    # output unbuffered.
+    occupied = np.flatnonzero(ends > -np.inf)
+    runs = occupied.size
+    np.take(lows, occupied, out=a[:runs], mode="clip")
+    np.take(ends, occupied, out=a[runs:2 * runs], mode="clip")
+    kept, spare, length = b, a, 2 * runs
+    kept[0:length:2] = a[:runs]
+    kept[1:length:2] = a[runs:length]
+    counts = [runs]
+    flags = table.view(bool)
+    for delta in order[1:]:
+        f = spare[:length]
+        np.floor(np.divide(kept[:length], delta, out=f), out=f)
+        change = np.not_equal(f[1:], f[:-1], out=flags[:length - 1])
+        counts.append(1 + int(np.count_nonzero(change)))
+        keep = flags[length:2 * length]   # first and last point of each run
+        keep[:-1] = change
+        keep[-1] = True
+        keep[1:] |= change
+        keep[0] = True
+        runs = int(np.count_nonzero(keep))
+        np.compress(keep, kept[:length], out=spare[:runs])
+        kept, spare, length = spare, kept, runs
+    return counts
+
+
+def _sorted_counts(coords, order, work):
+    """Counts at the scales ``order`` over all of ``coords``, sorted in
+    place: the bins of sorted coordinates are sorted too."""
     coords.sort()
-    if bins is None:
-        bins = np.empty_like(coords)
-    if steps is None:
-        steps = np.empty(max(coords.size - 1, 0), dtype=bool)
+    bins, steps = work[1][:coords.size], work[2].view(bool)[:max(coords.size - 1, 0)]
     counts = []
-    for delta in scales:
-        np.floor(np.divide(coords, float(delta), out=bins), out=bins)
+    for delta in order:
+        np.floor(np.divide(coords, delta, out=bins), out=bins)
         counts.append(_distinct_sorted(bins, steps))
     return counts
 
@@ -202,21 +324,19 @@ def projected_counts(norm, cloud, normals, scales):
     """Occupied delta-bins of the cloud's shadow on w-perp, for each w in ``normals``.
 
     Returns one list per normal, in order, holding one count per scale in
-    the order given.  The shadow, bin and change buffers are allocated once
-    and refilled for every normal; fresh cloud-sized arrays per direction
-    would each be a new mapping whose pages fault in.
+    the order given.  The shadow, table and scratch buffers are allocated
+    once and refilled for every normal; fresh cloud-sized arrays per
+    direction would each be a new mapping whose pages fault in.
     """
     if cloud.dim != 2:
         raise ValueError("projected_counts expects a planar cloud")
     _check_resolved(cloud, scales)
-    size = len(cloud.points)
-    shadow = np.empty(size)
-    bins = np.empty(size)
-    steps = np.empty(max(size - 1, 0), dtype=bool)
+    work = _workspace(len(cloud.points))
+    shadow = work[0][:len(cloud.points)]
     out = []
     for w in normals:
         np.matmul(cloud.points, _shadow_functional(norm, w), out=shadow)
-        out.append(_bin_counts(shadow, scales, bins, steps))
+        out.append(_bin_counts(shadow, scales, work))
     return out
 
 

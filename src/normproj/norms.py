@@ -91,10 +91,13 @@ def _planar(x):
 
 
 def _rays(x):
-    """The (N, 2) rows of ``x``; a zero row spans no ray and is refused."""
+    """The (N, 2) rows of ``x``; a zero row, or one with an infinite or NaN
+    coordinate, spans no ray and is refused."""
     rows = _planar(x).reshape(-1, 2)
     if np.count_nonzero(rows) < rows.size and not rows.any(axis=1).all():   # cheap test first
         raise ValueError("the zero vector spans no ray")
+    if not np.isfinite(rows).all():
+        raise ValueError("a vector with an infinite or NaN coordinate spans no ray")
     return rows
 
 

@@ -130,7 +130,13 @@ def _unique_bins(coords, delta):
 
 
 def test_bin_counts_equal_unique_oracle(rng):
-    scales = [2.0**-3, 3.0**-5, 0.1, 1.0, 2.0**-10, 0.37, 3.0**-2]  # any order
+    tenth = [0.1, np.nextafter(0.1, 1.0), np.nextafter(np.nextafter(0.1, 1.0), 1.0)]
+    ladders = {   # any order; fine ladders bin most cases wider than their points
+        "fine": [2.0**-3, 3.0**-5, 0.1, 1.0, 2.0**-10, 0.37, 3.0**-2],
+        "coarse": [2.0**-3, 0.1, 1.0, 0.37, 3.0**-2],
+        "duplicated": [0.37, 2.0**-3, 0.37, 1.0],
+        "next floats": tenth + [0.3, 2.0**-3],
+    }
     edges = np.concatenate([np.arange(-64, 65) * 2.0**-3, np.arange(-27, 28) * 3.0**-2])
     cases = {
         "edges": edges,
@@ -139,10 +145,19 @@ def test_bin_counts_equal_unique_oracle(rng):
         "repeated": np.repeat(rng.uniform(-1.0, 1.0, 50), 40),
         "single": np.array([-0.3]),
         "lattice": np.arange(-3**6, 3**6 + 1) * 3.0**-6,
+        "tenth lattice": np.concatenate([np.arange(-40, 41) * 0.1, np.nextafter(np.arange(-40, 41) * 0.1, -1.0)]),
+        "sparse": rng.uniform(-100.0, 100.0, 50),
     }
     for name, coords in cases.items():
-        got = boxdim._bin_counts(rng.permutation(coords), scales)
-        assert got == [_unique_bins(coords, d) for d in scales], name
+        for ladder, scales in ladders.items():
+            got = boxdim._bin_counts(rng.permutation(coords), scales)
+            assert got == [_unique_bins(coords, d) for d in scales], (name, ladder)
+    # near-equal scales far from the origin: the cascade's rounding check
+    # still passes at 1e9 and fails at 1e10, where all points are counted
+    for offset in (1e9, 1e10):
+        coords = offset + rng.uniform(0.0, 50.0, 4000)
+        scales = [1.0, 1.000001, 3.0]
+        assert boxdim._bin_counts(coords.copy(), scales) == [_unique_bins(coords, d) for d in scales], offset
 
 
 def _unique_cells(points, delta):
@@ -205,6 +220,10 @@ def test_projected_counts_sweep_equal_unique_oracle():
     for cloud in (fractals.cantor_product(1.0 / 3.0, 8), fractals.four_corner(8)):
         scales = [float(cloud.base) ** -k for k in range(2, 8)]
         _assert_counts_match_unique_oracle(norms.euclidean(), cloud, normals, scales)
+    # finer bins than points: the default ladder of r = 0.2 at generation 8
+    cloud = fractals.cantor_product(0.2, 8)
+    _assert_counts_match_unique_oracle(norms.euclidean(), cloud, _sweep_normals(36),
+                                       boxdim.admissible_scales(cloud))
 
 
 def test_projected_counts_norm_sweeps_equal_unique_oracle(ce_norm):
@@ -253,24 +272,23 @@ def _fault_counts(probe):
     return tuple(map(int, proc.stdout.split()))
 
 
-# Minor page faults of projected_counts over 10 and then 130 normals of a
-# 65,536-point cloud, measured in a fresh interpreter.
+# Minor page faults of projected_counts over 10 and then 130 normals of each
+# 65,536-point cloud of the sweep benchmark, measured in a fresh interpreter.
 _FAULT_PROBE = """
 import resource
 import numpy as np
 from normproj import boxdim, fractals, norms
 from normproj.norms import HyperplaneNormal
 
-cloud = fractals.cantor_product(1.0 / 3.0, 8)
-scales = [3.0**-k for k in range(2, 8)]
-
-def faults(count):
+def faults(cloud, count):
+    scales = [float(cloud.base) ** -k for k in range(2, 8)]
     normals = [HyperplaneNormal.from_angle(a) for a in np.pi * np.arange(count) / count]
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     boxdim.projected_counts(norms.euclidean(), cloud, normals, scales)
     return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
 
-print(faults(10), faults(130))
+for cloud in (fractals.cantor_product(1.0 / 3.0, 8), fractals.four_corner(8)):
+    print(faults(cloud, 10), faults(cloud, 130))
 """
 
 
@@ -278,9 +296,11 @@ print(faults(10), faults(130))
                     reason="reads minor page faults from Linux getrusage")
 def test_projected_counts_page_faults_flat_in_normals():
     # each direction must reuse the sweep's buffers: fresh cloud-sized
-    # arrays per direction fault in about 350 pages each
-    few, many = _fault_counts(_FAULT_PROBE)
-    assert (many - few) / 120 < 16, (few, many)
+    # arrays per direction fault in about 350 pages each, and four-corner's
+    # run ends (up to 11k bins) would each be a fresh mapping
+    counts = _fault_counts(_FAULT_PROBE)
+    for few, many in zip(counts[::2], counts[1::2]):
+        assert (many - few) / 120 < 16, counts
 
 
 # Minor page faults of estimate_dim over a ladder of 4 and then of 7 scales

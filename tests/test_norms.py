@@ -463,6 +463,15 @@ def test_zero_and_non_finite_rows(kind, ce_norm):
             fn(model, [[1.0, 2.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="spans no ray"):
         HyperplaneNormal([0.0, 0.0])
+    # nor does a vector with an infinite or NaN coordinate
+    for bad in ([np.inf, 1.0], [np.nan, 1.0]):
+        for fn in (norms.gauss_map, norms.norm_gradient, norms.inverse_gauss, norms.sphere_point):
+            with pytest.raises(ValueError, match="spans no ray"):
+                fn(model, bad)
+            with pytest.raises(ValueError, match="spans no ray"):
+                fn(model, [[1.0, 2.0], bad])
+        with pytest.raises(ValueError, match="spans no ray"):
+            HyperplaneNormal(bad)
     # the norm is defined there, and an infinite coordinate keeps it infinite
     assert norms.eval_norm(model, [0.0, 0.0]) == 0.0
     assert norms.eval_norm(model, [np.inf, 1.0]) == np.inf
