@@ -14,18 +14,17 @@ once per scale, and the number of occupied cells is one more than the
 number of changes between neighbours.  A key is built one contiguous
 coordinate column at a time, in buffers shared by every scale of a ladder.
 
-A line shadow is counted without sorting.  One floor pass at the finest
-scale scatters the unsorted coordinates into a table of their bins that
-keeps each bin's smallest and largest point.  Because x -> floor(x / delta)
-is monotone for delta > 0, the finest count is the number of occupied
-bins, and the bins' extremes form one sorted sequence.  Each coarser scale
-counts the changes of its bins along the first and last points of the runs
-of the next finer scale; ``_bin_counts`` gives the argument why that is
-exact while consecutive scales are not nearly equal.  A shadow whose finest
-bins span more indices than it has points, or whose scales fail that test,
-is sorted instead.  A sweep over many directions allocates its shadow,
-table and scratch buffers once and refills them for each direction, so
-counting a direction allocates no cloud-sized array.
+A line shadow is counted without sorting where that is provably exact.
+Its coordinates are floored once at the finest scale and their bins marked
+in a bool table; the finest count is the number of marked bins, and a
+coarser scale that is an integer multiple R of the finest counts the
+distinct k // R over the marked bins k in order.  ``_nested_counts`` states
+when this equals the count of floor(x / delta) as numpy rounds it: the
+scales are nested, and no quotient lies within a few roundings of a bin
+edge.  A shadow that fails either test, or whose finest bins span more
+than eight table slots per point, is sorted instead.  A sweep over many
+directions allocates its shadow and scratch buffers once and refills them
+for each direction, so counting a direction allocates no cloud-sized array.
 """
 
 from dataclasses import dataclass
@@ -76,32 +75,12 @@ def _distinct_sorted(ordered, steps=None):
 
 def _workspace(size):
     """Scratch for ``_bin_counts`` over ``size`` coordinates: two float
-    buffers of twice that length and a slot table of that length.
+    rows of that length, in one ``np.empty`` block.
 
-    ``np.empty`` maps them lazily, so only the slots a count touches become
-    resident; a caller that counts many shadows allocates this once and
-    may write each shadow into the head of the first buffer.
+    Only the pages a count touches become resident; a caller that counts
+    many shadows allocates this once.
     """
-    return np.empty(2 * size), np.empty(2 * size), np.empty(size)
-
-
-def _finest_bins(coords, order):
-    """First index and number of the finest scale's bins, if the cascade of
-    ``_bin_counts`` counts ``coords`` exactly at the ascending ``order``:
-    the bins span at most as many indices as there are points, and every
-    pair of consecutive scales meets delta' + 4 eps M < delta.  Else None.
-    """
-    if not (coords.size and order and order[0] > 0.0):
-        return None
-    lo_x, hi_x = float(coords.min()), float(coords.max())
-    first = float(np.floor(lo_x / order[0]))
-    span = float(np.floor(hi_x / order[0])) - first + 1.0
-    if not span <= coords.size:   # also where an extreme is inf or NaN
-        return None
-    slack = 4.0 * _EPS * max(-lo_x, hi_x)    # 4 eps M
-    if all((prev + slack) * (1.0 + 4.0 * _EPS) < delta for prev, delta in zip(order, order[1:])):
-        return first, int(span)
-    return None
+    return np.empty((2, size))
 
 
 def _bin_counts(coords, scales, work=None):
@@ -109,99 +88,90 @@ def _bin_counts(coords, scales, work=None):
 
     The count is the number of distinct floor(x / delta), the float
     quotient floored as numpy rounds it.  ``coords`` is clobbered, so
-    callers pass a buffer they own; ``work`` is a ``_workspace`` of its
-    length, allocated here unless the caller passes it.
-
-    One floor pass at the finest scale delta_f scatters the unsorted
-    coordinates into a table with one slot per bin index between the
-    smallest and the largest, keeping each occupied slot's smallest and
-    largest point (``np.minimum.at``, ``np.maximum.at``).  Why that is exact:
-
-    * floor(fl(x / delta)) is non-decreasing in x, so the finest count is
-      the number of occupied slots, and the slot pairs lo_k <= hi_k <
-      lo_{k+1} interleave into one sorted sequence of kept points.
-    * Each coarser scale delta, in ascending order, is counted over the
-      points kept at the next finer scale delta', and keeps for the next
-      one only the first and last point of each of its runs.  A point not
-      kept lies between two adjacent kept points, and that interval is no
-      wider than delta' + 2 eps M, with eps = 2**-53 and M = max |x|: two
-      points with one floor at delta' are less than delta' + 2 eps M
-      apart, and an interval that joins two runs of delta' joined two
-      adjacent kept points of a finer scale already, or holds no point.
-    * So if delta' + 4 eps M < delta, the floors at delta of the two kept
-      ends differ by at most one, and every hidden point, lying between
-      them, takes a value a kept point takes: the count is one more than
-      the number of changes along the kept sequence.
-
-    The condition is checked for each consecutive pair of distinct scales
-    (with a margin for the rounding of the check itself); a duplicated
-    scale reuses its twin's count.  A set of coordinates whose finest bins
-    span more indices than it has points, or whose scales fail the
-    condition (near-equal scales, or huge |x| / delta), is sorted instead:
-    then each scale's bins are sorted too, and their changes are counted
-    over all points.  Counts are equal either way; only the cost differs.
+    callers pass a buffer they own; ``work`` holds two float rows of its
+    length (a ``_workspace``), allocated here unless the caller passes it.
+    A duplicated scale reuses its twin's count.  ``_nested_counts`` counts
+    without sorting where it can prove its counts exact, and returns None
+    where it cannot; then the coordinates are sorted, and each scale's
+    bins, sorted too, are counted by their changes over all points.  Counts
+    are equal either way; only the cost differs.
     """
     order = sorted({float(d) for d in scales})
     work = _workspace(coords.size) if work is None else work
-    finest = _finest_bins(coords, order)
-    if finest is None:
+    found = _nested_counts(coords, order, work)
+    if found is None:
         found = _sorted_counts(coords, order, work)
-    else:
-        found = _cascade_counts(coords, order, *finest, work)
     counts = dict(zip(order, found))
     return [counts[float(d)] for d in scales]
 
 
-def _cascade_counts(coords, order, first, width, work):
-    """Counts at the ascending scales ``order`` by the scatter and cascade of
-    ``_bin_counts``; the finest bins are first, ..., first + width - 1."""
-    size = coords.size
-    a, b, table = work
-    floors = b[:size]
-    np.floor(np.divide(coords, order[0], out=floors), out=floors)
-    np.subtract(floors, first, out=floors)      # exact: 0 <= value < size
+def _nested_counts(coords, order, work):
+    """Counts at the ascending scales ``order`` from one table of the
+    finest scale's bins, or None where that is not provably exact.
+
+    With delta_f = order[0], each coordinate's quotient q = fl(x / delta_f)
+    is floored once to its bin k, and the bins are marked in a bool table
+    spanning the finest bin indices, held in the bytes of the quotient
+    buffer (8 slots per coordinate).  The finest count is the number of
+    marked slots; a coarser scale delta, with R = round(delta / delta_f),
+    counts the distinct k // R over the marked bins in order.  With
+    eps = 2**-53 and M = max |x|, that equals the distinct floor(fl(x /
+    delta)) when two tests hold:
+
+    * nesting: R >= 2 and |delta - R delta_f| <= 4 eps delta, checked as
+      |delta - fl(R delta_f)| <= 2 eps delta, which implies it;
+    * distance from the bin edges: every q has q - floor(q) in [tau, 1 -
+      tau], tau = 16 eps (M / delta_f + 1).
+
+    Then fl(x / delta) = (q / R)(1 + theta) with |theta| <= 7 eps, so it
+    lies within 7 eps |q| / R < tau / R of q / R, while q / R lies at least
+    tau / R inside the cell [k // R, k // R + 1): floor(fl(x / delta)) =
+    k // R.  A shadow that fails either test, or whose finest bins span
+    more slots than the table holds, returns None.
+    """
+    size, fine = coords.size, order[0]
+    if not (size and fine > 0.0 and order[-1] / fine < 2.0**52):
+        return None
+    ratios = [round(d / fine) for d in order[1:]]
+    if any(r < 2 or abs(d - r * fine) > 2.0 * _EPS * d for r, d in zip(ratios, order[1:])):
+        return None
+    lo, hi = float(coords.min()), float(coords.max())
+    first = float(np.floor(lo / fine))
+    span = float(np.floor(hi / fine)) - first + 1.0
+    if not span <= 8 * size:   # also where an extreme is inf or NaN
+        return None
+    quotient, floors = work
+    np.divide(coords, fine, out=quotient)
+    np.floor(quotient, out=floors)
+    if ratios:
+        tau = 16.0 * _EPS * (max(-lo, hi) / fine + 1.0)
+        # exact but for -1 < q < 0, where the rounding (<= eps) is within
+        # the margin: 7 eps |q| < tau - eps
+        np.subtract(quotient, floors, out=quotient)
+        if not (quotient.min() >= tau and quotient.max() <= 1.0 - tau):
+            return None
+    np.subtract(floors, first, out=floors)      # exact: 0 <= value < span
     slot = floors.view(np.int64)
     np.copyto(slot, floors, casting="unsafe")  # in place, unbuffered
-    ends = table[:width]
-    ends.fill(np.inf)
-    np.minimum.at(ends, slot, coords)
-    lows = b[size:size + width]
-    np.copyto(lows, ends)
-    ends.fill(-np.inf)
-    np.maximum.at(ends, slot, coords)
-    # coords and slots are dead: the kept points now alternate between b
-    # and a.  The slots are in range, and mode="clip" lets take write its
-    # output unbuffered.
-    occupied = np.flatnonzero(ends > -np.inf)
-    runs = occupied.size
-    np.take(lows, occupied, out=a[:runs], mode="clip")
-    np.take(ends, occupied, out=a[runs:2 * runs], mode="clip")
-    kept, spare, length = b, a, 2 * runs
-    kept[0:length:2] = a[:runs]
-    kept[1:length:2] = a[runs:length]
-    counts = [runs]
-    flags = table.view(bool)
-    for delta in order[1:]:
-        f = spare[:length]
-        np.floor(np.divide(kept[:length], delta, out=f), out=f)
-        change = np.not_equal(f[1:], f[:-1], out=flags[:length - 1])
-        counts.append(1 + int(np.count_nonzero(change)))
-        keep = flags[length:2 * length]   # first and last point of each run
-        keep[:-1] = change
-        keep[-1] = True
-        keep[1:] |= change
-        keep[0] = True
-        runs = int(np.count_nonzero(keep))
-        np.compress(keep, kept[:length], out=spare[:runs])
-        kept, spare, length = spare, kept, runs
-    return counts
+    seen = quotient.view(bool)[:int(span)]
+    seen.fill(False)
+    seen[slot] = True
+    bins = np.flatnonzero(seen)
+    if not ratios:
+        return [bins.size]
+    bins += int(first)   # tau <= 1/2 bounds |first| by 2**48 + 1
+    # the table and the slots are dead: coarse bins go to the slots' bytes
+    # and their change flags to the table's
+    coarse, steps = slot[:bins.size], seen[:bins.size - 1]
+    return [bins.size] + [
+        _distinct_sorted(np.floor_divide(bins, r, out=coarse), steps) for r in ratios]
 
 
 def _sorted_counts(coords, order, work):
     """Counts at the scales ``order`` over all of ``coords``, sorted in
     place: the bins of sorted coordinates are sorted too."""
     coords.sort()
-    bins, steps = work[1][:coords.size], work[2].view(bool)[:max(coords.size - 1, 0)]
+    bins, steps = work[0], work[1].view(bool)[:max(coords.size - 1, 0)]
     counts = []
     for delta in order:
         np.floor(np.divide(coords, delta, out=bins), out=bins)
@@ -266,17 +236,27 @@ def admissible_scales(cloud):
 
 
 def fit_loglog(scales, counts):
-    """Least-squares slope of log N against log delta, without refusal."""
+    """Least-squares slope of log N against log delta, without refusal.
+
+    ``counts`` holds one count per scale along its last axis.  A stack of
+    rows is fitted in one closed-form pass; ``slope`` and ``r2`` are then
+    arrays over its leading axes, and floats for a single row.
+    """
     scales = np.asarray(scales, dtype=float)
     counts = np.asarray(counts, dtype=float)
     xs = np.log(scales)
+    dx = xs - xs.mean()
     ys = np.log(counts)
-    coeffs = np.polyfit(xs, ys, 1)
-    fitted = np.polyval(coeffs, xs)
-    ss_res = float(np.sum((ys - fitted) ** 2))
-    ss_tot = float(np.sum((ys - ys.mean()) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return DimensionEstimate(scales=scales, counts=counts.astype(int), slope=float(-coeffs[0]), r2=r2)
+    dy = ys - ys.mean(axis=-1, keepdims=True)
+    beta = np.sum(dy * dx, axis=-1) / np.sum(dx * dx)
+    ss_res = np.sum((dy - beta[..., None] * dx) ** 2, axis=-1)
+    ss_tot = np.sum(dy * dy, axis=-1)
+    flat = ss_tot == 0.0
+    r2 = np.where(flat, 1.0, np.maximum(0.0, 1.0 - ss_res / np.where(flat, 1.0, ss_tot)))
+    slope = -beta
+    if counts.ndim == 1:
+        slope, r2 = float(slope), float(r2)
+    return DimensionEstimate(scales=scales, counts=counts.astype(int), slope=slope, r2=r2)
 
 
 def estimate_dim(cloud, scales=None):
@@ -331,8 +311,8 @@ def projected_counts(norm, cloud, normals, scales):
     if cloud.dim != 2:
         raise ValueError("projected_counts expects a planar cloud")
     _check_resolved(cloud, scales)
+    shadow = np.empty(len(cloud.points))
     work = _workspace(len(cloud.points))
-    shadow = work[0][:len(cloud.points)]
     out = []
     for w in normals:
         np.matmul(cloud.points, _shadow_functional(norm, w), out=shadow)
@@ -353,7 +333,9 @@ def projector_counts(projector, cloud, scales):
         cand = projector.matrix @ probe
         if np.linalg.norm(cand) > 1e-9:
             direction = norms.canonicalize_direction(cand / np.linalg.norm(cand))
-            return _bin_counts(projector.apply(cloud.points) @ direction, scales)
+            image = projector.apply(cloud.points)
+            # the image is dead once its shadow is read: its bytes are the workspace
+            return _bin_counts(image @ direction, scales, image.reshape(2, -1))
     return [1] * len(scales)
 
 

@@ -184,14 +184,16 @@ def _build_cloud(args):
     raise ValidationError(f"unknown set kind {kind!r}")
 
 
-def _scales_from(args):
+def _scales_from(args, refuse_fine=False):
     """The cloud of ``args`` and its box sizes.
 
     ``--scales LO:HI`` gives base^-k for k = LO..HI; a range of fewer than
-    ``boxdim.MIN_SCALES`` scales is refused before the cloud is built.
-    Without it the cloud's admissible scales are used.
+    ``boxdim.MIN_SCALES`` scales is refused before the cloud is built.  The
+    scales are built only down to the finest one admissible for the cloud,
+    twice its resolution: a finer HI is refused where ``refuse_fine``, and
+    the range is cut there otherwise, as ``boxdim.estimate_dim`` would drop
+    those scales.  Without it the cloud's admissible scales are used.
     """
-    exponents = None
     if args.scales:
         try:
             lo, hi = (int(v) for v in args.scales.split(":"))
@@ -199,11 +201,23 @@ def _scales_from(args):
             raise ValidationError("--scales expects LO:HI exponents") from exc
         if hi - lo + 1 < boxdim.MIN_SCALES:
             raise ValidationError(f"--scales must hold at least {boxdim.MIN_SCALES} scales")
-        exponents = range(lo, hi + 1)
     cloud = _build_cloud(args)
-    if exponents is None:
+    if not args.scales:
         return cloud, boxdim.admissible_scales(cloud)
-    return cloud, [float(cloud.base) ** (-k) for k in exponents]
+    scales = []
+    for k in range(lo, hi + 1):
+        try:
+            delta = float(cloud.base) ** (-k)
+        except OverflowError as exc:
+            raise ValidationError(f"--scales: {cloud.base}^{-k} overflows") from exc
+        if delta < 2.0 * cloud.resolution:
+            if refuse_fine:
+                raise ValidationError(
+                    f"--scales: {cloud.base}^-{hi} is below twice the cloud resolution "
+                    f"{cloud.resolution:g}")
+            break
+        scales.append(delta)
+    return cloud, scales
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +342,14 @@ def _cmd_sweep(args):
     if args.set == "triadic":
         raise ValidationError("sweep needs a planar --set; triadic is a set on the line")
     model = _build_norm(args)
-    cloud, scales = _scales_from(args)
+    cloud, scales = _scales_from(args, refuse_fine=True)
     grid = sweep.DirectionGrid(args.directions)
     profile = sweep.dim_profile(model, cloud, grid, scales,
                                 threshold=args.threshold)
     out = Path(args.out)
     rows = [
-        (float(a), float(e.slope), float(e.r2), int(flag))
-        for a, e, flag in zip(grid.angles, profile.estimates, profile.flagged)
+        (float(a), float(slope), float(r2), int(flag))
+        for a, slope, r2, flag in zip(grid.angles, profile.slopes, profile.r2, profile.flagged)
     ]
     _write_csv(out.with_suffix(".csv"), "angle,slope,r2,flagged", rows)
     _write_json(out.with_suffix(".json"), {

@@ -37,16 +37,13 @@ class DirectionGrid:
 
 @dataclass(frozen=True)
 class ExceptionalProfile:
-    """Per-direction dimension estimates with a flagged exceptional set."""
+    """Per-direction fitted slopes and fit qualities with a flagged exceptional set."""
 
     grid: DirectionGrid
-    estimates: tuple          # DimensionEstimate per direction
+    slopes: np.ndarray
+    r2: np.ndarray
     threshold: float
     flagged: np.ndarray
-
-    @property
-    def slopes(self):
-        return np.array([e.slope for e in self.estimates])
 
     @property
     def flagged_measure(self):
@@ -69,13 +66,9 @@ def dim_profile(norm, cloud, grid, scales, threshold=None):
         threshold = min(1.0, full.slope) - 0.1
 
     normals = [HyperplaneNormal.from_angle(angle) for angle in grid.angles]
-    counts = boxdim.projected_counts(norm, cloud, normals, scales)
-    estimates = [boxdim.fit_loglog(scales, c) for c in counts]
-    slopes = np.array([e.slope for e in estimates])
-    flagged = slopes < threshold
-    return ExceptionalProfile(
-        grid=grid, estimates=tuple(estimates), threshold=float(threshold), flagged=flagged
-    )
+    fit = boxdim.fit_loglog(scales, boxdim.projected_counts(norm, cloud, normals, scales))
+    return ExceptionalProfile(grid=grid, slopes=fit.slope, r2=fit.r2,
+                              threshold=float(threshold), flagged=fit.slope < threshold)
 
 
 def gauss_pushforward_measure(norm, K, level):

@@ -94,6 +94,27 @@ def test_estimate_constant_counts_single_point():
     assert est.r2 == 1.0
 
 
+def test_fit_loglog_stack_matches_polyfit_rows(rng):
+    # one closed-form pass over a stack of rows; np.polyfit per row is the
+    # reference, equal up to the rounding of a different summation order
+    scales = [3.0**-k for k in range(2, 8)]
+    counts = np.cumprod(rng.integers(1, 5, size=(40, 6)), axis=1)
+    counts[0] = 7   # constant counts: slope 0, r2 1
+    fit = boxdim.fit_loglog(scales, counts)
+    assert fit.slope.shape == fit.r2.shape == (40,)
+    xs = np.log(scales)
+    for row, slope, r2 in zip(counts, fit.slope, fit.r2, strict=True):
+        one = boxdim.fit_loglog(scales, row)
+        assert (one.slope, one.r2) == (slope, r2)
+        ys = np.log(row)
+        coeffs = np.polyfit(xs, ys, 1)
+        ss_res = np.sum((ys - np.polyval(coeffs, xs)) ** 2)
+        ss_tot = np.sum((ys - ys.mean()) ** 2)
+        assert slope == pytest.approx(-coeffs[0], abs=1e-12)
+        assert r2 == pytest.approx(1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot), abs=1e-12)
+    assert (fit.slope[0], fit.r2[0]) == (0.0, 1.0)
+
+
 # -- shadows -----------------------------------------------------------------
 
 def test_projected_counts_triadic_shadow():
@@ -158,6 +179,17 @@ def test_bin_counts_equal_unique_oracle(rng):
         coords = offset + rng.uniform(0.0, 50.0, 4000)
         scales = [1.0, 1.000001, 3.0]
         assert boxdim._bin_counts(coords.copy(), scales) == [_unique_bins(coords, d) for d in scales], offset
+
+
+def test_bin_counts_point_just_below_a_finer_bin_edge():
+    # x / 3^-7 rounds to just below 51, so the finest bin is 50 and 50 // 3
+    # is 16, while x / 3^-6 is exactly 17: counting 3^-6 from the bins of
+    # 3^-7 is wrong here, and the distance-from-edge test must refuse it
+    x = 17 * 3.0**-6
+    assert np.floor(x / 3.0**-7) // 3 == 16 and np.floor(x / 3.0**-6) == 17
+    coords = np.array([x, 16.5 * 3.0**-6])   # finest bins 49 and 50 fit the table
+    scales = [3.0**-k for k in range(2, 8)]
+    assert boxdim._bin_counts(coords.copy(), scales) == [_unique_bins(coords, d) for d in scales]
 
 
 def _unique_cells(points, delta):
@@ -233,6 +265,30 @@ def test_projected_counts_norm_sweeps_equal_unique_oracle(ce_norm):
         _assert_counts_match_unique_oracle(model, cloud, _sweep_normals(36), scales)
 
 
+def test_shadow_table_sorts_only_where_points_sit_on_bin_edges(monkeypatch):
+    # every normal of a 36-direction grid but the diagonal (index 9, whose
+    # shadows put points on the bin edge 0) is counted from the bin table,
+    # also on cantor-product r = 0.2, whose finest bins outnumber its points
+    sorted_calls = []
+
+    def counting(coords, order, work):
+        sorted_calls.append(True)
+        return sorted_counts(coords, order, work)
+
+    sorted_counts = boxdim._sorted_counts
+    monkeypatch.setattr(boxdim, "_sorted_counts", counting)
+    clouds = (fractals.cantor_product(1.0 / 3.0, 8), fractals.four_corner(8), fractals.cantor_product(0.2, 8))
+    for cloud in clouds:
+        scales = [float(cloud.base) ** -k for k in range(2, 8)]
+        sorted_at = []
+        for index, w in enumerate(_sweep_normals(36)):
+            sorted_calls.clear()
+            boxdim.projected_counts(norms.euclidean(), cloud, [w], scales)
+            if sorted_calls:
+                sorted_at.append(index)
+        assert sorted_at == [9], cloud.label
+
+
 def test_counting_leaves_cloud_points_untouched():
     plane = fractals.cantor_product(1.0 / 3.0, 6)
     line = replace(fractals.triadic_cloud(8), points=np.linspace(0.9, -0.1, 3**8 + 1))
@@ -256,9 +312,9 @@ def test_dim_profile_default_threshold_same_estimates():
     computed = sweep.dim_profile(norms.euclidean(), cloud, grid, scales)
     passed = sweep.dim_profile(norms.euclidean(), cloud, grid, scales, threshold=computed.threshold)
     assert passed.threshold == computed.threshold
-    for a, b in zip(computed.estimates, passed.estimates, strict=True):
-        assert np.array_equal(a.counts, b.counts)
-        assert (a.slope, a.r2) == (b.slope, b.r2)
+    assert computed.slopes.shape == computed.r2.shape == (36,)
+    assert np.array_equal(computed.slopes, passed.slopes)
+    assert np.array_equal(computed.r2, passed.r2)
     assert np.array_equal(computed.flagged, passed.flagged)
 
 

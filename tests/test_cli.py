@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -287,6 +288,30 @@ def test_validation_errors_exit_2(tmp_path):
         assert run(["norm-info", "--norm", "support-table", "--table", str(tables / f"{name}.csv"),
                     "--out", str(table_out / "info.json")]) == 2, name
         assert not list(table_out.iterdir()), name
+
+
+def test_scales_bounded_before_allocating(tmp_path):
+    # a sweep scale finer than twice the cloud resolution is a bad --scales,
+    # refused before a scale per exponent is built
+    out = tmp_path / "sw"
+    tracemalloc.start()
+    try:
+        code = run(["sweep", "--scales", "2:1000000", "--gen", "5", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert peak < 1 << 20, peak
+    assert not list(tmp_path.iterdir())
+    # so is a scale that overflows a float
+    assert run(["dim", "--scales=-2000000000:5", "--out", str(out)]) == 2
+    assert run(["sweep", "--scales=-700:5", "--gen", "5", "--out", str(out)]) == 2
+    # dim drops the scales below that floor: a range reaching far past it
+    # reads as the cloud's admissible ladder
+    for name, extra in (("far", ["--scales", "1:1000000"]), ("default", [])):
+        assert run(["dim", "--gen", "8", *extra, "--out", str(tmp_path / name)]) == 0
+    for suffix in (".csv", ".json"):
+        assert (tmp_path / ("far" + suffix)).read_bytes() == (tmp_path / ("default" + suffix)).read_bytes()
 
 
 def test_inputs_foreign_to_the_output_exit_2(tmp_path):
