@@ -304,8 +304,8 @@ def projected_counts(norm, cloud, normals, scales):
     """Occupied delta-bins of the cloud's shadow on w-perp, for each w in ``normals``.
 
     Returns one list per normal, in order, holding one count per scale in
-    the order given.  The shadow, table and scratch buffers are allocated
-    once and refilled for every normal; fresh cloud-sized arrays per
+    the order given.  The shadow and scratch buffers are allocated once
+    and refilled for every normal; fresh cloud-sized arrays per
     direction would each be a new mapping whose pages fault in.
     """
     if cloud.dim != 2:

@@ -270,12 +270,12 @@ def test_shadow_table_sorts_only_where_points_sit_on_bin_edges(monkeypatch):
     # shadows put points on the bin edge 0) is counted from the bin table,
     # also on cantor-product r = 0.2, whose finest bins outnumber its points
     sorted_calls = []
+    sorted_counts = boxdim._sorted_counts
 
     def counting(coords, order, work):
         sorted_calls.append(True)
         return sorted_counts(coords, order, work)
 
-    sorted_counts = boxdim._sorted_counts
     monkeypatch.setattr(boxdim, "_sorted_counts", counting)
     clouds = (fractals.cantor_product(1.0 / 3.0, 8), fractals.four_corner(8), fractals.cantor_product(0.2, 8))
     for cloud in clouds:
