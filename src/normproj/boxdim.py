@@ -159,12 +159,17 @@ def _nested_counts(coords, order, work):
     bins = np.flatnonzero(seen)
     if not ratios:
         return [bins.size]
-    bins += int(first)   # tau <= 1/2 bounds |first| by 2**48 + 1
-    # the table and the slots are dead: coarse bins go to the slots' bytes
-    # and their change flags to the table's
-    coarse, steps = slot[:bins.size], seen[:bins.size - 1]
-    return [bins.size] + [
-        _distinct_sorted(np.floor_divide(bins, r, out=coarse), steps) for r in ratios]
+    # the table and the slots are dead, and so are the bin indices once
+    # shifted: tau <= 1/2 bounds |k| by 2**49, so k and floor(fl(k / R)) =
+    # k // R are exact in floats
+    fine_bins, coarse = floors[:bins.size], quotient[:bins.size]
+    np.add(bins, first, out=fine_bins)
+    steps = bins.view(bool)[:bins.size - 1]
+    counts = [bins.size]
+    for r in ratios:
+        np.floor(np.divide(fine_bins, r, out=coarse), out=coarse)
+        counts.append(_distinct_sorted(coarse, steps))
+    return counts
 
 
 def _sorted_counts(coords, order, work):
