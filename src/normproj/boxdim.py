@@ -47,7 +47,11 @@ _EPS = 2.0**-53   # unit roundoff of float64
 
 @dataclass(frozen=True)
 class DimensionEstimate:
-    """Scales, counts and the fitted log-log slope with its quality."""
+    """Scales, counts and the fitted log-log slope with its quality.
+
+    ``fit_loglog`` of a stack of count rows gives arrays of slopes and
+    qualities over the stack's leading axes.
+    """
 
     scales: np.ndarray
     counts: np.ndarray
