@@ -23,10 +23,15 @@ when this equals the count of floor(x / delta) as numpy rounds it: the
 scales are nested, and no quotient lies within a few roundings of a bin
 edge.  A shadow that fails either test, or whose finest bins span more
 than eight table slots per point, is sorted instead.  A sweep over many
-directions allocates its shadow and scratch buffers once and refills them
-for each direction, so counting a direction allocates no cloud-sized array.
+directions counts them on one worker thread per CPU the process may use,
+with one set of buffers per worker thread (a shadow and its scratch),
+refilled for each of the worker's directions, so counting a direction
+allocates no cloud-sized array.
 """
 
+import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +86,7 @@ def _workspace(size):
     """Scratch for ``_bin_counts`` over ``size`` coordinates: two float
     rows of that length, in one ``np.empty`` block.
 
-    Only the pages a count touches become resident; a caller that counts
+    Only the pages a count touches become resident; a thread that counts
     many shadows allocates this once.
     """
     return np.empty((2, size))
@@ -115,7 +120,7 @@ def _nested_counts(coords, order, work):
 
     With delta_f = order[0], each coordinate's quotient q = fl(x / delta_f)
     is floored once to its bin k, and the bins are marked in a bool table
-    spanning the finest bin indices, held in the bytes of the quotient
+    spanning the finest bin indices, held in the bytes of the floor
     buffer (8 slots per coordinate).  The finest count is the number of
     marked slots; a coarser scale delta, with R = round(delta / delta_f),
     counts the distinct k // R over the marked bins in order.  With
@@ -154,10 +159,11 @@ def _nested_counts(coords, order, work):
         np.subtract(quotient, floors, out=quotient)
         if not (quotient.min() >= tau and quotient.max() <= 1.0 - tau):
             return None
-    np.subtract(floors, first, out=floors)      # exact: 0 <= value < span
-    slot = floors.view(np.int64)
-    np.copyto(slot, floors, casting="unsafe")  # in place, unbuffered
-    seen = quotient.view(bool)[:int(span)]
+    # the quotients are dead: their bytes take the slots, exact as
+    # 0 <= value < span, and the floors' bytes the table
+    slot = quotient.view(np.int64)
+    np.subtract(floors, first, out=slot, casting="unsafe")
+    seen = floors.view(bool)[:int(span)]
     seen.fill(False)
     seen[slot] = True
     bins = np.flatnonzero(seen)
@@ -195,17 +201,24 @@ def _occupied_counts(points, scales):
     key, one contiguous column at a time; the key is sorted and its changes
     counted.  The column, key and change buffers are allocated once and
     refilled for every scale: fresh cloud-sized arrays per scale would each
-    be a new mapping whose pages fault in.
+    be a new mapping whose pages fault in.  A scale whose key could wrap
+    is counted by ``_lexsorted_count`` instead.
     """
     if points.shape[1] == 1:
         return _bin_counts(points[:, 0].copy(), scales)
     size = len(points)
+    # per column: numpy reduces an (n, 2) array over axis 0 ~10x slower
+    columns = [points[:, j] for j in range(points.shape[1])]
+    lo, hi = [c.min() for c in columns], [c.max() for c in columns]
     cell = np.empty(size)
     col = np.empty(size, dtype=np.int64)
     key = np.empty(size, dtype=np.int64)
     steps = np.empty(max(size - 1, 0), dtype=bool)
     counts = []
     for delta in scales:
+        if not _key_fits(lo, hi, delta):
+            counts.append(_lexsorted_count(points, delta))
+            continue
         for j in range(points.shape[1]):
             np.floor(np.divide(points[:, j], delta, out=cell), out=cell)
             dest = col if j else key
@@ -217,6 +230,28 @@ def _occupied_counts(points, scales):
         key.sort()
         counts.append(_distinct_sorted(key, steps))
     return counts
+
+
+def _key_fits(lo, hi, delta):
+    """Whether the cells of points within [lo, hi] at scale delta take an
+    int64 key: every cell index, and the product over the columns of the
+    index spans (max shifted index + 1), lie below 2**63, in Python ints.
+
+    floor(fl(x / delta)) is monotone in x, so the extremes of the points
+    give the extremes of their cell indices.
+    """
+    lows = [math.floor(float(a) / delta) for a in lo]
+    highs = [math.floor(float(b) / delta) for b in hi]
+    spans = math.prod(b - a + 1 for a, b in zip(lows, highs))
+    return -2**63 < min(lows) and max(highs) < 2**63 and spans < 2**63
+
+
+def _lexsorted_count(points, delta):
+    """Occupied cells of the grid delta * Z^n from the float cell
+    coordinates, which cannot wrap: rows in lexsort order, and their changes."""
+    cells = np.floor(points / delta)
+    cells = cells[np.lexsort(cells.T)]
+    return int(len(cells) > 0) + int(np.count_nonzero(np.any(cells[1:] != cells[:-1], axis=1)))
 
 
 def _check_resolved(cloud, scales):
@@ -309,23 +344,56 @@ def _shadow_functional(norm, w):
     return v - (float(np.dot(u, v)) / float(np.dot(u, w.w))) * w.w
 
 
+def _worker_count():
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def projected_counts(norm, cloud, normals, scales):
     """Occupied delta-bins of the cloud's shadow on w-perp, for each w in ``normals``.
 
     Returns one list per normal, in order, holding one count per scale in
-    the order given.  The shadow and scratch buffers are allocated once
-    and refilled for every normal; fresh cloud-sized arrays per
-    direction would each be a new mapping whose pages fault in.
+    the order given.  The shadow functionals are computed on the calling
+    thread; the directions are then counted on one worker thread per CPU
+    the process may use (at most one per normal), worker k taking the
+    normals i = k mod W.  Each worker allocates one set of buffers (a
+    shadow and a ``_workspace``) and refills it for each of its normals;
+    fresh cloud-sized arrays per direction would each be a new mapping
+    whose pages fault in.  An exception in a worker stops the others and
+    is raised here once all have ended.
     """
     if cloud.dim != 2:
         raise ValueError("projected_counts expects a planar cloud")
     _check_resolved(cloud, scales)
-    shadow = np.empty(len(cloud.points))
-    work = _workspace(len(cloud.points))
-    out = []
-    for w in normals:
-        np.matmul(cloud.points, _shadow_functional(norm, w), out=shadow)
-        out.append(_bin_counts(shadow, scales, work))
+    # inverse_gauss fills the norm's memo, which is not shared safely
+    functionals = [_shadow_functional(norm, w) for w in normals]
+    out = [None] * len(functionals)
+    workers = max(1, min(_worker_count(), len(functionals)))
+    errors = []
+
+    def count(k):
+        try:
+            shadow = np.empty(len(cloud.points))
+            work = _workspace(len(cloud.points))
+            for i in range(k, len(functionals), workers):
+                if errors:
+                    return
+                np.matmul(cloud.points, functionals[i], out=shadow)
+                out[i] = _bin_counts(shadow, scales, work)
+        except BaseException as exc:   # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=count, args=(k,)) for k in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    count(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     return out
 
 

@@ -362,7 +362,7 @@ def inner_product(Q):
     eig = np.linalg.eigvalsh(Q)
     if eig[0] <= 1e-12 * max(1.0, eig[-1]):
         raise NotStrictlyConvex("Q must be positive-definite")
-    Q = 0.5 * (Q + Q.T)
+    Q = 0.5 * Q + 0.5 * Q.T   # (Q + Q.T) / 2 overflows where Q is near the float maximum
     Q.flags.writeable = False
     return NormModel(kind="inner_product", Q=Q)
 

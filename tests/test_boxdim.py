@@ -1,6 +1,8 @@
+import itertools
 import os
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -212,6 +214,30 @@ def test_box_count_equals_unique_oracle():
         assert boxdim.box_count(line, delta) == _unique_bins(line.points[:, 0], delta)
 
 
+def test_box_count_cell_keys_do_not_wrap(monkeypatch):
+    # (max ix + 1)(max iy + 1) = (2^32 + 1) 2^32 passes 2^63: the int64 key
+    # ix (max iy + 1) + iy wrapped and merged the cells (0, 0) and (2^32, 0)
+    far = PointCloud(points=np.array([[0.0, 0.0], [2.0**32, 0.0], [0.0, 2.0**32 - 1.0]]),
+                     generation=0, resolution=0.5, label="far", base=2)
+    assert boxdim.box_count(far, 1.0) == 3
+    cantor7 = fractals.cantor_product(1.0 / 3.0, 7)
+    shifted = replace(cantor7, points=cantor7.points + np.array([-0.6, -2.0]))
+    with monkeypatch.context() as patch:
+        patch.setattr(boxdim, "_key_fits", lambda lo, hi, delta: False)
+        for cloud in (fractals.four_corner(6), shifted):
+            est = boxdim.estimate_dim(cloud)
+            assert list(est.counts) == [_unique_cells(cloud.points, d) for d in est.scales]
+
+    # the benchmark's clouds keep the int64 key at every scale they count
+    def refuse(points, delta):
+        raise AssertionError(f"lexsorted at delta {delta}")
+
+    monkeypatch.setattr(boxdim, "_lexsorted_count", refuse)
+    for cloud in (fractals.cantor_product(1.0 / 3.0, 8), fractals.four_corner(8)):
+        boxdim.estimate_dim(cloud)
+        boxdim.estimate_dim(cloud, [float(cloud.base) ** -k for k in range(2, 8)])
+
+
 def test_shadow_counts_equal_per_scale_oracle(ce_norm):
     cloud = fractals.cantor_product(1.0 / 3.0, 7)
     scales = [3.0**-k for k in (4, 2, 6, 3, 5)]
@@ -287,6 +313,65 @@ def test_shadow_table_sorts_only_where_points_sit_on_bin_edges(monkeypatch):
             if sorted_calls:
                 sorted_at.append(index)
         assert sorted_at == [9], cloud.label
+
+
+@pytest.fixture()
+def three_workers(monkeypatch):
+    # more workers than the machine may have CPUs, switching threads often,
+    # so the threaded path runs and interleaves wherever the tests run
+    monkeypatch.setattr(boxdim, "_worker_count", lambda: 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_projected_counts_workers_equal_one_normal_calls(three_workers, ce_norm):
+    # one call counts its normals on three threads; a call with one normal
+    # counts it on the calling thread
+    normals = _sweep_normals(120)
+    for cloud in (fractals.cantor_product(1.0 / 3.0, 8), fractals.four_corner(8)):
+        scales = [float(cloud.base) ** -k for k in range(2, 8)]
+        for model in (norms.lp(3.0), ce_norm):
+            alone = [boxdim.projected_counts(model, cloud, [w], scales)[0] for w in normals]
+            assert boxdim.projected_counts(model, cloud, normals, scales) == alone, cloud.label
+    assert boxdim.projected_counts(norms.euclidean(), cloud, [], scales) == []
+
+
+def test_projected_counts_worker_error_reaches_caller(three_workers, monkeypatch):
+    calls = itertools.count(1)
+    bin_counts = boxdim._bin_counts
+
+    def failing(coords, scales, work=None):
+        if next(calls) == 7:
+            raise RuntimeError("seventh count")
+        return bin_counts(coords, scales, work)
+
+    monkeypatch.setattr(boxdim, "_bin_counts", failing)
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match="seventh count"):
+        boxdim.projected_counts(norms.euclidean(), fractals.four_corner(6), _sweep_normals(36),
+                                [4.0**-k for k in range(2, 6)])
+    assert set(threading.enumerate()) == before
+
+
+def test_shadow_functionals_on_calling_thread(three_workers, monkeypatch):
+    # inverse_gauss fills the norm's memo, and a tracer wrapped around it
+    # keeps one span stack: neither may be reached from a worker
+    threads = []
+    inverse_gauss = norms.inverse_gauss
+
+    def recording(norm, w):
+        threads.append(threading.current_thread())
+        return inverse_gauss(norm, w)
+
+    monkeypatch.setattr(norms, "inverse_gauss", recording)
+    boxdim.projected_counts(norms.lp(3.0), fractals.four_corner(6), _sweep_normals(36),
+                            [4.0**-k for k in range(2, 6)])
+    assert len(threads) == 36
+    assert set(threads) == {threading.main_thread()}
 
 
 def test_counting_leaves_cloud_points_untouched():

@@ -1,13 +1,15 @@
 import argparse
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from normproj import __version__, checks, cli
+from normproj import __version__, checks, cli, sweep
 
 
 def run(argv):
@@ -49,6 +51,16 @@ def test_project_huge_p_lp_both_methods(tmp_path):
             assert run(["project", "--norm", "lp", "--p", p, "--w", "0.3", "--x", "1,2",
                         "--method", method, "--out", str(out)]) == 0, (p, method)
             assert read_json(out)["defect"] <= 1e-12, (p, method)
+
+
+def test_norm_info_inner_product_near_float_max(tmp_path):
+    # (Q + Q.T) / 2 overflowed to inf, and every sphere point became zero
+    out = tmp_path / "info.json"
+    assert run(["norm-info", "--norm", "inner-product", "--Q", "1e308,0;0,1e308",
+                "--out", str(out)]) == 0
+    data = read_json(out)
+    assert data["gauss"]["monotone"] is True
+    assert data["gauss"]["antipodality_defect"] == 0.0
 
 
 def test_gauss_command(tmp_path):
@@ -356,6 +368,54 @@ def test_set_deterministic_bytes(tmp_path):
     for out in (a, b):
         assert run(["set", "--set", "cantor-product", "--gen", "4", "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_directions_bounded_before_allocating(tmp_path, monkeypatch):
+    out = tmp_path / "sw"
+    for directions in (cli.MAX_DIRECTIONS + 1, 10**15):
+        tracemalloc.start()
+        try:
+            code = run(["sweep", "--directions", str(directions), "--gen", "5", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2, directions
+        assert peak < 1 << 20, (directions, peak)
+    assert not list(tmp_path.iterdir())
+    # the ceiling itself is accepted: the stub stands in for the sweep
+    counts = []
+
+    def stub(norm, cloud, grid, scales, threshold=None):
+        counts.append(grid.count)
+        raise ValueError("stub sweep")
+
+    monkeypatch.setattr(sweep, "dim_profile", stub)
+    assert run(["sweep", "--directions", str(cli.MAX_DIRECTIONS), "--gen", "5", "--out", str(out)]) == 1
+    assert counts == [cli.MAX_DIRECTIONS]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="sets a child's CPU affinity")
+def test_sweep_artifacts_equal_on_one_cpu(tmp_path):
+    # a sweep counts its directions on one thread per CPU the process may
+    # use; a child held to one CPU must write the same bytes
+    cpu = min(os.sched_getaffinity(0))
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    probe = ("import os, sys; from normproj import cli; "
+             "print(len(os.sched_getaffinity(0))); sys.exit(cli.main(sys.argv[1:]))")
+    cpus, blobs = [], []
+    for name, pin in (("all", None), ("one", lambda: os.sched_setaffinity(0, {cpu}))):
+        stem = tmp_path / name
+        proc = subprocess.run([sys.executable, "-c", probe, "sweep", "--norm", "lp", "--p", "1.5",
+                               "--set", "four-corner", "--gen", "6", "--directions", "72",
+                               "--out", str(stem)],
+                              env=env, capture_output=True, text=True, timeout=600, preexec_fn=pin)
+        assert proc.returncode == 0, proc.stderr
+        cpus.append(int(proc.stdout))
+        blobs.append([stem.with_suffix(s).read_bytes() for s in (".csv", ".json")])
+    assert cpus[1] == 1
+    assert blobs[0] == blobs[1]
 
 
 def test_artifacts_identical_under_python_O(tmp_path):
