@@ -12,23 +12,29 @@ upper-bounds Hausdorff dimension; every report carries that caveat.
 A planar cloud's cells are counted by sorting: its cell keys are sorted
 once per scale, and the number of occupied cells is one more than the
 number of changes between neighbours.  A key is built one contiguous
-coordinate column at a time, in buffers shared by every scale of a ladder.
+coordinate column at a time, in buffers shared by every scale of a ladder,
+and is int32 wherever the cells fit it.
 
 A line shadow is counted without sorting where that is provably exact.
-Its coordinates are floored once at the finest scale and their bins marked
-in a bool table; the finest count is the number of marked bins, and a
-coarser scale that is an integer multiple R of the finest counts the
-distinct k // R over the marked bins k in order.  ``_nested_counts`` states
-when this equals the count of floor(x / delta) as numpy rounds it: the
-scales are nested, and no quotient lies within a few roundings of a bin
-edge.  A shadow that fails either test, or whose finest bins span more
-than eight table slots per point, is sorted instead.  A sweep over many
-directions counts them on one worker thread per CPU the process may use,
-with one set of buffers per worker thread (a shadow and its scratch),
-refilled for each of the worker's directions, so counting a direction
-allocates no cloud-sized array.
+Its quotients by the finest scale are floored once and their bins marked
+in a bool table; the finest count is the number of marked slots.  On a
+chained ladder, where each scale is an integer multiple R of the finest
+and each R divides the next, a coarser scale ORs the strided views of the
+previous scale's table and counts the marked slots of the result.
+``_table_counts`` states when this equals the count of floor(x / delta) as
+numpy rounds it: no quotient lies within a few roundings of a bin edge.  A
+sweep computes a shadow's quotients directly, as the cloud times the
+shadow functional over the finest scale, and takes their range from the
+cloud's bounding box.  A shadow whose ladder is not chained, whose finest
+bins span more than eight table slots per point, or which fails the edge
+test, is sorted instead.  A sweep counts its directions on one worker
+thread per CPU the process may use, each taking the next direction from a
+shared counter, with one set of buffers per worker thread, refilled for
+each of its directions, so counting a direction allocates no cloud-sized
+array.
 """
 
+import itertools
 import math
 import os
 import threading
@@ -48,6 +54,7 @@ MIN_SCALES = 4
 MIN_R2 = 0.98
 MAX_SCALES = 12  # longest ladder of admissible_scales
 _EPS = 2.0**-53   # unit roundoff of float64
+_SLOTS = 8        # bin table slots per coordinate: the bytes of one float
 
 
 @dataclass(frozen=True)
@@ -99,86 +106,122 @@ def _bin_counts(coords, scales, work=None):
     quotient floored as numpy rounds it.  ``coords`` is clobbered, so
     callers pass a buffer they own; ``work`` holds two float rows of its
     length (a ``_workspace``), allocated here unless the caller passes it.
-    A duplicated scale reuses its twin's count.  ``_nested_counts`` counts
-    without sorting where it can prove its counts exact, and returns None
-    where it cannot; then the coordinates are sorted, and each scale's
-    bins, sorted too, are counted by their changes over all points.  Counts
-    are equal either way; only the cost differs.
+    A duplicated scale reuses its twin's count.  On a chained ladder the
+    exact quotients by the finest scale go to ``_table_counts``, whose edge
+    test only coarser scales need; where it returns None, or the ladder is
+    not chained, the coordinates are sorted, and each scale's bins, sorted
+    too, are counted by their changes over all points.  Counts are equal
+    either way; only the cost differs.
     """
     order = sorted({float(d) for d in scales})
     work = _workspace(coords.size) if work is None else work
-    found = _nested_counts(coords, order, work)
+    folds, found = _fold_steps(order), None
+    if folds is not None and coords.size:
+        fine = order[0]
+        lo, hi = float(coords.min()), float(coords.max())
+        table = _table_range(lo / fine, hi / fine, coords.size, math.prod(folds))
+        if table is not None:
+            tau = 16.0 * _EPS * (max(-lo, hi) / fine + 1.0) if folds else None
+            np.divide(coords, fine, out=work[0])
+            found = _table_counts(work[0], work[1], folds, *table, tau)
     if found is None:
         found = _sorted_counts(coords, order, work)
     counts = dict(zip(order, found))
     return [counts[float(d)] for d in scales]
 
 
-def _nested_counts(coords, order, work):
-    """Counts at the ascending scales ``order`` from one table of the
-    finest scale's bins, or None where that is not provably exact.
+def _fold_steps(order):
+    """Fold factors of the ascending scales ``order`` on its finest, or None
+    where the ladder is not chained.
 
-    With delta_f = order[0], each coordinate's quotient q = fl(x / delta_f)
-    is floored once to its bin k, and the bins are marked in a bool table
-    spanning the finest bin indices, held in the bytes of the floor
-    buffer (8 slots per coordinate).  The finest count is the number of
-    marked slots; a coarser scale delta, with R = round(delta / delta_f),
-    counts the distinct k // R over the marked bins in order.  With
-    eps = 2**-53 and M = max |x|, that equals the distinct floor(fl(x /
-    delta)) when two tests hold:
-
-    * nesting: R >= 2 and |delta - R delta_f| <= 4 eps delta, checked as
-      |delta - fl(R delta_f)| <= 2 eps delta, which implies it;
-    * distance from the bin edges: every q has q - floor(q) in [tau, 1 -
-      tau], tau = 16 eps (M / delta_f + 1).
-
-    Then fl(x / delta) = (q / R)(1 + theta) with |theta| <= 7 eps, so it
-    lies within 7 eps |q| / R < tau / R of q / R, while q / R lies at least
-    tau / R inside the cell [k // R, k // R + 1): floor(fl(x / delta)) =
-    k // R.  A shadow that fails either test, or whose finest bins span
-    more slots than the table holds, returns None.
+    With delta_f = order[0] and R_i = round(order[i] / delta_f), R_0 = 1,
+    the factors are m_i = R_i / R_(i-1).  The ladder is chained where every
+    coarser scale is nested on the finest, |delta - R delta_f| <= 4 eps
+    delta (checked as |delta - fl(R delta_f)| <= 2 eps delta, which implies
+    it), and each R_(i-1) divides R_i with m_i >= 2.  Every base^-k ladder
+    is chained.
     """
-    size, fine = coords.size, order[0]
-    if not (size and fine > 0.0 and order[-1] / fine < 2.0**52):
+    fine = order[0]
+    if not (fine > 0.0 and order[-1] / fine < 2.0**52):
         return None
-    ratios = [round(d / fine) for d in order[1:]]
-    if any(r < 2 or abs(d - r * fine) > 2.0 * _EPS * d for r, d in zip(ratios, order[1:])):
+    ratios = [1] + [round(d / fine) for d in order[1:]]
+    if any(abs(d - r * fine) > 2.0 * _EPS * d for r, d in zip(ratios[1:], order[1:])):
         return None
-    lo, hi = float(coords.min()), float(coords.max())
-    first = float(np.floor(lo / fine))
-    span = float(np.floor(hi / fine)) - first + 1.0
-    if not span <= 8 * size:   # also where an extreme is inf or NaN
+    folds = [b // a for a, b in zip(ratios, ratios[1:])]
+    if any(m < 2 or m * a != b for m, a, b in zip(folds, ratios, ratios[1:])):
         return None
-    quotient, floors = work
-    np.divide(coords, fine, out=quotient)
-    np.floor(quotient, out=floors)
-    if ratios:
-        tau = 16.0 * _EPS * (max(-lo, hi) / fine + 1.0)
+    return folds
+
+
+def _table_range(lo, hi, size, rmax):
+    """First bin and length of a bin table over the bins floor(lo) ..
+    floor(hi), both multiples of ``rmax``, so that every coarser scale of
+    the ladder folds whole; None where the table would take more than
+    ``_SLOTS`` slots per coordinate, or where an end is inf or NaN."""
+    if not hi - lo <= _SLOTS * size:
+        return None
+    first = math.floor(lo) // rmax * rmax
+    span = -(-(math.floor(hi) + 1 - first) // rmax) * rmax
+    return (first, span) if span <= _SLOTS * size else None
+
+
+def _table_counts(quotients, floors, folds, first, span, tau):
+    """Counts at a chained ladder from one bin table of the finest scale,
+    or None where a quotient sits too near a bin edge.
+
+    ``quotients`` holds each coordinate's quotient q by the finest scale
+    delta_f, and ``floors`` is a float buffer of its length; both are
+    clobbered.  Each bin k = floor(q) lies in [first, first + span), and
+    ``first`` and ``span`` are multiples of the product of ``folds`` (the
+    fold factors m of ``_fold_steps``).  Bin k marks slot k - first of a
+    bool table held in the bytes of ``floors``; the finest count is the
+    number of marked slots.  Each coarser scale ORs the m strided views of
+    the previous scale's table and counts the marked slots of the result:
+    slot j of the scale with ratio R marks the bins k with k // R = j +
+    first / R.  That equals the distinct floor(x / delta) as numpy rounds
+    it when every q has q - floor(q) in [tau, 1 - tau].
+
+    With eps = 2**-53, let each q lie within 6 eps B of fl(x / delta_f),
+    numpy's quotient of the coordinate x, and let tau = 16 eps (B + 1).
+    Then floor(q) = floor(fl(x / delta_f)).  At a coarser scale delta,
+    nested on the finest with ratio R (|delta - R delta_f| <= 4 eps delta),
+    fl(x / delta) lies within 10 eps B / R < tau / R of q / R, while q / R
+    lies at least tau / R inside the cell [k // R, k // R + 1):
+    floor(fl(x / delta)) = k // R.  ``_bin_counts`` divides exactly, with
+    B = max |x| / delta_f, and edge-tests only where coarser scales need
+    it; ``projected_counts`` computes q as the cloud times the functional
+    over delta_f and bounds B from the cloud's bounding box.  ``tau`` None
+    skips the test.
+    """
+    np.floor(quotients, out=floors)
+    if tau is not None:
         # exact but for -1 < q < 0, where the rounding (<= eps) is within
-        # the margin: 7 eps |q| < tau - eps
-        np.subtract(quotient, floors, out=quotient)
-        if not (quotient.min() >= tau and quotient.max() <= 1.0 - tau):
+        # the margin: 10 eps B < tau - eps
+        np.subtract(quotients, floors, out=quotients)
+        if not (quotients.min() >= tau and quotients.max() <= 1.0 - tau):
             return None
     # the quotients are dead: their bytes take the slots, exact as
-    # 0 <= value < span, and the floors' bytes the table
-    slot = quotient.view(np.int64)
-    np.subtract(floors, first, out=slot, casting="unsafe")
-    seen = floors.view(bool)[:int(span)]
-    seen.fill(False)
-    seen[slot] = True
-    bins = np.flatnonzero(seen)
-    if not ratios:
-        return [bins.size]
-    # the table and the slots are dead, and so are the bin indices once
-    # shifted: tau <= 1/2 bounds |k| by 2**49, so k and floor(fl(k / R)) =
-    # k // R are exact in floats
-    fine_bins, coarse = floors[:bins.size], quotient[:bins.size]
-    np.add(bins, first, out=fine_bins)
-    steps = bins.view(bool)[:bins.size - 1]
-    counts = [bins.size]
-    for r in ratios:
-        np.floor(np.divide(fine_bins, r, out=coarse), out=coarse)
-        counts.append(_distinct_sorted(coarse, steps))
+    # 0 <= k - first < span, and the floors' bytes the table
+    floors -= first
+    slots = quotients.view(np.int64)
+    np.copyto(slots, floors, casting="unsafe")
+    table = floors.view(bool)[:span]
+    table.fill(False)
+    table[slots] = True
+    counts = [int(np.count_nonzero(table))]
+    # the slots are dead too: their bytes take the coarser tables, which
+    # together are shorter than the finest
+    spare = quotients.view(bool)
+    for m in folds:
+        coarse, spare = spare[:table.size // m], spare[table.size // m:]
+        if m in (2, 4, 8):   # m slots in a row are the bytes of one uint
+            np.not_equal(table.view(f"u{m}"), 0, out=coarse)
+        else:
+            np.logical_or(table[0::m], table[1::m], out=coarse)
+            for r in range(2, m):
+                np.logical_or(coarse, table[r::m], out=coarse)
+        table = coarse
+        counts.append(int(np.count_nonzero(table)))
     return counts
 
 
@@ -197,12 +240,14 @@ def _sorted_counts(coords, order, work):
 def _occupied_counts(points, scales):
     """Occupied cells of the grid delta * Z^n, one count per scale, in order.
 
-    The shifted integer cell coordinates of each point mix into one int64
-    key, one contiguous column at a time; the key is sorted and its changes
-    counted.  The column, key and change buffers are allocated once and
-    refilled for every scale: fresh cloud-sized arrays per scale would each
-    be a new mapping whose pages fault in.  A scale whose key could wrap
-    is counted by ``_lexsorted_count`` instead.
+    The integer cell coordinates of each point, shifted to start at 0, mix
+    into one key, one contiguous column at a time; the key is sorted and
+    its changes counted.  The key is int32 where ``_key_fits`` says the
+    cells fit it, which sorts faster than int64.  The column, key and
+    change buffers are allocated once and refilled for every scale: fresh
+    cloud-sized arrays per scale would each be a new mapping whose pages
+    fault in.  A scale whose key could wrap is counted by
+    ``_lexsorted_count`` instead.
     """
     if points.shape[1] == 1:
         return _bin_counts(points[:, 0].copy(), scales)
@@ -216,34 +261,43 @@ def _occupied_counts(points, scales):
     steps = np.empty(max(size - 1, 0), dtype=bool)
     counts = []
     for delta in scales:
-        if not _key_fits(lo, hi, delta):
+        fits = _key_fits(lo, hi, delta)
+        if not fits:
             counts.append(_lexsorted_count(points, delta))
             continue
-        for j in range(points.shape[1]):
-            np.floor(np.divide(points[:, j], delta, out=cell), out=cell)
-            dest = col if j else key
+        lows, spans, dtype = fits
+        keys, cols = key.view(dtype)[:size], col.view(dtype)[:size]
+        for j, column in enumerate(columns):
+            np.floor(np.divide(column, delta, out=cell), out=cell)
+            cell -= lows[j]   # exact: the shifted index lies in [0, 2**53)
+            dest = cols if j else keys
             np.copyto(dest, cell, casting="unsafe")
-            dest -= dest.min()
             if j:
-                key *= int(col.max()) + 1
-                key += col
-        key.sort()
-        counts.append(_distinct_sorted(key, steps))
+                keys *= spans[j]
+                keys += cols
+        keys.sort()
+        counts.append(_distinct_sorted(keys, steps))
     return counts
 
 
 def _key_fits(lo, hi, delta):
-    """Whether the cells of points within [lo, hi] at scale delta take an
-    int64 key: every cell index, and the product over the columns of the
-    index spans (max shifted index + 1), lie below 2**63, in Python ints.
+    """How the cells of points within [lo, hi] at scale delta take a key:
+    the lowest cell index of each column (a float), the index span of each
+    column (max - min + 1), and the key's dtype; or None where the product
+    of the spans reaches 2**53.
 
-    floor(fl(x / delta)) is monotone in x, so the extremes of the points
-    give the extremes of their cell indices.
+    The dtype is int32 where that product lies below 2**31, and int64
+    otherwise.  The spans are Python ints, and the shift of each index by
+    its column's lowest is exact in floats below 2**53.  floor(fl(x /
+    delta)) is monotone in x, so the extremes of the points give the
+    extremes of their cell indices.
     """
     lows = [math.floor(float(a) / delta) for a in lo]
-    highs = [math.floor(float(b) / delta) for b in hi]
-    spans = math.prod(b - a + 1 for a, b in zip(lows, highs))
-    return -2**63 < min(lows) and max(highs) < 2**63 and spans < 2**63
+    spans = [math.floor(float(b) / delta) - low + 1 for b, low in zip(hi, lows)]
+    cells = math.prod(spans)
+    if cells >= 2**53:
+        return None
+    return [float(low) for low in lows], spans, np.int32 if cells < 2**31 else np.int64
 
 
 def _lexsorted_count(points, delta):
@@ -355,41 +409,75 @@ def _worker_count():
 def projected_counts(norm, cloud, normals, scales):
     """Occupied delta-bins of the cloud's shadow on w-perp, for each w in ``normals``.
 
-    Returns one list per normal, in order, holding one count per scale in
-    the order given.  The shadow functionals are computed on the calling
-    thread; the directions are then counted on one worker thread per CPU
-    the process may use (at most one per normal), worker k taking the
-    normals i = k mod W.  Each worker allocates one set of buffers (a
-    shadow and a ``_workspace``) and refills it for each of its normals;
-    fresh cloud-sized arrays per direction would each be a new mapping
-    whose pages fault in.  An exception in a worker stops the others and
-    is raised here once all have ended.
+    ``normals`` is any iterable.  Returns a (D, S) int64 array: row i holds
+    normal i's counts, one per scale in the order given.  The shadow
+    functionals f are computed on the calling thread into one (D, 2) array;
+    the directions are then counted on one worker thread per CPU the
+    process may use (at most one per normal), each taking the next
+    direction from a shared counter.  On a chained ladder a worker computes
+    the quotients q = P g by the finest scale delta_f directly, g = f /
+    delta_f, and counts them with ``_table_counts``.  With lo_j and hi_j
+    the extremes of the cloud's column j, B = sum_j max(|lo_j|, |hi_j|)
+    |g_j| bounds |q| and the rounding: q lies within 3 eps B of x /
+    delta_f, x = P f exactly, and so does fl(fl(P f) / delta_f), so the two
+    lie within 6 eps B of each other.  The bounding box also gives q's
+    range, once per call.  A direction that ``_table_counts`` refuses, or
+    any direction of a ladder that is not chained, has its shadow P f
+    recomputed and sorted.  Each worker allocates one set of buffers and
+    refills it for each of its normals; fresh cloud-sized arrays per
+    direction would each be a new mapping whose pages fault in.  An
+    exception in a worker stops the others and is raised here once all
+    have ended.
     """
     if cloud.dim != 2:
         raise ValueError("projected_counts expects a planar cloud")
     _check_resolved(cloud, scales)
     # inverse_gauss fills the norm's memo, which is not shared safely
-    functionals = [_shadow_functional(norm, w) for w in normals]
-    out = [None] * len(functionals)
-    workers = max(1, min(_worker_count(), len(functionals)))
+    functionals = np.fromiter((_shadow_functional(norm, w) for w in normals),
+                              dtype=np.dtype((float, 2)))
+    points, size = cloud.points, len(cloud.points)
+    order = sorted({float(d) for d in scales})
+    columns = [order.index(float(d)) for d in scales]
+    folds = _fold_steps(order) if size else None
+    if folds is not None:
+        lo = np.array([points[:, j].min() for j in range(2)])
+        hi = np.array([points[:, j].max() for j in range(2)])
+        scaled = functionals / order[0]
+        tau = 16.0 * _EPS * (np.abs(scaled) @ np.maximum(-lo, hi) + 1.0)
+        ends = scaled * lo, scaled * hi
+        low = np.sum(np.minimum(*ends), axis=1) - tau
+        high = np.sum(np.maximum(*ends), axis=1) + tau
+        rmax = math.prod(folds)
+    out = np.empty((len(functionals), len(scales)), dtype=np.int64)
+    workers = max(1, min(_worker_count(), len(out)))
+    tickets = itertools.count()
     errors = []
 
-    def count(k):
+    def count():
         try:
-            shadow = np.empty(len(cloud.points))
-            work = _workspace(len(cloud.points))
-            for i in range(k, len(functionals), workers):
-                if errors:
+            # the quotients and their floors, or a shadow to sort and its
+            # bins; the sort's steps fault in only if a shadow is sorted
+            work, steps = _workspace(size), np.empty(max(size - 1, 0), dtype=bool)
+            while not errors:
+                i = next(tickets)
+                if i >= len(out):
                     return
-                np.matmul(cloud.points, functionals[i], out=shadow)
-                out[i] = _bin_counts(shadow, scales, work)
+                found = None
+                table = None if folds is None else _table_range(low[i], high[i], size, rmax)
+                if table is not None:
+                    np.matmul(points, scaled[i], out=work[0])
+                    found = _table_counts(work[0], work[1], folds, *table, tau[i])
+                if found is None:
+                    np.matmul(points, functionals[i], out=work[0])
+                    found = _sorted_counts(work[0], order, (work[1], steps))
+                out[i] = [found[c] for c in columns]
         except BaseException as exc:   # re-raised on the calling thread
             errors.append(exc)
 
-    threads = [threading.Thread(target=count, args=(k,)) for k in range(1, workers)]
+    threads = [threading.Thread(target=count) for _ in range(1, workers)]
     for thread in threads:
         thread.start()
-    count(0)
+    count()
     for thread in threads:
         thread.join()
     if errors:
@@ -426,5 +514,5 @@ def favard_proxy(cloud, directions, delta, norm=None):
     if norm is None:
         norm = norms.euclidean()
     angles = np.asarray(getattr(directions, "angles", directions), dtype=float)
-    counts = projected_counts(norm, cloud, [HyperplaneNormal.from_angle(a) for a in angles], [delta])
-    return float(np.mean([c[0] * float(delta) for c in counts]))
+    counts = projected_counts(norm, cloud, (HyperplaneNormal.from_angle(a) for a in angles), [delta])
+    return float(np.mean(counts[:, 0] * float(delta)))

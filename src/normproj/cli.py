@@ -34,10 +34,14 @@ MAX_LEVEL = 15
 MAX_INTERVALS = 2**MAX_LEVEL
 MIN_INTERVAL_LENGTH = Fraction(1, 3) ** MAX_LEVEL
 # Finest sweep grid: on the default generation-8 cloud a direction holds
-# about 0.7 KB until the fit and takes about 0.4 ms, so 2^16 directions
-# take ~27 s at 84 MB peak RSS on a shared 2-CPU machine, the peak of a
-# level-15 staircase build.
+# its functional and six counts (64 bytes) until the fit, so 2^16
+# directions take ~17 s at 61 MB peak RSS on a shared 2-CPU machine, below
+# the 84 MB peak of a level-15 staircase build.
 MAX_DIRECTIONS = 2**16
+# Finest norm-info grid: check_gauss_properties holds ~330 bytes a point
+# under the staircase norm, whose 2^17-point check takes ~0.4 s at 76 MB
+# peak RSS on a shared 2-CPU machine, below a level-15 build's 84 MB.
+MAX_GRID = 2**17
 
 
 def _g(value):
@@ -230,8 +234,8 @@ def _scales_from(args, refuse_fine=False):
 # ---------------------------------------------------------------------------
 
 def _cmd_norm_info(args):
-    if args.grid < norms.MIN_GAUSS_GRID:
-        raise ValidationError(f"--grid must be at least {norms.MIN_GAUSS_GRID}")
+    if not norms.MIN_GAUSS_GRID <= args.grid <= MAX_GRID:
+        raise ValidationError(f"--grid must lie in [{norms.MIN_GAUSS_GRID}, {MAX_GRID}]")
     model = _build_norm(args)
     report = norms.check_gauss_properties(model, args.grid)
     payload = {

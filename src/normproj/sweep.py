@@ -65,7 +65,7 @@ def dim_profile(norm, cloud, grid, scales, threshold=None):
         full = boxdim.estimate_dim(cloud)
         threshold = min(1.0, full.slope) - 0.1
 
-    normals = [HyperplaneNormal.from_angle(angle) for angle in grid.angles]
+    normals = (HyperplaneNormal.from_angle(angle) for angle in grid.angles)
     fit = boxdim.fit_loglog(scales, boxdim.projected_counts(norm, cloud, normals, scales))
     return ExceptionalProfile(grid=grid, slopes=fit.slope, r2=fit.r2,
                               threshold=float(threshold), flagged=fit.slope < threshold)

@@ -122,7 +122,7 @@ def test_fit_loglog_stack_matches_polyfit_rows(rng):
 def test_projected_counts_triadic_shadow():
     cloud = fractals.cantor_product(1.0 / 3.0, 10)
     w = HyperplaneNormal(np.array([0.0, 1.0]))
-    assert boxdim.projected_counts(norms.euclidean(), cloud, [w], [3.0**-5]) == [[32]]
+    assert boxdim.projected_counts(norms.euclidean(), cloud, [w], [3.0**-5]).tolist() == [[32]]
 
 
 def test_projected_counts_diagonal_full_interval():
@@ -138,7 +138,7 @@ def test_projected_counts_single_point():
     cloud = PointCloud(points=np.array([[0.3, 0.7]]), generation=0,
                        resolution=1e-9, label="dot", base=2)
     for model in (norms.euclidean(), norms.lp(3.0)):
-        assert boxdim.projected_counts(model, cloud, [HyperplaneNormal.from_angle(0.3)], [0.1]) == [[1]]
+        assert boxdim.projected_counts(model, cloud, [HyperplaneNormal.from_angle(0.3)], [0.1]).tolist() == [[1]]
 
 
 def test_projected_counts_requires_planar():
@@ -189,9 +189,88 @@ def test_bin_counts_point_just_below_a_finer_bin_edge():
     # 3^-7 is wrong here, and the distance-from-edge test must refuse it
     x = 17 * 3.0**-6
     assert np.floor(x / 3.0**-7) // 3 == 16 and np.floor(x / 3.0**-6) == 17
-    coords = np.array([x, 16.5 * 3.0**-6])   # finest bins 49 and 50 fit the table
+    # finest bins 49 and 50; each coordinate is repeated so that the table,
+    # aligned to 3^5 slots, fits
+    coords = np.repeat([x, 16.5 * 3.0**-6], 40)
     scales = [3.0**-k for k in range(2, 8)]
     assert boxdim._bin_counts(coords.copy(), scales) == [_unique_bins(coords, d) for d in scales]
+
+
+def test_bin_counts_point_just_below_a_finer_bin_edge_in_a_shadow():
+    # the same coordinates, and one in x's finest bin 50, as the shadow of a
+    # planar cloud on the line of (1, -0): the worker's quotient of x by
+    # 3^-7 lies within a rounding of 51, on either side, and must fail the
+    # edge test (a floor of 51 counts three finest bins for two); each point
+    # is repeated so that the table, 3^5 slots, fits
+    x = 17 * 3.0**-6
+    points = np.repeat([[x, 0.0], [16.5 * 3.0**-6, 0.0], [50.5 * 3.0**-7, 0.0]], 40, axis=0)
+    cloud = PointCloud(points=points, generation=0, resolution=3.0**-8, label="edge", base=3)
+    scales = [3.0**-k for k in range(2, 8)]
+    _assert_counts_match_unique_oracle(norms.euclidean(), cloud, [HyperplaneNormal(np.array([0.0, 1.0]))],
+                                       scales)
+
+
+@pytest.fixture()
+def sorted_calls(monkeypatch):
+    # the scale ladders that _sorted_counts is called with
+    calls = []
+    sorted_counts = boxdim._sorted_counts
+
+    def counting(coords, order, work):
+        calls.append(order)
+        return sorted_counts(coords, order, work)
+
+    monkeypatch.setattr(boxdim, "_sorted_counts", counting)
+    return calls
+
+
+def _box_cloud(points):
+    return PointCloud(points=points, generation=0, resolution=2.0**-40, label="box", base=2)
+
+
+def test_chained_ladders_fold_without_sorting(rng, sorted_calls, ce_norm):
+    # chained base-2, 3 and 4 ladders, in any order and with a duplicate,
+    # are counted from the finest table, with and without a coarsest scale
+    # of one bin per point
+    points = rng.uniform(-1.0, 2.0, (4000, 2))
+    cloud = _box_cloud(points)
+    normals = [HyperplaneNormal.from_angle(a) for a in (0.1, 0.9, 1.7, 2.6)]
+    for base in (2, 3, 4):
+        scales = [float(base) ** -k for k in (3, 1, 6, 2, 5, 4, 3)]
+        coords = points @ np.array([0.6, 0.8])
+        assert boxdim._bin_counts(coords.copy(), scales) == [_unique_bins(coords, d) for d in scales]
+        assert boxdim._bin_counts(coords.copy(), scales[:1]) == [_unique_bins(coords, scales[0])]
+        for model in (norms.euclidean(), norms.lp(1.5), ce_norm):
+            _assert_counts_match_unique_oracle(model, cloud, normals, scales)
+    assert sorted_calls == []
+
+
+def test_unchained_ladder_sorts(rng, sorted_calls):
+    # ratios 2 and 3 nest on the finest scale, but 2 does not divide 3
+    points = rng.uniform(-1.0, 2.0, (4000, 2))
+    scales = [0.01, 0.02, 0.03]
+    coords = points @ np.array([0.6, 0.8])
+    assert boxdim._bin_counts(coords.copy(), scales) == [_unique_bins(coords, d) for d in scales]
+    assert len(sorted_calls) == 1
+    normals = [HyperplaneNormal.from_angle(a) for a in (0.1, 0.9, 1.7)]
+    _assert_counts_match_unique_oracle(norms.euclidean(), _box_cloud(points), normals, scales)
+    assert len(sorted_calls) == 4
+    # ratios 2 and 5: 5 // 2 = 2 would fold by 2 twice
+    scales = [0.01, 0.02, 0.05]
+    assert boxdim._bin_counts(coords.copy(), scales) == [_unique_bins(coords, d) for d in scales]
+    assert len(sorted_calls) == 5
+    assert boxdim._fold_steps([0.01, 0.02, 0.06]) == [2, 3]
+
+
+def test_shadow_narrower_than_bounding_box(rng, sorted_calls):
+    # points near the diagonal of the unit square: their shadow on the
+    # diagonal's normal line is ~1e-3 wide, the table's range ~1.4
+    t = rng.uniform(0.0, 1.0, 4000)
+    points = np.column_stack([t, t + 1e-3 * rng.uniform(0.0, 1.0, 4000)])
+    scales = [2.0**-k for k in range(6, 13)]
+    normals = [HyperplaneNormal.from_angle(a) for a in (np.pi / 4.0 + 1e-6, 3.0 * np.pi / 4.0)]
+    _assert_counts_match_unique_oracle(norms.euclidean(), _box_cloud(points), normals, scales)
+    assert sorted_calls == []
 
 
 def _unique_cells(points, delta):
@@ -212,6 +291,39 @@ def test_box_count_equals_unique_oracle():
     line = replace(line, points=line.points - 0.5)
     for delta in boxdim.admissible_scales(line):
         assert boxdim.box_count(line, delta) == _unique_bins(line.points[:, 0], delta)
+
+
+@pytest.fixture()
+def key_dtypes(monkeypatch):
+    # the key dtype _occupied_counts sorts at each scale
+    dtypes = []
+    key_fits = boxdim._key_fits
+
+    def recording(lo, hi, delta):
+        fits = key_fits(lo, hi, delta)
+        dtypes.append(fits and fits[2])
+        return fits
+
+    monkeypatch.setattr(boxdim, "_key_fits", recording)
+    return dtypes
+
+
+def test_box_count_int32_key_boundary(key_dtypes):
+    # index spans 1 x (2^31 - 1) take the int32 key, 2 x 2^30 the int64 one;
+    # the largest key, product - 1, sits at the cell of the far corner
+    below = np.array([[0.0, 0.0], [0.0, 5.0], [0.0, 2.0**31 - 3.0], [0.0, 2.0**31 - 2.0]])
+    at = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 7.0], [0.0, 2.0**30 - 1.0], [1.0, 2.0**30 - 1.0]])
+    for points, dtype in ((below, np.int32), (at, np.int64)):
+        key_dtypes.clear()
+        cloud = PointCloud(points=points, generation=0, resolution=0.5, label="key", base=2)
+        assert boxdim.box_count(cloud, 1.0) == _unique_cells(points, 1.0) == len(points)
+        assert key_dtypes == [dtype]
+    # the benchmark's clouds take the int32 key at every admissible scale
+    for cloud in (fractals.cantor_product(1.0 / 3.0, 8), fractals.four_corner(8)):
+        key_dtypes.clear()
+        est = boxdim.estimate_dim(cloud)
+        assert list(est.counts) == [_unique_cells(cloud.points, d) for d in est.scales]
+        assert key_dtypes == [np.int32] * len(boxdim.admissible_scales(cloud)), cloud.label
 
 
 def test_box_count_cell_keys_do_not_wrap(monkeypatch):
@@ -242,7 +354,7 @@ def test_shadow_counts_equal_per_scale_oracle(ce_norm):
     cloud = fractals.cantor_product(1.0 / 3.0, 7)
     scales = [3.0**-k for k in (4, 2, 6, 3, 5)]
     normals = [HyperplaneNormal.from_angle(ang) for ang in (0.0, 0.7, 2.0, 3.0)]
-    got = boxdim.projected_counts(ce_norm, cloud, normals, scales)
+    got = boxdim.projected_counts(ce_norm, cloud, normals, scales).tolist()
     for w, counts in zip(normals, got, strict=True):
         coords = cloud.points @ boxdim._shadow_functional(ce_norm, w)
         assert counts == [_unique_bins(coords, d) for d in scales]
@@ -265,7 +377,7 @@ def _sweep_normals(count):
 
 
 def _assert_counts_match_unique_oracle(norm, cloud, normals, scales):
-    got = boxdim.projected_counts(norm, cloud, normals, scales)
+    got = boxdim.projected_counts(norm, cloud, normals, scales).tolist()
     assert len(got) == len(normals)
     for w, counts in zip(normals, got):
         shadow = cloud.points @ boxdim._shadow_functional(norm, w)
@@ -335,21 +447,21 @@ def test_projected_counts_workers_equal_one_normal_calls(three_workers, ce_norm)
     for cloud in (fractals.cantor_product(1.0 / 3.0, 8), fractals.four_corner(8)):
         scales = [float(cloud.base) ** -k for k in range(2, 8)]
         for model in (norms.lp(3.0), ce_norm):
-            alone = [boxdim.projected_counts(model, cloud, [w], scales)[0] for w in normals]
-            assert boxdim.projected_counts(model, cloud, normals, scales) == alone, cloud.label
-    assert boxdim.projected_counts(norms.euclidean(), cloud, [], scales) == []
+            alone = [boxdim.projected_counts(model, cloud, [w], scales)[0].tolist() for w in normals]
+            assert boxdim.projected_counts(model, cloud, normals, scales).tolist() == alone, cloud.label
+    assert boxdim.projected_counts(norms.euclidean(), cloud, [], scales).tolist() == []
 
 
 def test_projected_counts_worker_error_reaches_caller(three_workers, monkeypatch):
     calls = itertools.count(1)
-    bin_counts = boxdim._bin_counts
+    table_counts = boxdim._table_counts
 
-    def failing(coords, scales, work=None):
+    def failing(*args):
         if next(calls) == 7:
             raise RuntimeError("seventh count")
-        return bin_counts(coords, scales, work)
+        return table_counts(*args)
 
-    monkeypatch.setattr(boxdim, "_bin_counts", failing)
+    monkeypatch.setattr(boxdim, "_table_counts", failing)
     before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match="seventh count"):
         boxdim.projected_counts(norms.euclidean(), fractals.four_corner(6), _sweep_normals(36),

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from normproj import __version__, checks, cli, sweep
+from normproj import __version__, checks, cli, norms, sweep
 
 
 def run(argv):
@@ -392,6 +392,31 @@ def test_directions_bounded_before_allocating(tmp_path, monkeypatch):
     monkeypatch.setattr(sweep, "dim_profile", stub)
     assert run(["sweep", "--directions", str(cli.MAX_DIRECTIONS), "--gen", "5", "--out", str(out)]) == 1
     assert counts == [cli.MAX_DIRECTIONS]
+
+
+def test_grid_bounded_before_allocating(tmp_path, monkeypatch):
+    # --grid 10^11 exited 1 with a numpy _ArrayMemoryError traceback
+    out = tmp_path / "ni.json"
+    for grid in (cli.MAX_GRID + 1, 10**11):
+        tracemalloc.start()
+        try:
+            code = run(["norm-info", "--grid", str(grid), "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2, grid
+        assert peak < 1 << 20, (grid, peak)
+    assert not out.exists()
+    # the ceiling itself is accepted: the stub stands in for the check
+    grids = []
+
+    def stub(model, grid_size=1024):
+        grids.append(grid_size)
+        raise ValueError("stub check")
+
+    monkeypatch.setattr(norms, "check_gauss_properties", stub)
+    assert run(["norm-info", "--grid", str(cli.MAX_GRID), "--out", str(out)]) == 1
+    assert grids == [cli.MAX_GRID]
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="sets a child's CPU affinity")
