@@ -15,23 +15,13 @@ number of changes between neighbours.  A key is built one contiguous
 coordinate column at a time, in buffers shared by every scale of a ladder,
 and is int32 wherever the cells fit it.
 
-A line shadow is counted without sorting where that is provably exact.
-Its quotients by the finest scale are floored once and their bins marked
-in a bool table; the finest count is the number of marked slots.  On a
-chained ladder, where each scale is an integer multiple R of the finest
-and each R divides the next, a coarser scale ORs the strided views of the
-previous scale's table and counts the marked slots of the result.
-``_table_counts`` states when this equals the count of floor(x / delta) as
-numpy rounds it: no quotient lies within a few roundings of a bin edge.  A
-sweep computes a shadow's quotients directly, as the cloud times the
-shadow functional over the finest scale, and takes their range from the
-cloud's bounding box.  A shadow whose ladder is not chained, whose finest
-bins span more than eight table slots per point, or which fails the edge
-test, is sorted instead.  A sweep counts its directions on one worker
-thread per CPU the process may use, each taking the next direction from a
-shared counter, with one set of buffers per worker thread, refilled for
-each of its directions, so counting a direction allocates no cloud-sized
-array.
+A line shadow is counted without sorting where that is provably exact:
+its quotients by the finest scale are floored once into a bool table of
+bins, and each coarser scale of a chained ladder is folded out of the
+previous scale's table (``_table_counts``); other shadows are sorted.  A
+sweep counts its directions on one worker thread per CPU the process may
+use, with one set of buffers per worker thread, so counting a direction
+allocates no cloud-sized array.
 """
 
 import itertools
@@ -108,10 +98,9 @@ def _bin_counts(coords, scales, work=None):
     length (a ``_workspace``), allocated here unless the caller passes it.
     A duplicated scale reuses its twin's count.  On a chained ladder the
     exact quotients by the finest scale go to ``_table_counts``, whose edge
-    test only coarser scales need; where it returns None, or the ladder is
-    not chained, the coordinates are sorted, and each scale's bins, sorted
-    too, are counted by their changes over all points.  Counts are equal
-    either way; only the cost differs.
+    test only coarser scales need; else, or where it returns None, the
+    coordinates are sorted (``_sorted_counts``).  Counts are equal either
+    way; only the cost differs.
     """
     order = sorted({float(d) for d in scales})
     work = _workspace(coords.size) if work is None else work
@@ -189,9 +178,8 @@ def _table_counts(quotients, floors, folds, first, span, tau):
     lies at least tau / R inside the cell [k // R, k // R + 1):
     floor(fl(x / delta)) = k // R.  ``_bin_counts`` divides exactly, with
     B = max |x| / delta_f, and edge-tests only where coarser scales need
-    it; ``projected_counts`` computes q as the cloud times the functional
-    over delta_f and bounds B from the cloud's bounding box.  ``tau`` None
-    skips the test.
+    it; ``projected_counts`` bounds B from the cloud's bounding box.
+    ``tau`` None skips the test.
     """
     np.floor(quotients, out=floors)
     if tau is not None:
@@ -246,7 +234,7 @@ def _occupied_counts(points, scales):
     cells fit it, which sorts faster than int64.  The column, key and
     change buffers are allocated once and refilled for every scale: fresh
     cloud-sized arrays per scale would each be a new mapping whose pages
-    fault in.  A scale whose key could wrap is counted by
+    fault in.  A scale whose cells take no key is counted by
     ``_lexsorted_count`` instead.
     """
     if points.shape[1] == 1:
@@ -282,13 +270,13 @@ def _occupied_counts(points, scales):
 
 def _key_fits(lo, hi, delta):
     """How the cells of points within [lo, hi] at scale delta take a key:
-    the lowest cell index of each column (a float), the index span of each
-    column (max - min + 1), and the key's dtype; or None where the product
-    of the spans reaches 2**53.
+    the lowest cell index and the index span (max - min + 1) of each
+    column, and the key's dtype; or None where the product of the spans
+    reaches 2**53.
 
     The dtype is int32 where that product lies below 2**31, and int64
-    otherwise.  The spans are Python ints, and the shift of each index by
-    its column's lowest is exact in floats below 2**53.  floor(fl(x /
+    otherwise.  The indices are Python ints, and the shift of each index
+    by its column's lowest is exact in floats below 2**53.  floor(fl(x /
     delta)) is monotone in x, so the extremes of the points give the
     extremes of their cell indices.
     """
@@ -297,7 +285,7 @@ def _key_fits(lo, hi, delta):
     cells = math.prod(spans)
     if cells >= 2**53:
         return None
-    return [float(low) for low in lows], spans, np.int32 if cells < 2**31 else np.int64
+    return lows, spans, np.int32 if cells < 2**31 else np.int64
 
 
 def _lexsorted_count(points, delta):
@@ -412,21 +400,17 @@ def projected_counts(norm, cloud, normals, scales):
     ``normals`` is any iterable.  Returns a (D, S) int64 array: row i holds
     normal i's counts, one per scale in the order given.  The shadow
     functionals f are computed on the calling thread into one (D, 2) array;
-    the directions are then counted on one worker thread per CPU the
-    process may use (at most one per normal), each taking the next
-    direction from a shared counter.  On a chained ladder a worker computes
-    the quotients q = P g by the finest scale delta_f directly, g = f /
-    delta_f, and counts them with ``_table_counts``.  With lo_j and hi_j
-    the extremes of the cloud's column j, B = sum_j max(|lo_j|, |hi_j|)
-    |g_j| bounds |q| and the rounding: q lies within 3 eps B of x /
-    delta_f, x = P f exactly, and so does fl(fl(P f) / delta_f), so the two
-    lie within 6 eps B of each other.  The bounding box also gives q's
-    range, once per call.  A direction that ``_table_counts`` refuses, or
-    any direction of a ladder that is not chained, has its shadow P f
-    recomputed and sorted.  Each worker allocates one set of buffers and
-    refills it for each of its normals; fresh cloud-sized arrays per
-    direction would each be a new mapping whose pages fault in.  An
-    exception in a worker stops the others and is raised here once all
+    one worker thread per CPU the process may use (at most one per normal)
+    then takes the next direction from a shared counter.  On a chained
+    ladder a worker computes the quotients q = P g, g = f / delta_f, and
+    counts them with ``_table_counts``: with lo_j and hi_j the extremes of
+    the cloud's column j and B = sum_j max(|lo_j|, |hi_j|) |g_j|, q and
+    fl(fl(P f) / delta_f) both lie within 3 eps B of P f / delta_f, and the
+    bounding box gives q's range once per call.  A direction it refuses, or
+    any of a ladder that is not chained, has its shadow P f sorted.  Each
+    worker refills one set of buffers for all its directions; fresh
+    cloud-sized arrays would each be a new mapping whose pages fault in.
+    An exception in a worker stops the others and is raised here once all
     have ended.
     """
     if cloud.dim != 2:
@@ -437,7 +421,7 @@ def projected_counts(norm, cloud, normals, scales):
                               dtype=np.dtype((float, 2)))
     points, size = cloud.points, len(cloud.points)
     order = sorted({float(d) for d in scales})
-    columns = [order.index(float(d)) for d in scales]
+    positions = [order.index(float(d)) for d in scales]
     folds = _fold_steps(order) if size else None
     if folds is not None:
         lo = np.array([points[:, j].min() for j in range(2)])
@@ -470,7 +454,7 @@ def projected_counts(norm, cloud, normals, scales):
                 if found is None:
                     np.matmul(points, functionals[i], out=work[0])
                     found = _sorted_counts(work[0], order, (work[1], steps))
-                out[i] = [found[c] for c in columns]
+                out[i] = [found[k] for k in positions]
         except BaseException as exc:   # re-raised on the calling thread
             errors.append(exc)
 

@@ -230,8 +230,7 @@ def _box_cloud(points):
 
 def test_chained_ladders_fold_without_sorting(rng, sorted_calls, ce_norm):
     # chained base-2, 3 and 4 ladders, in any order and with a duplicate,
-    # are counted from the finest table, with and without a coarsest scale
-    # of one bin per point
+    # and their finest scale alone, are counted from the finest table
     points = rng.uniform(-1.0, 2.0, (4000, 2))
     cloud = _box_cloud(points)
     normals = [HyperplaneNormal.from_angle(a) for a in (0.1, 0.9, 1.7, 2.6)]
