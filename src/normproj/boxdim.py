@@ -15,13 +15,13 @@ number of changes between neighbours.  A key is built one contiguous
 coordinate column at a time, in buffers shared by every scale of a ladder,
 and is int32 wherever the cells fit it.
 
-A line shadow is counted without sorting where that is provably exact:
-its quotients by the finest scale are floored once into a bool table of
-bins, and each coarser scale of a chained ladder is folded out of the
-previous scale's table (``_table_counts``); other shadows are sorted.  A
-sweep counts its directions on one worker thread per CPU the process may
-use, with one set of buffers per worker thread, so counting a direction
-allocates no cloud-sized array.
+Every line shadow (a sweep's shadow on w-perp, a projector's image, a line
+cloud's own coordinate) is one linear functional of the cloud, counted by
+one core, ``_line_counts``, on one worker thread per CPU the process may
+use, each with one set of buffers.  It sorts a shadow only where a table
+is not provably exact: the quotients by the finest scale are floored once
+into a bool table of bins, and each coarser scale of a chained ladder is
+folded out of the previous scale's table (``_table_counts``).
 """
 
 import itertools
@@ -70,53 +70,11 @@ class DimensionEstimate:
         object.__setattr__(self, "counts", c)
 
 
-def _distinct_sorted(ordered, steps=None):
-    """Distinct values of a sorted 1-D array: its changes, plus one if non-empty.
-
-    ``steps``, if given, is a boolean buffer of length max(len - 1, 0).
-    """
+def _distinct_sorted(ordered, steps):
+    """Distinct values of a sorted 1-D array: its changes, plus one if
+    non-empty; ``steps`` is a boolean buffer of length max(len - 1, 0)."""
     changes = np.not_equal(ordered[1:], ordered[:-1], out=steps)
     return int(ordered.size > 0) + int(np.count_nonzero(changes))
-
-
-def _workspace(size):
-    """Scratch for ``_bin_counts`` over ``size`` coordinates: two float
-    rows of that length, in one ``np.empty`` block.
-
-    Only the pages a count touches become resident; a thread that counts
-    many shadows allocates this once.
-    """
-    return np.empty((2, size))
-
-
-def _bin_counts(coords, scales, work=None):
-    """Occupied delta-bins of 1-D coordinates, one count per scale, in order.
-
-    The count is the number of distinct floor(x / delta), the float
-    quotient floored as numpy rounds it.  ``coords`` is clobbered, so
-    callers pass a buffer they own; ``work`` holds two float rows of its
-    length (a ``_workspace``), allocated here unless the caller passes it.
-    A duplicated scale reuses its twin's count.  On a chained ladder the
-    exact quotients by the finest scale go to ``_table_counts``, whose edge
-    test only coarser scales need; else, or where it returns None, the
-    coordinates are sorted (``_sorted_counts``).  Counts are equal either
-    way; only the cost differs.
-    """
-    order = sorted({float(d) for d in scales})
-    work = _workspace(coords.size) if work is None else work
-    folds, found = _fold_steps(order), None
-    if folds is not None and coords.size:
-        fine = order[0]
-        lo, hi = float(coords.min()), float(coords.max())
-        table = _table_range(lo / fine, hi / fine, coords.size, math.prod(folds))
-        if table is not None:
-            tau = 16.0 * _EPS * (max(-lo, hi) / fine + 1.0) if folds else None
-            np.divide(coords, fine, out=work[0])
-            found = _table_counts(work[0], work[1], folds, *table, tau)
-    if found is None:
-        found = _sorted_counts(coords, order, work)
-    counts = dict(zip(order, found))
-    return [counts[float(d)] for d in scales]
 
 
 def _fold_steps(order):
@@ -176,10 +134,10 @@ def _table_counts(quotients, floors, folds, first, span, tau):
     nested on the finest with ratio R (|delta - R delta_f| <= 4 eps delta),
     fl(x / delta) lies within 10 eps B / R < tau / R of q / R, while q / R
     lies at least tau / R inside the cell [k // R, k // R + 1):
-    floor(fl(x / delta)) = k // R.  ``_bin_counts`` divides exactly, with
-    B = max |x| / delta_f, and edge-tests only where coarser scales need
-    it; ``projected_counts`` bounds B from the cloud's bounding box.
-    ``tau`` None skips the test.
+    floor(fl(x / delta)) = k // R.  ``_line_counts`` bounds B from the
+    cloud's bounding box; where its quotient is numpy's own (q =
+    fl(x / delta_f)) only coarser scales need the test.  ``tau`` None
+    skips it.
     """
     np.floor(quotients, out=floors)
     if tau is not None:
@@ -213,16 +171,101 @@ def _table_counts(quotients, floors, folds, first, span, tau):
     return counts
 
 
-def _sorted_counts(coords, order, work):
+def _sorted_counts(coords, order, bins, steps):
     """Counts at the scales ``order`` over all of ``coords``, sorted in
-    place: the bins of sorted coordinates are sorted too."""
+    place, with ``bins`` a float buffer of its length and ``steps`` a bool
+    buffer one shorter: the bins of sorted coordinates are sorted too."""
     coords.sort()
-    bins, steps = work[0], work[1].view(bool)[:max(coords.size - 1, 0)]
     counts = []
     for delta in order:
         np.floor(np.divide(coords, delta, out=bins), out=bins)
         counts.append(_distinct_sorted(bins, steps))
     return counts
+
+
+def _worker_count():
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _line_counts(points, functionals, scales):
+    """Occupied delta-bins of the shadows P f of the cloud P, f each row of
+    ``functionals``: a (D, S) int64 array of the distinct floor(fl(P f) /
+    delta), one count per scale in the order given.
+
+    On a chained ladder ``_table_counts`` counts a shadow's quotients q by
+    the finest scale delta_f, their range and margin taken once per call
+    from the cloud's bounding box: with lo_j and hi_j the extremes of
+    column j, g = f / delta_f and B = sum_j max(|lo_j|, |hi_j|) |g_j|, q
+    and fl(fl(P f) / delta_f) both lie within 3 eps B of P f / delta_f.  A
+    planar cloud's q = P g is one matmul; a line cloud's is numpy's own
+    fl(P f / delta_f).  Other shadows, and those the table refuses, are
+    sorted.  One worker thread per CPU the process may use (at most one per
+    row) takes the next row from a shared counter and refills one set of
+    buffers; fresh cloud-sized arrays would each be a new mapping whose
+    pages fault in.  An exception in a worker stops the others and is
+    raised here once all have ended; quotients that overflow a float raise
+    ValueError.
+    """
+    size, width = points.shape
+    order = sorted({float(d) for d in scales})
+    positions = [order.index(float(d)) for d in scales]
+    folds = _fold_steps(order) if size else None
+    if size:
+        lo = np.array([points[:, j].min() for j in range(width)])
+        hi = np.array([points[:, j].max() for j in range(width)])
+        scaled = functionals / order[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            tau = 16.0 * _EPS * (np.abs(scaled) @ np.maximum(-lo, hi) + 1.0)
+            ends = scaled * lo, scaled * hi
+            low = np.minimum(*ends).sum(axis=1) - tau
+            high = np.maximum(*ends).sum(axis=1) + tau
+            if not np.isfinite(high - low).all():
+                raise ValueError(f"bin indices at the scale {order[0]!r} overflow a float")
+    out = np.empty((len(functionals), len(scales)), dtype=np.int64)
+    workers = max(1, min(_worker_count(), len(out)))
+    tickets = itertools.count()
+    errors = []
+
+    def count():
+        try:
+            # the quotients and their floors, or a shadow to sort and its
+            # bins; the sort's steps fault in only if a shadow is sorted
+            quotients, floors = np.empty((2, size))
+            steps = np.empty(max(size - 1, 0), dtype=bool)
+            while not errors:
+                i = next(tickets)
+                if i >= len(out):
+                    return
+                found = None
+                table = None if folds is None else _table_range(low[i], high[i], size, math.prod(folds))
+                if table is not None:
+                    if width == 1:   # numpy's own quotient, exact: one scale needs no edge test
+                        np.multiply(points[:, 0], functionals[i, 0], out=quotients)
+                        quotients /= order[0]
+                    else:
+                        np.matmul(points, scaled[i], out=quotients)
+                    found = _table_counts(quotients, floors, folds, *table,
+                                          tau[i] if width > 1 or folds else None)
+                if found is None:
+                    np.matmul(points, functionals[i], out=quotients)
+                    found = _sorted_counts(quotients, order, floors, steps)
+                out[i] = [found[k] for k in positions]
+        except BaseException as exc:   # re-raised on the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=count) for _ in range(1, workers)]
+    for thread in threads:
+        thread.start()
+    count()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return out
 
 
 def _occupied_counts(points, scales):
@@ -238,7 +281,7 @@ def _occupied_counts(points, scales):
     ``_lexsorted_count`` instead.
     """
     if points.shape[1] == 1:
-        return _bin_counts(points[:, 0].copy(), scales)
+        return _line_counts(points, np.array([[1.0]]), scales)[0].tolist()
     size = len(points)
     # per column: numpy reduces an (n, 2) array over axis 0 ~10x slower
     columns = [points[:, j] for j in range(points.shape[1])]
@@ -278,8 +321,11 @@ def _key_fits(lo, hi, delta):
     otherwise.  The indices are Python ints, and the shift of each index
     by its column's lowest is exact in floats below 2**53.  floor(fl(x /
     delta)) is monotone in x, so the extremes of the points give the
-    extremes of their cell indices.
+    extremes of their cell indices.  Indices that overflow a float raise
+    ValueError.
     """
+    if not all(math.isfinite(float(x) / delta) for x in (*lo, *hi)):
+        raise ValueError(f"cell indices at the scale {delta!r} overflow a float")
     lows = [math.floor(float(a) / delta) for a in lo]
     spans = [math.floor(float(b) / delta) - low + 1 for b, low in zip(hi, lows)]
     cells = math.prod(spans)
@@ -386,32 +432,11 @@ def _shadow_functional(norm, w):
     return v - (float(np.dot(u, v)) / float(np.dot(u, w.w))) * w.w
 
 
-def _worker_count():
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
 def projected_counts(norm, cloud, normals, scales):
     """Occupied delta-bins of the cloud's shadow on w-perp, for each w in ``normals``.
 
     ``normals`` is any iterable.  Returns a (D, S) int64 array: row i holds
-    normal i's counts, one per scale in the order given.  The shadow
-    functionals f are computed on the calling thread into one (D, 2) array;
-    one worker thread per CPU the process may use (at most one per normal)
-    then takes the next direction from a shared counter.  On a chained
-    ladder a worker computes the quotients q = P g, g = f / delta_f, and
-    counts them with ``_table_counts``: with lo_j and hi_j the extremes of
-    the cloud's column j and B = sum_j max(|lo_j|, |hi_j|) |g_j|, q and
-    fl(fl(P f) / delta_f) both lie within 3 eps B of P f / delta_f, and the
-    bounding box gives q's range once per call.  A direction it refuses, or
-    any of a ladder that is not chained, has its shadow P f sorted.  Each
-    worker refills one set of buffers for all its directions; fresh
-    cloud-sized arrays would each be a new mapping whose pages fault in.
-    An exception in a worker stops the others and is raised here once all
-    have ended.
+    normal i's counts, one per scale in the order given (``_line_counts``).
     """
     if cloud.dim != 2:
         raise ValueError("projected_counts expects a planar cloud")
@@ -419,54 +444,7 @@ def projected_counts(norm, cloud, normals, scales):
     # inverse_gauss fills the norm's memo, which is not shared safely
     functionals = np.fromiter((_shadow_functional(norm, w) for w in normals),
                               dtype=np.dtype((float, 2)))
-    points, size = cloud.points, len(cloud.points)
-    order = sorted({float(d) for d in scales})
-    positions = [order.index(float(d)) for d in scales]
-    folds = _fold_steps(order) if size else None
-    if folds is not None:
-        lo = np.array([points[:, j].min() for j in range(2)])
-        hi = np.array([points[:, j].max() for j in range(2)])
-        scaled = functionals / order[0]
-        tau = 16.0 * _EPS * (np.abs(scaled) @ np.maximum(-lo, hi) + 1.0)
-        ends = scaled * lo, scaled * hi
-        low = np.sum(np.minimum(*ends), axis=1) - tau
-        high = np.sum(np.maximum(*ends), axis=1) + tau
-        rmax = math.prod(folds)
-    out = np.empty((len(functionals), len(scales)), dtype=np.int64)
-    workers = max(1, min(_worker_count(), len(out)))
-    tickets = itertools.count()
-    errors = []
-
-    def count():
-        try:
-            # the quotients and their floors, or a shadow to sort and its
-            # bins; the sort's steps fault in only if a shadow is sorted
-            work, steps = _workspace(size), np.empty(max(size - 1, 0), dtype=bool)
-            while not errors:
-                i = next(tickets)
-                if i >= len(out):
-                    return
-                found = None
-                table = None if folds is None else _table_range(low[i], high[i], size, rmax)
-                if table is not None:
-                    np.matmul(points, scaled[i], out=work[0])
-                    found = _table_counts(work[0], work[1], folds, *table, tau[i])
-                if found is None:
-                    np.matmul(points, functionals[i], out=work[0])
-                    found = _sorted_counts(work[0], order, (work[1], steps))
-                out[i] = [found[k] for k in positions]
-        except BaseException as exc:   # re-raised on the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=count) for _ in range(1, workers)]
-    for thread in threads:
-        thread.start()
-    count()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return out
+    return _line_counts(cloud.points, functionals, scales)
 
 
 def projector_counts(projector, cloud, scales):
@@ -482,9 +460,8 @@ def projector_counts(projector, cloud, scales):
         cand = projector.matrix @ probe
         if np.linalg.norm(cand) > 1e-9:
             direction = norms.canonicalize_direction(cand / np.linalg.norm(cand))
-            image = projector.apply(cloud.points)
-            # the image is dead once its shadow is read: its bytes are the workspace
-            return _bin_counts(image @ direction, scales, image.reshape(2, -1))
+            # the image's coordinate is one functional of the cloud
+            return _line_counts(cloud.points, (projector.matrix.T @ direction)[None], scales)[0].tolist()
     return [1] * len(scales)
 
 

@@ -5,6 +5,7 @@ function system, never random samples, so box counts are exact and repeat
 runs byte-identical.  Point order is lexicographic in the symbol sequence.
 """
 
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -65,6 +66,9 @@ def cantor_product(r, generation):
         raise ValueError("generation must be non-negative")
     if generation > 12:
         raise TooLarge("cantor_product capped at generation 12")
+    if r**generation < sys.float_info.min:
+        # an underflowed cell side would give the cloud resolution 0
+        raise TooLarge(f"cell side {r:g}^{generation} is below the smallest normal float")
     starts, length = _cantor_starts(r, generation)
     mids = starts + 0.5 * length
     xs, ys = np.meshgrid(mids, mids, indexing="ij")

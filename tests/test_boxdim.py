@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import normproj
-from normproj import boxdim, fractals, norms, projections, sweep
+from normproj import boxdim, checks, fractals, norms, projections, sweep
 from normproj.errors import LowQualityFit, UnderResolved
 from normproj.fractals import PointCloud
 from normproj.norms import HyperplaneNormal
@@ -173,14 +173,14 @@ def test_bin_counts_equal_unique_oracle(rng):
     }
     for name, coords in cases.items():
         for ladder, scales in ladders.items():
-            got = boxdim._bin_counts(rng.permutation(coords), scales)
+            got = boxdim._occupied_counts(rng.permutation(coords)[:, None], scales)
             assert got == [_unique_bins(coords, d) for d in scales], (name, ladder)
     # near-equal scales far from the origin: the cascade's rounding check
     # still passes at 1e9 and fails at 1e10, where all points are counted
     for offset in (1e9, 1e10):
         coords = offset + rng.uniform(0.0, 50.0, 4000)
         scales = [1.0, 1.000001, 3.0]
-        assert boxdim._bin_counts(coords.copy(), scales) == [_unique_bins(coords, d) for d in scales], offset
+        assert boxdim._occupied_counts(coords[:, None], scales) == [_unique_bins(coords, d) for d in scales], offset
 
 
 def test_bin_counts_point_just_below_a_finer_bin_edge():
@@ -193,7 +193,7 @@ def test_bin_counts_point_just_below_a_finer_bin_edge():
     # aligned to 3^5 slots, fits
     coords = np.repeat([x, 16.5 * 3.0**-6], 40)
     scales = [3.0**-k for k in range(2, 8)]
-    assert boxdim._bin_counts(coords.copy(), scales) == [_unique_bins(coords, d) for d in scales]
+    assert boxdim._occupied_counts(coords[:, None], scales) == [_unique_bins(coords, d) for d in scales]
 
 
 def test_bin_counts_point_just_below_a_finer_bin_edge_in_a_shadow():
@@ -216,9 +216,9 @@ def sorted_calls(monkeypatch):
     calls = []
     sorted_counts = boxdim._sorted_counts
 
-    def counting(coords, order, work):
+    def counting(coords, order, bins, steps):
         calls.append(order)
-        return sorted_counts(coords, order, work)
+        return sorted_counts(coords, order, bins, steps)
 
     monkeypatch.setattr(boxdim, "_sorted_counts", counting)
     return calls
@@ -237,8 +237,8 @@ def test_chained_ladders_fold_without_sorting(rng, sorted_calls, ce_norm):
     for base in (2, 3, 4):
         scales = [float(base) ** -k for k in (3, 1, 6, 2, 5, 4, 3)]
         coords = points @ np.array([0.6, 0.8])
-        assert boxdim._bin_counts(coords.copy(), scales) == [_unique_bins(coords, d) for d in scales]
-        assert boxdim._bin_counts(coords.copy(), scales[:1]) == [_unique_bins(coords, scales[0])]
+        assert boxdim._occupied_counts(coords[:, None], scales) == [_unique_bins(coords, d) for d in scales]
+        assert boxdim._occupied_counts(coords[:, None], scales[:1]) == [_unique_bins(coords, scales[0])]
         for model in (norms.euclidean(), norms.lp(1.5), ce_norm):
             _assert_counts_match_unique_oracle(model, cloud, normals, scales)
     assert sorted_calls == []
@@ -249,14 +249,14 @@ def test_unchained_ladder_sorts(rng, sorted_calls):
     points = rng.uniform(-1.0, 2.0, (4000, 2))
     scales = [0.01, 0.02, 0.03]
     coords = points @ np.array([0.6, 0.8])
-    assert boxdim._bin_counts(coords.copy(), scales) == [_unique_bins(coords, d) for d in scales]
+    assert boxdim._occupied_counts(coords[:, None], scales) == [_unique_bins(coords, d) for d in scales]
     assert len(sorted_calls) == 1
     normals = [HyperplaneNormal.from_angle(a) for a in (0.1, 0.9, 1.7)]
     _assert_counts_match_unique_oracle(norms.euclidean(), _box_cloud(points), normals, scales)
     assert len(sorted_calls) == 4
     # ratios 2 and 5: 5 // 2 = 2 would fold by 2 twice
     scales = [0.01, 0.02, 0.05]
-    assert boxdim._bin_counts(coords.copy(), scales) == [_unique_bins(coords, d) for d in scales]
+    assert boxdim._occupied_counts(coords[:, None], scales) == [_unique_bins(coords, d) for d in scales]
     assert len(sorted_calls) == 5
     assert boxdim._fold_steps([0.01, 0.02, 0.06]) == [2, 3]
 
@@ -269,6 +269,38 @@ def test_shadow_narrower_than_bounding_box(rng, sorted_calls):
     scales = [2.0**-k for k in range(6, 13)]
     normals = [HyperplaneNormal.from_angle(a) for a in (np.pi / 4.0 + 1e-6, 3.0 * np.pi / 4.0)]
     _assert_counts_match_unique_oracle(norms.euclidean(), _box_cloud(points), normals, scales)
+    assert sorted_calls == []
+
+
+def test_overflowing_bin_index_refused_with_its_scale():
+    # (1e300, 0) / 1e-10 overflows: the planar cell key raised OverflowError,
+    # and the line and shadow counts counted an infinite bin with a warning
+    points = np.array([[1e300, 0.0], [0.0, 1.0]])
+    plane = PointCloud(points=points, generation=0, resolution=1e-12, label="far", base=2)
+    line = PointCloud(points=points[:, 0], generation=0, resolution=1e-12, label="far", base=2)
+    w = HyperplaneNormal.from_angle(0.3)
+    calls = (
+        lambda: boxdim.box_count(plane, 1e-10),
+        lambda: boxdim.box_count(line, 1e-10),
+        lambda: boxdim.projected_counts(norms.euclidean(), plane, [w], [1e-10]),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=r"scale 1e-10 overflow"):
+            call()
+
+
+def test_verify_boxdim_checks_count_without_sorting(sorted_calls, curve10):
+    # the covering check's f and psi clouds hold 0 and 1, which lie on every
+    # dyadic bin edge: a line cloud's quotient is numpy's own, so its single
+    # scales need no edge test and none is sorted; the projector images of
+    # the equal-kernel check pass the edge test at every scale
+    res = float(np.min(np.diff(curve10.f))) / 4.0
+    for values in (curve10.f, curve10.psi):
+        cloud = PointCloud(points=values, generation=10, resolution=res, label="curve")
+        for k in range(3, 9):
+            assert boxdim.box_count(cloud, 2.0**-k) == _unique_bins(values, 2.0**-k)
+    assert checks._check_covering_counts(0).passed
+    assert checks._check_equal_kernel_boxdim(0).passed
     assert sorted_calls == []
 
 
@@ -409,9 +441,9 @@ def test_shadow_table_sorts_only_where_points_sit_on_bin_edges(monkeypatch):
     sorted_calls = []
     sorted_counts = boxdim._sorted_counts
 
-    def counting(coords, order, work):
+    def counting(coords, order, bins, steps):
         sorted_calls.append(True)
-        return sorted_counts(coords, order, work)
+        return sorted_counts(coords, order, bins, steps)
 
     monkeypatch.setattr(boxdim, "_sorted_counts", counting)
     clouds = (fractals.cantor_product(1.0 / 3.0, 8), fractals.four_corner(8), fractals.cantor_product(0.2, 8))

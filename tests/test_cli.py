@@ -463,3 +463,97 @@ def test_artifacts_identical_under_python_O(tmp_path):
             assert proc.returncode == 0, proc.stderr
             blobs.append([(run_dir / out).read_bytes() for out in outputs])
         assert blobs[0] == blobs[1], args
+
+
+# Tiny --ratio values: r^gen underflowed, the cloud resolution read 0 and
+# the scale ladder 1e-300, 0.0, 0.0, ...
+_TINY_RATIO_CASES = (
+    ["dim", "--ratio", "1e-50", "--gen", "7"],
+    ["sweep", "--ratio", "1e-50", "--gen", "7"],
+    ["dim", "--ratio", "1e-160", "--gen", "8"],
+    ["sweep", "--ratio", "1e-160", "--gen", "8"],
+    ["sweep", "--ratio", "1e-300", "--gen", "8", "--directions", "36", "--threshold", "0.5"],
+)
+
+
+def test_tiny_ratio_exits_2_without_artifacts(tmp_path, capsys):
+    # they ended in a ZeroDivisionError or OverflowError traceback, or wrote
+    # NaN slopes to the CSV and "mean_slope": NaN to the JSON
+    out = tmp_path / "out"
+    for argv in _TINY_RATIO_CASES:
+        assert run([argv[0], "--set", "cantor-product", *argv[1:], "--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "smallest normal" in err, (argv, err)
+        assert not list(tmp_path.iterdir()), argv
+
+
+def _numeric_flags(parser):
+    # (subcommand path, subparser, numeric option strings), walking nested subcommands
+    numeric = (int, cli._finite_float, cli._seed)
+    flags = [a.option_strings[-1] for a in parser._actions if a.option_strings and a.type in numeric]
+    yield (), parser, flags
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                for path, inner, inner_flags in _numeric_flags(sub):
+                    yield (name, *path), inner, inner_flags
+
+
+# cheap values for the other flags of each subcommand, and what a flag needs
+# to be read at all
+_FLAG_BASE = {
+    (): ["verify"],
+    ("norm-info",): ["--grid", "16"],
+    ("gauss",): ["--angle", "0.3"],
+    ("project",): ["--w", "0.3", "--x", "1,2"],
+    ("counterexample", "build"): ["--level", "4"],
+    ("set",): ["--gen", "4"],
+    ("dim",): ["--gen", "4"],
+    ("sweep",): ["--gen", "4", "--directions", "36"],
+    ("verify",): [],
+}
+_FLAG_CONTEXT = {
+    "--p": ["--norm", "lp"],
+    "--m": ["--norm", "counterexample", "--level", "4"],
+    "--level": ["--norm", "counterexample"],
+}
+
+
+def test_every_numeric_flag_exits_cleanly(tmp_path, capsys):
+    # each numeric flag of each subcommand takes 0, -1, a huge and a tiny
+    # value and a non-number: exit 0 or 2, or 1 with a one-line typed error
+    out = str(tmp_path / "out")
+    cases = [[*argv, "--set", "cantor-product"] for argv in _TINY_RATIO_CASES]
+    walked = 0
+    for path, sub, flags in _numeric_flags(cli.build_parser()):
+        if path == ("counterexample",):
+            continue
+        for flag in flags:
+            context = _FLAG_CONTEXT.get(flag, []) if "--norm" in sub._option_string_actions else []
+            for value in ("0", "-1", "1" + "0" * 30, "1e-300", "abc"):
+                if path == ():
+                    cases.append([f"{flag}={value}", *_FLAG_BASE[path]])
+                else:
+                    cases.append([*path, *_FLAG_BASE[path], *context, f"{flag}={value}"])
+            walked += 1
+    assert walked == 26
+    for argv in cases:
+        argv = [*argv, "--out", out]
+        code = run(argv)
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, argv
+        if code == 1:
+            assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
+            assert err.split(":")[1].strip().isidentifier(), (argv, err)
+            continue
+        assert code in (0, 2), (argv, code, err)
+        if code == 2:
+            # a refusal comes before what it refuses is allocated
+            tracemalloc.start()
+            try:
+                run(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            capsys.readouterr()
+            assert peak < 1 << 20, (argv, peak)

@@ -39,6 +39,17 @@ def test_cantor_product_guards():
         fractals.four_corner(-1)
 
 
+def test_cantor_product_refuses_an_underflowing_cell_side():
+    # r^gen below the smallest normal float gave the cloud resolution 0 and
+    # the scale ladder 1e-300, 0.0, 0.0, ...
+    for r, generation in ((1e-50, 7), (1e-160, 8), (1e-300, 8), (1e-300, 2)):
+        with pytest.raises(TooLarge, match="smallest normal"):
+            fractals.cantor_product(r, generation)
+    # one generation above the floor is still built: 1e-50^6 = 1e-300
+    cloud = fractals.cantor_product(1e-50, 6)
+    assert cloud.resolution > 0.0 and len(cloud.points) == 4**6
+
+
 def test_four_corner_first_generation():
     cloud = fractals.four_corner(1)
     expect = np.array([[1, 1], [1, 7], [7, 1], [7, 7]]) / 8.0
