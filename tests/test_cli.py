@@ -508,8 +508,8 @@ _FLAG_BASE = {
     ("project",): ["--w", "0.3", "--x", "1,2"],
     ("counterexample", "build"): ["--level", "4"],
     ("set",): ["--gen", "4"],
-    ("dim",): ["--gen", "4"],
-    ("sweep",): ["--gen", "4", "--directions", "36"],
+    ("dim",): ["--gen", "5"],
+    ("sweep",): ["--gen", "5", "--directions", "36"],
     ("verify",): [],
 }
 _FLAG_CONTEXT = {
@@ -526,8 +526,6 @@ def test_every_numeric_flag_exits_cleanly(tmp_path, capsys):
     cases = [[*argv, "--set", "cantor-product"] for argv in _TINY_RATIO_CASES]
     walked = 0
     for path, sub, flags in _numeric_flags(cli.build_parser()):
-        if path == ("counterexample",):
-            continue
         for flag in flags:
             context = _FLAG_CONTEXT.get(flag, []) if "--norm" in sub._option_string_actions else []
             for value in ("0", "-1", "1" + "0" * 30, "1e-300", "abc"):
