@@ -90,13 +90,15 @@ def _check_linear_families(seed):
     ce = _shared_norm()
     models = [norms.lp(1.5), norms.lp(3.0), norms.inner_product(np.diag([1.0, 4.0])), ce]
     worst = 0.0
+    problems = []
     for model in models:
         w = norms.HyperplaneNormal.from_angle(rng.uniform(0.0, np.pi))
         proj = projections.projector_from_kernel(w, norms.inverse_gauss(model, w.w))
         worst = max(worst, proj.idempotency_defect())
-        x = rng.standard_normal((50, 2)) * 2.0
-        dirs = [d / np.linalg.norm(d) for d in x - projections.project_hyperplane_direct(model, w, x)
-                if np.linalg.norm(d) > 1e-4]
+        problems.append((model, w, rng.standard_normal((50, 2)) * 2.0))
+    # the four models' line minimizations run as one stacked solve
+    for (_, _, x), image in zip(problems, projections.project_hyperplanes_direct(problems)):
+        dirs = [d / np.linalg.norm(d) for d in x - image if np.linalg.norm(d) > 1e-4]
         for d in dirs[1:]:
             worst = max(worst, abs(dirs[0][0] * d[1] - dirs[0][1] * d[0]))
     return _report("linear_projection_families", worst, 1e-8, 50 * len(models), seed)

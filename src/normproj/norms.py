@@ -249,6 +249,12 @@ class SupportTable:
         dh = self.support_deriv(angle)
         return (np.asarray(h)[..., None] * u) + (np.asarray(dh)[..., None] * up)
 
+    def node_points(self):
+        """``boundary_point(phi)`` from the table's own values: at a knot
+        the spline gives h and h' exactly."""
+        u = unit_vector(self.phi)
+        return self.h[:, None] * u + self.dh[:, None] * rot90(u)
+
     # -- diagnostics -------------------------------------------------------
 
     def antipodal_defect(self):
@@ -410,7 +416,7 @@ def _table_frame(norm):
     if "frame" not in norm._memo:
         table = _require_table(norm)
         knots, coeffs, _ = table._spline()
-        nodes = table.boundary_point(table.phi)
+        nodes = table.node_points()
         alpha = np.unwrap(np.arctan2(nodes[:, 1], nodes[:, 0]))
         alpha = np.append(alpha, alpha[0] + 2.0 * np.pi)
         if not np.all(np.diff(alpha) > 0.0):
@@ -611,7 +617,11 @@ def inverse_gauss(norm, w):
         return _require_table(norm).boundary_point(polar_angle(w))
     if norm.kind == "lp":
         q_conj = norm.p / (norm.p - 1.0)
-        w = np.sign(w) * np.abs(w) ** (q_conj - 1.0)
+
+        def fn(r):   # near p = 1 the powers of a unit w can all underflow
+            d = np.sign(r) * np.abs(r) ** (q_conj - 1.0)
+            return d, np.max(np.abs(d), axis=-1)
+        w = _on_rays(w.reshape(-1, 2), fn, _FLOAT_TINY)[0].reshape(w.shape)
     elif norm.kind == "inner_product":
         w = _q_matrices(norm)[1] @ w
     return sphere_point(norm, w)

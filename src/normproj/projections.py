@@ -54,18 +54,23 @@ class LinearProjector:
 
 
 def projector_from_kernel(w, u):
-    """The projector onto w-perp with kernel span(u): x - (<x,w>/<u,w>) u."""
+    """The projector onto w-perp with kernel span(u): x - (<x,w>/<u,w>) u.
+
+    The kernel is refused as lying in the target plane by the angle of u,
+    |<u/|u|, w>| < 1e-14, not by its length: a support point of Q = c I has
+    length c^(-1/2).
+    """
     if not isinstance(w, HyperplaneNormal):
         w = HyperplaneNormal(w)
     u = np.asarray(u, dtype=float)
-    denom = float(np.dot(u, w.w))
-    if abs(denom) < 1e-14:
+    kernel_dir = norms._unit(u)
+    if abs(float(np.dot(kernel_dir, w.w))) < 1e-14:
         raise DegenerateSplitting("kernel direction lies in the target plane")
+    denom = float(np.dot(u, w.w))
     if denom < 0:
-        u = -u
-        denom = -denom
+        u, denom, kernel_dir = -u, -denom, -kernel_dir
     matrix = np.eye(2) - np.outer(u, w.w) / denom
-    return LinearProjector(kernel_dir=u / np.linalg.norm(u), matrix=matrix)
+    return LinearProjector(kernel_dir=kernel_dir, matrix=matrix)
 
 
 def project_hyperplane(norm, w, x):
@@ -81,30 +86,73 @@ def project_hyperplane(norm, w, x):
     return projector_from_kernel(w, u).apply(norms._planar(x))
 
 
-def _line_min(norm, x, direction, lo, hi):
+def _line_min(models, group, x, direction, lo, hi):
     """Minimize s -> ||x - s*direction|| on [lo, hi] for each row of ``x``.
 
-    ``x`` is an (N, 2) stack with brackets ``lo`` and ``hi`` of length N.
+    ``x`` and ``direction`` are (N, 2) stacks with brackets ``lo`` and
+    ``hi`` of length N; row i is measured in the norm ``models[group[i]]``.
     The objective is convex, so its minimizer is the root of the analytic
-    slope -<grad ||.||, direction>, one stacked root solve for all rows.
-    The slope is taken as 0 where x - s*direction is the zero vector (the
-    kink at the minimum), and a slope of one sign across the bracket puts
-    the minimizer at the end it points to.
+    slope -<grad ||.||, direction>, one stacked root solve for all rows,
+    where each model's gradient is evaluated on its own rows.  The slope is
+    taken as 0 where x - s*direction is the zero vector (the kink at the
+    minimum), and a slope of one sign across the bracket puts the minimizer
+    at the end it points to.
     """
 
-    def slope(s, x):
+    def slope(s, x, direction, group):
         y = x - s[:, None] * direction
         out = np.zeros(len(y))
         live = np.any(y != 0.0, axis=1)
-        out[live] = -np.sum(norms.norm_gradient(norm, y[live]) * direction, axis=-1)
+        for k, model in enumerate(models):
+            rows = live & (group == k)
+            if rows.any():
+                out[rows] = -np.sum(norms.norm_gradient(model, y[rows]) * direction[rows], axis=-1)
         return out
 
-    at_lo = slope(lo, x) >= 0.0
-    at_hi = slope(hi, x) <= 0.0
+    at_lo = slope(lo, x, direction, group) >= 0.0
+    at_hi = slope(hi, x, direction, group) <= 0.0
     s = np.where(at_lo, lo, hi)
     solve = ~at_lo & ~at_hi
-    s[solve] = brentq(slope, lo[solve], hi[solve], args=(x[solve],), xtol=1e-13)
+    s[solve] = brentq(slope, lo[solve], hi[solve],
+                      args=(x[solve], direction[solve], group[solve]), xtol=1e-13)
     return s
+
+
+def project_hyperplanes_direct(problems):
+    """Closest points by direct norm minimization for several problems at once.
+
+    ``problems`` is a sequence of ``(norm, w, x)``; returns the list of
+    their ``project_hyperplane_direct`` images, bit for bit, from one
+    stacked line minimization over the rows of every problem.
+    """
+    shapes, rows, directions, scales, lo, hi = [], [], [], [], [], []
+    models = [norm for norm, _, _ in problems]
+    for norm, w, x in problems:
+        if not isinstance(w, HyperplaneNormal):
+            w = HyperplaneNormal(w)
+        x = norms._planar(x)
+        shapes.append(x.shape)
+        r = x.reshape(-1, 2)
+        scale = np.max(np.abs(r), axis=-1, keepdims=True)
+        scale[scale == 0.0] = 1.0
+        r = r / scale
+        v = w.line_direction()
+        lo_r, hi_r = norms.sphere_radius_bounds(norm)
+        span = (1.0 + hi_r / lo_r) * (np.linalg.norm(r, axis=-1) + 1.0)
+        center = np.sum(r * v, axis=-1)
+        rows.append(r)
+        directions.append(np.broadcast_to(v, r.shape))
+        scales.append(scale)
+        lo.append(center - span)
+        hi.append(center + span)
+    sizes = [len(r) for r in rows]
+    group = np.repeat(np.arange(len(problems)), sizes)
+    direction = np.concatenate(directions)
+    s_star = _line_min(models, group, np.concatenate(rows), direction,
+                       np.concatenate(lo), np.concatenate(hi))
+    images = s_star[:, None] * direction * np.concatenate(scales)
+    return [image.reshape(shape)
+            for image, shape in zip(np.split(images, np.cumsum(sizes)[:-1]), shapes)]
 
 
 def project_hyperplane_direct(norm, w, x):
@@ -117,19 +165,7 @@ def project_hyperplane_direct(norm, w, x):
     the line searches then run at unit scale, where their absolute brackets
     and tolerances fit.
     """
-    if not isinstance(w, HyperplaneNormal):
-        w = HyperplaneNormal(w)
-    x = norms._planar(x)
-    rows = x.reshape(-1, 2)
-    scale = np.max(np.abs(rows), axis=-1, keepdims=True)
-    scale[scale == 0.0] = 1.0
-    rows = rows / scale
-    v = w.line_direction()
-    lo_r, hi_r = norms.sphere_radius_bounds(norm)
-    span = (1.0 + hi_r / lo_r) * (np.linalg.norm(rows, axis=-1) + 1.0)
-    center = np.sum(rows * v, axis=-1)
-    s_star = _line_min(norm, rows, v, center - span, center + span)
-    return (s_star[:, None] * v * scale).reshape(x.shape)
+    return project_hyperplanes_direct([(norm, w, x)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -219,15 +255,16 @@ def linearity_defect(projector, seed=0x5EED):
     Samples ``LINEARITY_SAMPLES`` triples (x, y, c) and measures |P(x + c y) - P(x) - c P(y)| divided by
     1 + |x| + |c||y|; a linear map scores ~0, a genuinely nonlinear closest-
     point map scores well above any floating tolerance.  ``projector`` maps
-    an (N, 3) stack of points to their images; the three stacks x + c y,
-    x and y are each one call.
+    an (N, 3) stack of points to their images, each row as if alone; the
+    three stacks x + c y, x and y go to it as one (3N, 3) stack.
     """
     rng = np.random.default_rng(seed)
-    draws = [(rng.standard_normal(3), rng.standard_normal(3), rng.uniform(-2.0, 2.0))
-             for _ in range(LINEARITY_SAMPLES)]
-    x, y, c = (np.array(col) for col in zip(*draws))
-    lhs = projector(x + c[:, None] * y)
-    rhs = projector(x) + c[:, None] * projector(y)
+    x, y = np.empty((LINEARITY_SAMPLES, 3)), np.empty((LINEARITY_SAMPLES, 3))
+    c = np.empty(LINEARITY_SAMPLES)
+    for i in range(LINEARITY_SAMPLES):
+        x[i], y[i], c[i] = rng.standard_normal(3), rng.standard_normal(3), rng.uniform(-2.0, 2.0)
+    lhs, px, py = np.split(projector(np.concatenate([x + c[:, None] * y, x, y])), 3)
+    rhs = px + c[:, None] * py
     scale = 1.0 + np.linalg.norm(x, axis=-1) + np.abs(c) * np.linalg.norm(y, axis=-1)
     return float(np.max(np.linalg.norm(lhs - rhs, axis=-1) / scale))
 

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -51,6 +52,22 @@ def test_project_huge_p_lp_both_methods(tmp_path):
             assert run(["project", "--norm", "lp", "--p", p, "--w", "0.3", "--x", "1,2",
                         "--method", method, "--out", str(out)]) == 0, (p, method)
             assert read_json(out)["defect"] <= 1e-12, (p, method)
+
+
+@pytest.mark.parametrize("norm_flags, expect", [
+    # the support point of Q = c I has length c^(-1/2), once read as a
+    # kernel in the target plane beyond c = 1e28
+    (["--norm", "inner-product", "--Q", "1e29,0;0,1e29"], [2.0, -1.0]),
+    # every power w_i^(1/(p-1)) of the unit normal once underflowed to 0;
+    # p = 1.001 gives the same projection
+    (["--norm", "lp", "--p", "1.0001"], [3.0, -1.5]),
+], ids=["inner-product-1e29", "lp-1.0001"])
+def test_project_extreme_norms_both_methods(tmp_path, norm_flags, expect):
+    out = tmp_path / "proj.json"
+    for method in ("lemma", "direct"):
+        assert run(["project", *norm_flags, "--w", "1,2", "--x", "3,1",
+                    "--method", method, "--out", str(out)]) == 0, method
+        assert read_json(out)["projection"] == pytest.approx(expect, rel=0.0, abs=1e-12), method
 
 
 def test_norm_info_inner_product_near_float_max(tmp_path):
@@ -197,6 +214,31 @@ def test_verify_command(tmp_path, capsys):
     assert len(data["reports"]) == 12
     printed = capsys.readouterr().out
     assert printed.count("PASS") == 12
+
+
+# SHA-256 of verify's JSON report and of its printed lines.  Rearranging
+# verify's root solves must not move a bit of either; the defects of seeds
+# 4 and 13 moved under earlier solver changes.
+VERIFY_DIGESTS = {
+    0: ("21765bf5eb885e86598f7776d662afecd5cdf4a6199e3cc73faac74825cab605",
+        "054458d6897bcb53b32949d05cb503facd61acb5b8b5662485a8c87385827fcf"),
+    4: ("59d3ace51d6d779674caff1d2cd3904c5db8c926fc2f35ae480d35ffc77db1b2",
+        "f0d9510be4c4e9ffe982ed75c7018e7f652041932179eb9cb46a8784c696dfbb"),
+    13: ("627ef3934cc8a263e2682e6d6bdf974d76a54f54a4946740f15d9aa7f6fcd62d",
+         "d2d459384ca6948c8ef721397162d84e476acce6563a2a764b9a61da98144f5d"),
+    20: ("c29f0f0814dca58fa4b7ac4b2491f91d7c3879a5971a494cac520922ee6a9f96",
+         "5eaf6fe513f6ba5ce29af6b54ac31294994238122b41f059a8780f81bb5ce299"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_DIGESTS))
+def test_verify_artifacts_locked(seed, tmp_path, capsys):
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--seed", str(seed), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    digests = (hashlib.sha256(out.read_bytes()).hexdigest(),
+               hashlib.sha256(printed.encode()).hexdigest())
+    assert digests == VERIFY_DIGESTS[seed]
 
 
 def test_seed_before_or_after_verify(tmp_path, monkeypatch):

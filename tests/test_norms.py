@@ -233,6 +233,23 @@ def test_inverse_gauss_examples():
     assert np.allclose(norms.inverse_gauss(model, w), expect, atol=1e-12)
 
 
+def test_inverse_gauss_lp_near_one_rescues_underflowing_powers(rng):
+    # w is raised to q - 1 = 1/(p - 1); at p = 1.0001 every coordinate of
+    # the unit w = (1, 2)/sqrt(5) underflows to 0, and at p = 1.001 one does
+    w = np.array([1.0, 2.0])
+    for p in (1.0001, 1.001):
+        assert np.allclose(norms.inverse_gauss(norms.lp(p), w), [0.0, 1.0], rtol=0.0, atol=1e-14), p
+    assert np.array_equal(norms.inverse_gauss(norms.lp(1.0001), [-3.0, -3.0]),
+                          norms.sphere_point(norms.lp(1.0001), [-1.0, -1.0]))
+    # directions whose powers stay in range keep the bits of the formula as written
+    for p in (1.5, 3.0, 8.0):
+        model = norms.lp(p)
+        for w in rng.standard_normal((50, 2)):
+            unit = w / np.linalg.norm(w)
+            dual = np.sign(unit) * np.abs(unit) ** (p / (p - 1.0) - 1.0)
+            assert norms.inverse_gauss(model, w).tobytes() == norms.sphere_point(model, dual).tobytes()
+
+
 def test_sphere_point_invariant(rng, ce_norm):
     for model in closed_form_models() + [ce_norm]:
         for _ in range(20):
@@ -647,3 +664,12 @@ def test_table_with_folded_boundary_points_refused():
         norms.from_support_table(table)
     circle = SupportTable(phi=phi, h=np.ones(n), dh=np.zeros(n))
     assert norms.eval_norm(norms.from_support_table(circle), np.array([3.0, 4.0])) == pytest.approx(5.0)
+
+
+def test_node_points_equal_boundary_points_at_the_nodes(ce_norm, curve12, tmp_path):
+    # the kernel frame reads the node boundary points from the table's h and
+    # h'; at its own knots the spline returns exactly those
+    read_back = tmp_path / "table.csv"
+    ce_norm.support.to_csv(read_back)
+    for table in (ce_norm.support, cantor.build_norm(curve12).support, SupportTable.from_csv(read_back)):
+        assert table.node_points().tobytes() == table.boundary_point(table.phi).tobytes()

@@ -41,6 +41,31 @@ def test_projector_rejects_tangent_kernel():
         pj.projector_from_kernel(w, np.array([1.0, 0.0]))
 
 
+def test_projector_judges_the_kernel_by_its_angle_not_its_length():
+    w = HyperplaneNormal(np.array([0.0, 1.0]))
+    for length in (1e-20, 1.0, 1e20):
+        # 45 degrees off the plane at every length
+        proj = pj.projector_from_kernel(w, length * np.array([1.0, 1.0]))
+        assert np.allclose(proj.kernel_dir, [math.sqrt(0.5), math.sqrt(0.5)], rtol=0.0, atol=1e-15)
+        assert np.allclose(proj.apply([3.0, 1.0]), [2.0, 0.0], rtol=0.0, atol=1e-15)
+        # 1e-15 radians off the plane at every length
+        with pytest.raises(DegenerateSplitting):
+            pj.projector_from_kernel(w, length * np.array([1.0, 1e-15]))
+
+
+def test_scaled_identity_projects_like_the_euclidean_norm():
+    # the support point of Q = c I has Euclidean length c^(-1/2); beyond
+    # c = 1e28 it once read as a kernel in the target plane
+    w = HyperplaneNormal(np.array([1.0, 2.0]))
+    xs = np.array([[3.0, 1.0], [-0.7, 0.4]])
+    expect = xs - np.outer(xs @ w.w, w.w)
+    for k in range(0, 301, 20):
+        model = norms.inner_product(10.0**k * np.eye(2))
+        for fn in (pj.project_hyperplane, pj.project_hyperplane_direct):
+            got = fn(model, w, xs)
+            assert np.max(np.abs(got - expect)) <= 1e-12, (k, fn.__name__)
+
+
 # -- hyperplane projections ----------------------------------------------------
 
 def test_project_euclidean_formula(rng):
@@ -234,6 +259,7 @@ def _bits(values):
 
 def test_direct_projection_stack_equals_rows(rng, ce_norm):
     models = (norms.lp(1.5), norms.lp(3.0), norms.inner_product(np.diag([1.0, 4.0])), ce_norm)
+    problems = []
     for model in models:
         w = HyperplaneNormal.from_angle(rng.uniform(0.0, np.pi))
         # random points, a point on the plane and the origin
@@ -241,6 +267,14 @@ def test_direct_projection_stack_equals_rows(rng, ce_norm):
         stacked = pj.project_hyperplane_direct(model, w, x)
         rows = [pj.project_hyperplane_direct(model, w, row) for row in x]
         assert np.array_equal(_bits(stacked), _bits(rows)), model.kind
+        problems.append((model, w, x, stacked))
+    # the four models in one stacked solve, and a single point among them
+    problems.append((models[0], problems[0][1], np.array([0.3, -1.2]),
+                     pj.project_hyperplane_direct(models[0], problems[0][1], [0.3, -1.2])))
+    images = pj.project_hyperplanes_direct([(model, w, x) for model, w, x, _ in problems])
+    for (model, _, _, alone), image in zip(problems, images):
+        assert image.shape == alone.shape
+        assert np.array_equal(_bits(image), _bits(alone)), model.kind
 
 
 def test_project_line_lp_stack_equals_rows(rng):
@@ -277,6 +311,24 @@ def test_linearity_defect_thresholds():
     proj4 = lambda x: pj.project_line_lp(4.0, v, x)
     assert pj.linearity_defect(proj2, seed=0x5EED) <= 1e-9
     assert pj.linearity_defect(proj4, seed=0x5EED) > 1e-3
+
+
+def test_linearity_defect_stacked_equals_three_calls():
+    # the projector gets x + c y, x and y as one stack; the draws, the
+    # images and the defect keep the bits of three separate calls
+    v = np.ones(3) / math.sqrt(3.0)
+    for p in (2.0, 4.0):
+        for seed in (0x5EED, 7):
+            project = lambda x: pj.project_line_lp(p, v, x)
+            rng = np.random.default_rng(seed)
+            draws = [(rng.standard_normal(3), rng.standard_normal(3), rng.uniform(-2.0, 2.0))
+                     for _ in range(pj.LINEARITY_SAMPLES)]
+            x, y, c = (np.array(col) for col in zip(*draws))
+            lhs = project(x + c[:, None] * y)
+            rhs = project(x) + c[:, None] * project(y)
+            scale = 1.0 + np.linalg.norm(x, axis=-1) + np.abs(c) * np.linalg.norm(y, axis=-1)
+            expect = float(np.max(np.linalg.norm(lhs - rhs, axis=-1) / scale))
+            assert _bits(pj.linearity_defect(project, seed=seed)) == _bits(expect), (p, seed)
 
 
 def test_linearity_defect_linear_projector(rng):
