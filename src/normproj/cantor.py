@@ -449,10 +449,11 @@ def build_norm(curve):
     its nodes are the interior points of a 4096-point uniform sample.
     Since F(1) = 1/8 and theta(1) = arctan(2/7) for every set, the quintic
     is a constant of the construction.  The second half of the table is
-    the antipodal copy, node i + n/2 at angle phi_i + pi.  An assembled
-    table that fails ``SupportTable.validate`` (the convexity proxy among
-    its tests) raises NotStrictlyConvex.  The returned model carries
-    ``curve`` as its ``curve`` field.
+    the antipodal copy, node i + n/2 at angle phi_i + pi.  A table whose
+    spline fails ``SupportTable.validate`` (h + h'' at every segment end,
+    which the default set's rounded nodes fail from level 15) raises
+    NotStrictlyConvex.  The returned model carries ``curve`` as its
+    ``curve`` field.
     """
     phi1 = 1.0 + curve.theta1
     h_a = (1.0 - curve.F1) * math.cos(curve.theta1)
@@ -469,14 +470,7 @@ def build_norm(curve):
     # every knot width of the second half equals its twin's bit for bit
     phi = np.round(phi * 2.0**50) * 2.0**-50
 
-    joints = (
-        (phi1, dh_a, float(dpoly(phi1))),
-        (float(np.pi), float(dpoly(np.pi)), dh_b),
-        (phi1 + np.pi, dh_a, float(dpoly(phi1))),
-        (2.0 * np.pi, float(dpoly(np.pi)), dh_b),
-    )
-    table = SupportTable(phi=np.concatenate([phi, phi + np.pi]), h=np.tile(h, 2),
-                         dh=np.tile(dh, 2), joints=joints)
+    table = SupportTable(phi=np.concatenate([phi, phi + np.pi]), h=np.tile(h, 2), dh=np.tile(dh, 2))
     model = norms.from_support_table(table)
     model.curve = curve
     return model

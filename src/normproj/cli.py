@@ -23,11 +23,11 @@ from .errors import NormProjError, NotStrictlyConvex, TooLarge
 
 _FLOAT_FMT = "{:.12g}"
 
-# Deepest staircase grid: level 15 writes a 204,794-row table in ~1 s at
-# 84 MB peak; at level 16 the float divided differences of F no longer
-# resolve its convexity for the default ratio-1/3 set, so the build fails
-# its curve invariants.
-MAX_LEVEL = 15
+# Deepest staircase grid: level 14 writes a 106,490-row table in ~0.5 s at
+# 56 MB peak RSS.  At level 15 the rounded node values of the default
+# ratio-1/3 set no longer keep the table's spline convex (its h + h'' dips
+# to -0.75), so the build fails its convexity check.
+MAX_LEVEL = 14
 # Every set is held to what the default set handles at MAX_LEVEL: the grid
 # grows with the interval count m^level, and convexity is lost with the
 # interval length r^level.
@@ -35,12 +35,12 @@ MAX_INTERVALS = 2**MAX_LEVEL
 MIN_INTERVAL_LENGTH = Fraction(1, 3) ** MAX_LEVEL
 # Finest sweep grid: on the default generation-8 cloud a direction holds
 # its functional and six counts (64 bytes) until the fit, so 2^16
-# directions take ~17 s at 61 MB peak RSS on a shared 2-CPU machine, below
-# the 84 MB peak of a level-15 staircase build.
+# directions take ~15-17 s at ~60 MB peak RSS on a shared 2-CPU machine.
 MAX_DIRECTIONS = 2**16
 # Finest norm-info grid: check_gauss_properties holds ~330 bytes a point
-# under the staircase norm, whose 2^17-point check takes ~0.4 s at 76 MB
-# peak RSS on a shared 2-CPU machine, below a level-15 build's 84 MB.
+# under the staircase norm, whose 2^17-point check takes ~0.6 s at 76 MB
+# peak RSS at level 10 and ~0.7 s at 91 MB at level 14, on a shared 2-CPU
+# machine.
 MAX_GRID = 2**17
 
 

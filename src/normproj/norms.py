@@ -42,7 +42,6 @@ brentq = None
 golden_section_max = None
 
 ANTIPODAL_TABLE_TOL = 1e-10  # h(phi+pi) = h(phi) for stored tables
-JOINT_TANGENT_TOL = 1e-6     # C^1 mismatch allowed at glue joints
 _ZERO_COORD_TOL = 1e-12      # "first nonzero coordinate" cutoff
 MIN_GAUSS_GRID = 16          # fewest sweep points of check_gauss_properties
 _TURN_TOL = 1e-9             # |total turn of G - 2*pi| a monotone sweep allows
@@ -155,19 +154,21 @@ class HyperplaneNormal:
 
 
 def _segment(knots, x):
-    """Index of the knot segment holding each angle of ``x`` in [0, 2*pi]."""
+    """Index of the knot segment holding each angle of ``x`` in the knots' turn."""
     return np.clip(np.searchsorted(knots, x, side="right") - 1, 0, len(knots) - 2)
 
 
 def _piecewise_poly(knots, coeffs, angle):
     """Evaluate a periodic piecewise polynomial at ``angle`` mod 2*pi.
 
-    A point on a knot belongs to the segment it starts, 2*pi to the last.
+    The knots span one turn from knots[0], into which ``angle`` is first
+    reduced.  A point on a knot belongs to the segment it starts, the last
+    knot to the last segment.
     The sum runs from the constant term up with powers built by repeated
     multiplication, the order of SciPy's ``PPoly`` (not Horner), so results
     match it bit for bit.  Returns an array of the shape of ``angle``.
     """
-    x = np.asarray(np.mod(angle, 2.0 * np.pi), dtype=float)
+    x = np.asarray(knots[0] + np.mod(angle - knots[0], 2.0 * np.pi), dtype=float)
     flat = x.reshape(-1)
     seg = _segment(knots, flat)
     s = flat - knots[seg]
@@ -185,15 +186,15 @@ class SupportTable:
     ``phi`` are the node angles, strictly increasing on [0, 2*pi) and
     spaced as the builder likes; ``h`` the support values, ``dh`` the
     angular derivatives.  The count n is even and node i + n/2 is the
-    antipode of node i, the pairing ``antipodal_defect`` compares.
-    ``joints`` records (angle, incoming dh, outgoing dh) at each junction
-    between arcs, filled in by the builder.
+    antipode of node i, the pairing ``antipodal_defect`` compares.  The
+    cubic Hermite spline of (h, dh) is the table's one model of the body:
+    support, boundary points, contact angles and curvature all read it,
+    and it is C^1 by construction, since each node has one dh.
     """
 
     phi: np.ndarray
     h: np.ndarray
     dh: np.ndarray
-    joints: tuple = ()
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -207,8 +208,8 @@ class SupportTable:
             raise ValueError("phi, h, dh must have equal length")
         if not all(np.isfinite(arr).all() for arr in (self.phi, self.h, self.dh)):
             raise ValueError("phi, h, dh must be finite")
-        if not np.all(np.diff(np.append(self.phi, 2.0 * np.pi)) > 0.0):
-            raise ValueError("phi must increase strictly and stay below 2*pi")
+        if not (np.all(self.phi >= 0.0) and np.all(np.diff(np.append(self.phi, 2.0 * np.pi)) > 0.0)):
+            raise ValueError("phi must start at or above 0, increase strictly and stay below 2*pi")
         for arr in (self.phi, self.h, self.dh):
             arr.flags.writeable = False
 
@@ -216,14 +217,15 @@ class SupportTable:
 
     def _spline(self):
         """Knots and (4, n) power-basis coefficients of the C^1 cubic Hermite
-        interpolant of (h, dh) on [0, 2*pi], and those of its derivative.
+        interpolant of (h, dh) on [phi_0, phi_0 + 2*pi], and those of its
+        derivative; the last segment closes onto node 0 turned by 2*pi.
 
         Row i of the coefficients multiplies (phi - knot)^(3 - i); the
         formulas and their floating-point order are those of SciPy's
         ``CubicHermiteSpline``, so values match it bit for bit.
         """
         if "spline" not in self._memo:
-            knots = np.append(self.phi, 2.0 * np.pi)
+            knots = np.append(self.phi, self.phi[0] + 2.0 * np.pi)
             h = np.append(self.h, self.h[0])
             dh = np.append(self.dh, self.dh[0])
             step = np.diff(knots)
@@ -264,20 +266,16 @@ class SupportTable:
         return float(max(np.max(np.abs(dh_half)), np.max(np.abs(dd_half))))
 
     def convexity_slack(self):
-        """Min over the nodes of h + h''; > 0 is convex.
+        """Min of the spline's curvature radius h + h'' at both ends of every
+        knot segment; > 0 is convex.
 
-        h'' is the periodic second divided difference at each node, over the
-        node's own left and right spacings.
+        On a segment h'' = 6 c3 s + 2 c2, so the radius is h + 2 c2 at the
+        segment's start and h_{i+1} + 6 c3 step + 2 c2 at its end.
         """
-        step = np.diff(np.append(self.phi, 2.0 * np.pi))
-        slope = np.diff(np.append(self.h, self.h[0])) / step
-        second = 2.0 * (slope - np.roll(slope, 1)) / (step + np.roll(step, 1))
-        return float(np.min(self.h + second))
-
-    def joint_tangent_mismatch(self):
-        if not self.joints:
-            return 0.0
-        return float(max(abs(a - b) for _, a, b in self.joints))
+        knots, (c3, c2, _, c0), _ = self._spline()
+        start = c0 + 2.0 * c2
+        end = np.roll(c0, -1) + 6.0 * c3 * np.diff(knots) + 2.0 * c2
+        return float(min(np.min(start), np.min(end)))
 
     def validate(self):
         """Raise NotStrictlyConvex unless the table describes a valid norm."""
@@ -288,12 +286,8 @@ class SupportTable:
                 f"table not antipodally symmetric (defect {self.antipodal_defect():.3e})"
             )
         slack = self.convexity_slack()
-        if slack <= 0:
+        if not slack > 0.0:
             raise NotStrictlyConvex(f"table fails h + h'' > 0 (min slack {slack:.3e})")
-        if self.joint_tangent_mismatch() > JOINT_TANGENT_TOL:
-            raise NotStrictlyConvex(
-                f"glue joints not C^1 (mismatch {self.joint_tangent_mismatch():.3e})"
-            )
 
     # -- persistence -------------------------------------------------------
 
@@ -366,8 +360,11 @@ def inner_product(Q):
     if np.max(np.abs(Q - Q.T)) > 1e-12 * max(1.0, np.max(np.abs(Q))):
         raise NotStrictlyConvex("Q must be symmetric")
     eig = np.linalg.eigvalsh(Q)
-    if eig[0] <= 1e-12 * max(1.0, eig[-1]):
+    if eig[0] <= 0.0:
         raise NotStrictlyConvex("Q must be positive-definite")
+    if eig[0] <= 1e-12 * max(1.0, eig[-1]):
+        raise NotStrictlyConvex(f"Q's smallest eigenvalue {eig[0]:.3g} must exceed 1e-12 * max(1, "
+                                f"largest eigenvalue {eig[-1]:.3g})")
     Q = 0.5 * Q + 0.5 * Q.T   # (Q + Q.T) / 2 overflows where Q is near the float maximum
     Q.flags.writeable = False
     return NormModel(kind="inner_product", Q=Q)
@@ -405,8 +402,8 @@ def _require_table(norm):
 def _table_frame(norm):
     """Cached spline segments and unwrapped node boundary-point angles.
 
-    Returns ``(knots, coeffs, alpha)``: the n + 1 spline knots on
-    [0, 2*pi], the (4, n) power-basis coefficients of the support spline
+    Returns ``(knots, coeffs, alpha)``: the n + 1 spline knots on [phi_0,
+    phi_0 + 2*pi], the (4, n) power-basis coefficients of the support spline
     and the polar angles of the node boundary points h*u + h'*u_perp,
     unwrapped and closed by alpha[n] = alpha[0] + 2*pi.  The contact angle
     of a ray at polar angle alpha[j] <= a < alpha[j+1] lies in knot segment
@@ -579,20 +576,18 @@ def gauss_map(norm, x):
 
     The direction is constant along rays, so any nonzero ``x`` is accepted
     and the result is the normal at x/||x||.  Accepts stacked inputs
-    (..., 2), one normal per row.  A row at a corner of a table's body, a
-    locally vanishing curvature radius h + h'' at the contact angle probed
-    by second differences over the width of its knot segment, raises
-    NotSmoothHere.
+    (..., 2), one normal per row.  A row at a corner of a table's body, where
+    the spline's curvature radius h + h'' = h + 6 c3 s + 2 c2 at the contact
+    angle is at most 1e-3 h, raises NotSmoothHere.
     """
     rows = _rays(x)
     if norm.kind == "support_table":
         table = _require_table(norm)
         phi = _contact_angle(norm, rows)
-        knots = _table_frame(norm)[0]
-        step = np.diff(knots)[_segment(knots, phi)]   # width of the contact segment
+        knots, (c3, c2, _, _), _ = table._spline()
+        seg = _segment(knots, phi)
         h = table.support(phi)
-        local = h + (table.support(phi + step) + table.support(phi - step) - 2.0 * h) / step**2
-        corner = ~np.isfinite(local) | (local <= 1e-3 * h)
+        corner = ~(h + 6.0 * c3[seg] * (phi - knots[seg]) + 2.0 * c2[seg] > 1e-3 * h)
         if np.any(corner):
             raise NotSmoothHere(f"no unique normal at angle {phi[np.argmax(corner)]:.6f}")
         return unit_vector(phi).reshape(np.shape(x))

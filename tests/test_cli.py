@@ -308,7 +308,7 @@ def test_validation_errors_exit_2(tmp_path):
     assert run(["counterexample", "build", "--level", over, "--out", str(out)]) == 2
     assert run(["sweep", "--norm", "counterexample", "--level", over, "--out", str(out)]) == 2
     # levels whose grid has more or shorter intervals than the default set's deepest
-    for m, r, level in (("3", "1/5", "11"), ("2", "1/4", "14"), ("3", "3/10", "10")):
+    for m, r, level in (("3", "1/5", "9"), ("2", "1/4", "12"), ("3", "3/10", "10")):
         assert run(["counterexample", "build", "--m", m, "--r", r, "--level", level,
                     "--out", str(out)]) == 2
         assert run(["sweep", "--norm", "counterexample", "--m", m, "--r", r, "--level", level,
@@ -391,6 +391,35 @@ def test_every_level_of_the_default_set_accepted(monkeypatch):
     for level in range(1, cli.MAX_LEVEL + 1):
         args = argparse.Namespace(m=2, r="1/3", level=level)
         assert cli._staircase_curve(args)[2] == level
+
+
+@pytest.mark.parametrize("m, r, deepest", [(2, "1/4", 11), (3, "1/5", 8)])
+def test_deepest_admitted_level_builds(m, r, deepest):
+    # the other two reference sets at the deepest level the caps admit build
+    # a convex table (the default set's level 14 is built in test_cantor),
+    # and one level deeper is refused before any computation
+    model = cli.cantor.build_norm(cli._staircase_curve(argparse.Namespace(m=m, r=r, level=deepest)))
+    assert model.support.convexity_slack() > 0.003
+    with pytest.raises(cli.ValidationError, match="too deep"):
+        cli._staircase_curve(argparse.Namespace(m=m, r=r, level=deepest + 1))
+
+
+def test_table_refused_by_its_spline_or_its_start_exits_2(tmp_path, wide_segment_table):
+    # a table whose spline is not convex, and an ellipse table starting below
+    # angle 0: both exit 2 and leave no artifact
+    wide_segment_table.to_csv(tmp_path / "wide.csv")
+    rows = []
+    for k in range(64):
+        a = 2.0 * math.pi * k / 64 - 0.01
+        h = math.hypot(math.cos(a), 0.5 * math.sin(a))
+        rows.append(f"{a!r},{h!r},{-0.75 * math.cos(a) * math.sin(a) / h!r}")
+    (tmp_path / "below_zero.csv").write_text("phi,h,dh\n" + "\n".join(rows) + "\n")
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("wide", "below_zero"):
+        assert run(["norm-info", "--norm", "support-table", "--table", str(tmp_path / f"{name}.csv"),
+                    "--out", str(out / "info.json")]) == 2, name
+        assert not list(out.iterdir()), name
 
 
 def test_computation_errors_exit_1(tmp_path):

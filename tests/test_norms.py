@@ -103,6 +103,17 @@ def test_construction_rejects_non_strictly_convex():
         norms.inner_product(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
+def test_inner_product_refusals_name_their_cause():
+    # an indefinite Q is not positive-definite; a positive-definite Q whose
+    # smallest eigenvalue is at most 1e-12 * max(1, largest) meets the cap
+    with pytest.raises(NotStrictlyConvex, match="Q must be positive-definite"):
+        norms.inner_product(np.diag([1.0, -1.0]))
+    with pytest.raises(NotStrictlyConvex, match=r"smallest eigenvalue 1 must exceed 1e-12 \* max\(1, "
+                                                r"largest eigenvalue 1e\+15\)"):
+        norms.inner_product(np.diag([1e15, 1.0]))
+    norms.inner_product(np.diag([1e11, 1.0]))
+
+
 def test_support_table_not_ready():
     model = norms.NormModel(kind="support_table")
     with pytest.raises(ModelNotReady):
@@ -574,25 +585,28 @@ def test_convexity_slack_on_a_non_uniform_grid():
     table.validate()
 
 
-def test_corner_probe_steps_by_the_contact_segment():
-    # a square with corners rounded off at radius 1e-4: h + h'' = 1e-4 on
-    # each corner's normal fan, a corner at the 1e-3 h threshold.  The first
-    # knot segment is 0.5 wide, the rest about 0.011; a probe 0.5 wide
-    # would see the corner's neighbouring edges and call it smooth
-    corners = math.sqrt(2.0) * norms.unit_vector(np.pi / 4 + 0.1 + 0.5 * np.pi * np.arange(4))
-    half = np.concatenate([[0.0], 0.5 + (np.pi - 0.5) * np.arange(255) / 255])
-    phi = np.concatenate([half, half + np.pi])
-    u = norms.unit_vector(phi)
-    active = corners[np.argmax(u @ corners.T, axis=1)]
-    table = SupportTable(phi=phi, h=1e-4 + np.sum(u * active, axis=1),
-                         dh=np.sum(norms.rot90(u) * active, axis=1))
-    model = norms.from_support_table(table)
+def test_table_whose_spline_is_not_convex_refused(wide_segment_table):
+    # the second divided differences at the nodes read +1.1e-4 on this
+    # table; the spline the kernel evaluates dips to h + h'' = -362
+    assert wide_segment_table.convexity_slack() == pytest.approx(-362.85, abs=0.01)
+    with pytest.raises(NotStrictlyConvex, match=r"h \+ h''"):
+        norms.from_support_table(wide_segment_table)
+
+
+def test_corner_probe_reads_the_spline_curvature():
+    # an ellipse with semi-axes 1 and 0.02: its curvature radius
+    # h + h'' = a^2 b^2 / h^3 is b^2 = 4e-4 at the tip (1, 0), below the
+    # 1e-3 h corner threshold, and 1 / b = 50 at (0, 1)
+    b, n = 0.02, 512
+    phi = 2.0 * np.pi * np.arange(n) / n
+    c, s = np.cos(phi), np.sin(phi)
+    h = np.sqrt(c * c + b * b * s * s)
+    model = norms.from_support_table(SupportTable(phi=phi, h=h, dh=-(1.0 - b * b) * c * s / h))
     with pytest.raises(NotSmoothHere):
-        norms.gauss_map(model, corners[1])
-    # the middle of an edge is smooth; the spline turns its normal across
-    # the one knot segment that holds the edge, about 0.011 wide
-    edge = norms.unit_vector(0.1)
-    assert norms.gauss_map(model, edge) == pytest.approx(edge, abs=1e-2)
+        norms.gauss_map(model, np.array([1.0, 0.0]))
+    assert norms.gauss_map(model, np.array([0.0, 1.0])) == pytest.approx([0.0, 1.0], abs=1e-12)
+    g = norms.gauss_map(model, np.array([0.7, 0.01]))
+    assert np.linalg.norm(g) == pytest.approx(1.0) and g[1] > 0.99
 
 
 def test_support_table_validation_rejects_asymmetry(ce_norm):
@@ -619,6 +633,23 @@ def test_support_table_refuses_malformed_input():
     for angles in (phi[::-1], np.linspace(0.0, 2.0 * np.pi, n)):
         with pytest.raises(ValueError, match="increase strictly"):
             SupportTable(phi=angles, h=ones, dh=np.zeros(n))
+    # a first angle below 0, outside the table's turn [0, 2*pi)
+    with pytest.raises(ValueError, match="at or above 0"):
+        SupportTable(phi=phi - 0.01, h=ones, dh=np.zeros(n))
+
+
+def test_support_table_closes_onto_its_first_node():
+    # an ellipse with semi-axes 1 and 1/2: the last knot segment ends at
+    # phi_0 + 2*pi, not at 2*pi, so a table that starts above 0
+    # interpolates as well as one that starts at 0
+    x = norms.unit_vector(np.linspace(0.0, 2.0 * np.pi, 2001))
+    exact = np.sqrt(x[:, 0] ** 2 + 4.0 * x[:, 1] ** 2)
+    for start in (0.0, 0.001, 0.005):
+        phi = start + 2.0 * np.pi * np.arange(512) / 512
+        c, s = np.cos(phi), np.sin(phi)
+        h = np.sqrt(c * c + 0.25 * s * s)
+        model = norms.from_support_table(SupportTable(phi=phi, h=h, dh=-0.75 * c * s / h))
+        assert np.max(np.abs(norms.eval_norm(model, x) - exact)) < 1e-8, start
 
 
 def test_support_spline_equals_cubic_hermite_oracle(ce_norm, rng):
@@ -654,14 +685,16 @@ def test_table_contact_angle_residual(ce_norm, rng):
 
 
 def test_table_with_folded_boundary_points_refused():
-    # a circle's support values with a wildly alternating h': the table passes
-    # validate() but its node boundary points do not turn monotonically
+    # a circle's support values with a wildly alternating h': the spline's
+    # h + h'' reaches -9.19, and the node boundary points do not turn
+    # monotonically, which the kernel frame refuses on its own
     n = 64
     phi = 2.0 * np.pi * np.arange(n) / n
     table = SupportTable(phi=phi, h=np.ones(n), dh=0.5 * (-1.0) ** np.arange(n))
-    table.validate()
+    with pytest.raises(NotStrictlyConvex, match=r"h \+ h''"):
+        table.validate()
     with pytest.raises(NotStrictlyConvex, match="monoton"):
-        norms.from_support_table(table)
+        norms._table_frame(norms.NormModel(kind="support_table", support=table))
     circle = SupportTable(phi=phi, h=np.ones(n), dh=np.zeros(n))
     assert norms.eval_norm(norms.from_support_table(circle), np.array([3.0, 4.0])) == pytest.approx(5.0)
 
