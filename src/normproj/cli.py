@@ -38,9 +38,9 @@ MIN_INTERVAL_LENGTH = Fraction(1, 3) ** MAX_LEVEL
 # directions take ~15-17 s at ~60 MB peak RSS on a shared 2-CPU machine.
 MAX_DIRECTIONS = 2**16
 # Finest norm-info grid: check_gauss_properties holds ~330 bytes a point
-# under the staircase norm, whose 2^17-point check takes ~0.6 s at 76 MB
-# peak RSS at level 10 and ~0.7 s at 91 MB at level 14, on a shared 2-CPU
-# machine.
+# under the staircase norm, whose 2^17-point check takes 0.4-0.6 s at 76 MB
+# peak RSS at level 10 and 0.6-0.7 s at 91 MB at level 14, on a shared
+# 2-CPU machine.
 MAX_GRID = 2**17
 
 
