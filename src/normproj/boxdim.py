@@ -42,7 +42,7 @@ DIMENSION_CAVEAT = (
 )
 MIN_SCALES = 4
 MIN_R2 = 0.98
-MAX_SCALES = 12  # longest ladder of admissible_scales
+MAX_SCALES = 12  # longest default ladder of admissible_scales
 _EPS = 2.0**-53   # unit roundoff of float64
 _SLOTS = 8        # bin table slots per coordinate: the bytes of one float
 
@@ -356,10 +356,10 @@ def box_count(cloud, delta):
     return _occupied_counts(cloud.points, [float(delta)])[0]
 
 
-def admissible_scales(cloud):
-    """Powers base^-k admissible under the resolution guard, coarse first."""
+def admissible_scales(cloud, lo=1, hi=MAX_SCALES):
+    """Powers base^-k for k = lo..hi admissible under the resolution guard, coarse first."""
     out = []
-    for k in range(1, MAX_SCALES + 1):
+    for k in range(lo, hi + 1):
         delta = float(cloud.base) ** (-k)
         if delta < 2.0 * cloud.resolution:
             break

@@ -2,8 +2,10 @@
 
 Every artifact starts with the version header ``# normproj <semver>`` (CSV)
 or carries it as a ``version`` field (JSON, where a comment line would break
-parsers).  All floating output is printed with 12 significant digits, so a
-fixed configuration and seed reproduce byte-identical files.
+parsers).  All floating output is printed with 12 significant digits, except
+a support table's CSV rows, which carry round-trip digits so that
+``--table`` reads back the table built; a fixed configuration and seed
+reproduce byte-identical files.
 
 Exit codes: 0 success, 2 parameter/validation error, 1 computation error.
 """
@@ -79,26 +81,22 @@ class ValidationError(Exception):
     """Bad parameter values: reported on stderr, exit code 2."""
 
 
-def _finite_float(text):
-    """argparse type of the float flags: NaN or infinity would reach the artifacts."""
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
-    return value
+def _number(convert, low=-math.inf, high=math.inf):
+    """argparse type of a numeric flag: a finite ``convert(text)`` in [low, high],
+    else exit 2 before any handler runs.  ``bounds`` holds (low, high)."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = math.nan
+        # NaN fails both comparisons; math.isinf would overflow on a huge int
+        if not low <= value <= high or abs(value) == math.inf:
+            raise argparse.ArgumentTypeError(
+                f"expected a finite {convert.__name__} in [{low}, {high}], got {text!r}")
+        return value
 
-
-def _seed(text):
-    """argparse type of the --seed flags: numpy refuses a negative seed."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
+    parse.bounds = (low, high)
+    return parse
 
 
 def _parse_vector(text, flag, dim, nonzero=False):
@@ -161,8 +159,6 @@ def _build_norm(args):
 
 def _staircase_curve(args):
     """Staircase curve of the ``--m``/``--r`` Cantor set at ``--level``."""
-    if not 1 <= args.level <= MAX_LEVEL:
-        raise ValidationError(f"--level must lie in [1, {MAX_LEVEL}]")
     try:
         K = cantor.CantorSet(m=args.m, r=Fraction(args.r))
     except (ValueError, ZeroDivisionError) as exc:
@@ -178,11 +174,7 @@ def _staircase_curve(args):
 
 def _build_cloud(args):
     kind = args.set
-    if args.gen < 0:
-        raise ValidationError("--gen must be non-negative")
     if kind == "cantor-product":
-        if not 0.0 < args.ratio < 0.5:
-            raise ValidationError("--ratio must lie in (0, 0.5)")
         return fractals.cantor_product(args.ratio, args.gen)
     if kind == "four-corner":
         return fractals.four_corner(args.gen)
@@ -196,13 +188,14 @@ def _build_cloud(args):
 def _scales_from(args, refuse_fine=False):
     """The cloud of ``args`` and its box sizes.
 
-    ``--scales LO:HI`` gives base^-k for k = LO..HI; a range of fewer than
-    ``boxdim.MIN_SCALES`` scales is refused before the cloud is built.  The
-    scales are built only down to the finest one admissible for the cloud,
-    twice its resolution: a finer HI is refused where ``refuse_fine``, and
-    the range is cut there otherwise, as ``boxdim.estimate_dim`` would drop
-    those scales.  Without it the cloud's admissible scales are used.
+    ``--scales LO:HI`` gives the cloud's ``boxdim.admissible_scales`` for
+    k = LO..HI; a range of fewer than ``boxdim.MIN_SCALES`` scales is
+    refused before the cloud is built.  That ladder stops above twice the
+    cloud's resolution: a range cut there is refused where ``refuse_fine``,
+    and used otherwise, as ``boxdim.estimate_dim`` would drop those scales.
+    Without ``--scales`` the cloud's default ladder is used.
     """
+    lo, hi = 1, boxdim.MAX_SCALES
     if args.scales:
         try:
             lo, hi = (int(v) for v in args.scales.split(":"))
@@ -211,21 +204,14 @@ def _scales_from(args, refuse_fine=False):
         if hi - lo + 1 < boxdim.MIN_SCALES:
             raise ValidationError(f"--scales must hold at least {boxdim.MIN_SCALES} scales")
     cloud = _build_cloud(args)
-    if not args.scales:
-        return cloud, boxdim.admissible_scales(cloud)
-    scales = []
-    for k in range(lo, hi + 1):
-        try:
-            delta = float(cloud.base) ** (-k)
-        except OverflowError as exc:
-            raise ValidationError(f"--scales: {cloud.base}^{-k} overflows") from exc
-        if delta < 2.0 * cloud.resolution:
-            if refuse_fine:
-                raise ValidationError(
-                    f"--scales: {cloud.base}^-{hi} is below twice the cloud resolution "
-                    f"{cloud.resolution:g}")
-            break
-        scales.append(delta)
+    try:
+        scales = boxdim.admissible_scales(cloud, lo, hi)
+    except OverflowError as exc:
+        raise ValidationError(f"--scales: {cloud.base}^{-lo} overflows") from exc
+    if refuse_fine and args.scales and len(scales) < hi - lo + 1:
+        raise ValidationError(
+            f"--scales: {cloud.base}^-{hi} is below twice the cloud resolution "
+            f"{cloud.resolution:g}")
     return cloud, scales
 
 
@@ -234,8 +220,6 @@ def _scales_from(args, refuse_fine=False):
 # ---------------------------------------------------------------------------
 
 def _cmd_norm_info(args):
-    if not norms.MIN_GAUSS_GRID <= args.grid <= MAX_GRID:
-        raise ValidationError(f"--grid must lie in [{norms.MIN_GAUSS_GRID}, {MAX_GRID}]")
     model = _build_norm(args)
     report = norms.check_gauss_properties(model, args.grid)
     payload = {
@@ -346,8 +330,6 @@ def _cmd_dim(args):
 
 
 def _cmd_sweep(args):
-    if not sweep.MIN_DIRECTIONS <= args.directions <= MAX_DIRECTIONS:
-        raise ValidationError(f"--directions must lie in [{sweep.MIN_DIRECTIONS}, {MAX_DIRECTIONS}]")
     if args.set == "triadic":
         raise ValidationError("sweep needs a planar --set; triadic is a set on the line")
     model = _build_norm(args)
@@ -392,37 +374,39 @@ def _cmd_verify(args):
 def _add_norm_flags(parser):
     parser.add_argument("--norm", default="euclidean",
                         choices=["euclidean", "lp", "inner-product", "support-table", "counterexample"])
-    parser.add_argument("--p", type=_finite_float, default=None, help="exponent for --norm lp")
+    parser.add_argument("--p", type=_number(float), default=None, help="exponent for --norm lp")
     parser.add_argument("--Q", default=None, help="matrix rows 'a,b;c,d' for --norm inner-product")
     parser.add_argument("--table", default=None, help="support table CSV for --norm support-table")
-    parser.add_argument("--m", type=int, default=2, help="branch count for --norm counterexample")
+    parser.add_argument("--m", type=_number(int), default=2, help="branch count for --norm counterexample")
     parser.add_argument("--r", default="1/3", help="ratio (fraction or decimal) for --norm counterexample")
-    parser.add_argument("--level", type=int, default=10, help="grid level for --norm counterexample")
+    parser.add_argument("--level", type=_number(int, 1, MAX_LEVEL), default=10,
+                        help="grid level for --norm counterexample")
 
 
 def _add_set_flags(parser):
     parser.add_argument("--set", default="cantor-product",
                         choices=["cantor-product", "four-corner", "square", "triadic"])
-    parser.add_argument("--ratio", type=_finite_float, default=1.0 / 3.0)
-    parser.add_argument("--gen", type=int, default=8)
+    parser.add_argument("--ratio", default=1.0 / 3.0,  # in the open interval (0, 0.5)
+                        type=_number(float, math.nextafter(0.0, 1.0), math.nextafter(0.5, 0.0)))
+    parser.add_argument("--gen", type=_number(int, 0), default=8)
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="normproj",
                                      description="Projections, Gauss maps and box dimensions in normed planes")
     parser.add_argument("--config", default=None, help="key=value defaults file; flags override")
-    parser.add_argument("--seed", type=_seed, default=0, help="sampling seed of verify")
+    parser.add_argument("--seed", type=_number(int, 0), default=0, help="sampling seed of verify")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("norm-info", help="norm parameters plus Gauss-map diagnostics")
     _add_norm_flags(p)
-    p.add_argument("--grid", type=int, default=1024)
+    p.add_argument("--grid", type=_number(int, norms.MIN_GAUSS_GRID, MAX_GRID), default=1024)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_norm_info)
 
     p = sub.add_parser("gauss", help="evaluate the Gauss map at a sphere point")
     _add_norm_flags(p)
-    p.add_argument("--angle", type=_finite_float, default=None, help="polar angle of the sphere point")
+    p.add_argument("--angle", type=_number(float), default=None, help="polar angle of the sphere point")
     p.add_argument("--x", default=None,
                    help="point coordinates 'a,b' (rescaled to the sphere); "
                         "write --x=-1,2 if the first one is negative")
@@ -442,9 +426,9 @@ def build_parser():
     p = sub.add_parser("counterexample", help="staircase-norm construction")
     ce_sub = p.add_subparsers(dest="ce_command", required=True)
     b = ce_sub.add_parser("build", help="build the support table and sidecar")
-    b.add_argument("--m", type=int, default=2)
+    b.add_argument("--m", type=_number(int), default=2)
     b.add_argument("--r", default="1/3")
-    b.add_argument("--level", type=int, default=12)
+    b.add_argument("--level", type=_number(int, 1, MAX_LEVEL), default=12)
     b.add_argument("--out", required=True)
     b.set_defaults(func=_cmd_counterexample_build)
 
@@ -462,16 +446,16 @@ def build_parser():
     p = sub.add_parser("sweep", help="projected-dimension profile over directions")
     _add_norm_flags(p)
     _add_set_flags(p)
-    p.add_argument("--directions", type=int, default=180)
+    p.add_argument("--directions", type=_number(int, sweep.MIN_DIRECTIONS, MAX_DIRECTIONS), default=180)
     p.add_argument("--scales", default=None)
-    p.add_argument("--threshold", type=_finite_float, default=None)
+    p.add_argument("--threshold", type=_number(float), default=None)
     p.add_argument("--out", required=True, help="output path stem (.csv and .json)")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("verify", help="run the cross-cutting check suite")
     # the root --seed, also accepted after the subcommand; no default here,
     # so a seed given before the subcommand is not overwritten
-    p.add_argument("--seed", type=_seed, default=argparse.SUPPRESS)
+    p.add_argument("--seed", type=_number(int, 0), default=argparse.SUPPRESS)
     p.add_argument("--out", default="verify_report.json")
     p.set_defaults(func=_cmd_verify)
 
@@ -485,14 +469,18 @@ def _apply_config(argv):
     """Expand --config key=value defaults into flags the subcommand sees.
 
     Injected flags go immediately after the (sub)command token, so explicit
-    flags given on the command line come later and win.
+    flags given on the command line come later and win.  ``--config PATH``
+    and ``--config=PATH`` may go before the subcommand or after it.
     """
-    if "--config" not in argv:
+    idx = next((i for i, a in enumerate(argv) if a.partition("=")[0] == "--config"), None)
+    if idx is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
-        return argv
-    path = argv[idx + 1]
+    _, sep, path = argv[idx].partition("=")
+    end = idx + 1
+    if not sep:
+        if end >= len(argv):
+            return argv
+        path, end = argv[end], end + 1
     injected = []
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         line = line.strip()
@@ -500,10 +488,10 @@ def _apply_config(argv):
             continue
         key, _, value = line.partition("=")
         injected.extend([f"--{key.strip()}", value.strip()])
-    rest = argv[:idx] + argv[idx + 2 :]
+    rest = argv[:idx] + argv[end:]
     i = 0
-    while i < len(rest) and rest[i] in _ROOT_VALUE_FLAGS:
-        i += 2
+    while i < len(rest) and rest[i].partition("=")[0] in _ROOT_VALUE_FLAGS:
+        i += 1 if "=" in rest[i] else 2
     insert_at = min(i + 1, len(rest))
     if i < len(rest) and rest[i] == "counterexample":
         insert_at = min(i + 2, len(rest))
@@ -514,7 +502,7 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_config(argv)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2
     parser = build_parser()

@@ -296,13 +296,14 @@ class SupportTable:
             if version_line:
                 fh.write(version_line + "\n")
             fh.write("phi,h,dh\n")
+            # round-trip digits, so from_csv reads back the table's bits (at 12
+            # digits the spline read back from level 11 on is not convex);
             # format Python floats a chunk at a time: numpy scalars format
             # slowly, and one list of the whole table raises the peak memory
             for i in range(0, len(self.phi), _CSV_CHUNK_ROWS):
                 chunk = slice(i, i + _CSV_CHUNK_ROWS)
                 rows = zip(self.phi[chunk].tolist(), self.h[chunk].tolist(), self.dh[chunk].tolist())
-                fh.write("".join(f"{p + 0.0:.12g},{h + 0.0:.12g},{dh + 0.0:.12g}\n"
-                                 for p, h, dh in rows))
+                fh.write("".join("%r,%r,%r\n" % (p + 0.0, h + 0.0, dh + 0.0) for p, h, dh in rows))
 
     @classmethod
     def from_csv(cls, path):

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from normproj import __version__, checks, cli, norms, sweep
@@ -270,6 +271,31 @@ def test_explicit_flags_override_config(tmp_path):
     assert meta["generation"] == 3
 
 
+def test_config_equals_form_before_or_after_the_subcommand(tmp_path):
+    # --config=PATH before the subcommand was stored in a root flag nothing
+    # read (a generation-8 cloud, exit 0), and after it was refused
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("set=four-corner\ngen=3\n")
+    out = tmp_path / "cloud.csv"
+    for argv in ([f"--config={cfg}", "set"], ["set", f"--config={cfg}"],
+                 ["--seed=1", f"--config={cfg}", "set"]):
+        assert run([*argv, "--out", str(out)]) == 0, argv
+        meta = json.loads(out.read_text().splitlines()[1].lstrip("# "))
+        assert (meta["kind"], meta["generation"]) == ("four-corner", 3), argv
+
+
+def test_undecodable_config_exits_2(tmp_path, capsys):
+    # a config file that is not UTF-8 ended in a UnicodeDecodeError traceback
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"gen=3\n\xff\xfe\n")
+    out = tmp_path / "report.json"
+    for flag in (["--config", str(cfg)], [f"--config={cfg}"]):
+        assert run([*flag, "verify", "--out", str(out)]) == 2, flag
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config") and len(err.splitlines()) == 1, err
+    assert not out.exists()
+
+
 def test_validation_errors_exit_2(tmp_path):
     out = tmp_path / "x.json"
     assert run(["project", "--norm", "lp", "--p", "1.0", "--w", "0,1", "--x", "1,1",
@@ -422,6 +448,33 @@ def test_table_refused_by_its_spline_or_its_start_exits_2(tmp_path, wide_segment
         assert not list(out.iterdir()), name
 
 
+def test_level_12_table_loads_back(tmp_path):
+    # at 12 significant digits the spline read back was not convex from
+    # level 11 on, so --table refused the tool's own output
+    table = tmp_path / "ce.csv"
+    assert run(["counterexample", "build", "--level", "12", "--out", str(table)]) == 0
+    assert run(["norm-info", "--norm", "support-table", "--table", str(table), "--grid", "16",
+                "--out", str(tmp_path / "info.json")]) == 0
+    curve = cli._staircase_curve(argparse.Namespace(m=2, r="1/3", level=12))
+    built = cli.cantor.build_norm(curve).support
+    loaded = norms.SupportTable.from_csv(table)
+    for name in ("phi", "h", "dh"):  # equal values: a -0.0 is written as 0.0
+        assert np.array_equal(getattr(loaded, name), getattr(built, name)), name
+
+
+def test_readme_names_each_closed_range():
+    readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text(encoding="utf-8")
+    ranges = set()
+    for _, sub, flags in _numeric_flags(cli.build_parser()):
+        for flag in flags:
+            low, high = sub._option_string_actions[flag].type.bounds
+            if isinstance(low, int) and isinstance(high, int):
+                ranges.add(f"[{low}, {high}]")
+    assert ranges == {"[1, 14]", "[16, 131072]", "[36, 65536]"}
+    for text in (*ranges, "(0, 0.5)"):
+        assert text in readme, text
+
+
 def test_computation_errors_exit_1(tmp_path):
     out = tmp_path / "dim"
     # scales far below the cloud resolution trip the guard
@@ -560,8 +613,7 @@ def test_tiny_ratio_exits_2_without_artifacts(tmp_path, capsys):
 
 def _numeric_flags(parser):
     # (subcommand path, subparser, numeric option strings), walking nested subcommands
-    numeric = (int, cli._finite_float, cli._seed)
-    flags = [a.option_strings[-1] for a in parser._actions if a.option_strings and a.type in numeric]
+    flags = [a.option_strings[-1] for a in parser._actions if hasattr(a.type, "bounds")]
     yield (), parser, flags
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
@@ -587,26 +639,77 @@ _FLAG_CONTEXT = {
     "--p": ["--norm", "lp"],
     "--m": ["--norm", "counterexample", "--level", "4"],
     "--level": ["--norm", "counterexample"],
+    "--r": ["--norm", "counterexample", "--level", "4"],
+    "--Q": ["--norm", "inner-product"],
 }
+# the string flags that hold numbers, with the places a probe value takes
+_STRING_FLAG_FORMS = {
+    "--r": ("{}",),
+    "--w": ("{}", "{},1"),
+    "--x": ("{},1", "1,{}"),
+    "--Q": ("{},0;0,1", "1,0;0,{}"),
+    "--scales": ("{}:7", "2:{}"),
+}
+
+
+def _flag_argv(path, sub, flag, value):
+    # flag=value on the subcommand at path, with cheap values for the rest
+    if path == ():
+        return [f"{flag}={value}", *_FLAG_BASE[path]]
+    context = _FLAG_CONTEXT.get(flag, []) if "--norm" in sub._option_string_actions else []
+    return [*path, *_FLAG_BASE[path], *context, f"{flag}={value}"]
+
+
+def _step_out(bound, sign):
+    # the nearest value beyond a bound: the next integer or the next float
+    return bound + sign if isinstance(bound, int) else math.nextafter(bound, sign * math.inf)
+
+
+def _traced_run(argv):
+    # exit code and peak traced allocation of one run
+    tracemalloc.start()
+    try:
+        code = run(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_every_numeric_flag_exits_cleanly(tmp_path, capsys):
     # each numeric flag of each subcommand takes 0, -1, a huge and a tiny
-    # value and a non-number: exit 0 or 2, or 1 with a one-line typed error
+    # value and a non-number, and each string flag that holds numbers takes
+    # nan, inf, a subnormal, -0 and nothing: exit 0 or 2, or 1 with a
+    # one-line typed error.  One step beyond each finite bound exits 2.
     out = str(tmp_path / "out")
     cases = [[*argv, "--set", "cantor-product"] for argv in _TINY_RATIO_CASES]
+    beyond, strings = [], []
     walked = 0
     for path, sub, flags in _numeric_flags(cli.build_parser()):
         for flag in flags:
-            context = _FLAG_CONTEXT.get(flag, []) if "--norm" in sub._option_string_actions else []
             for value in ("0", "-1", "1" + "0" * 30, "1e-300", "abc"):
-                if path == ():
-                    cases.append([f"{flag}={value}", *_FLAG_BASE[path]])
-                else:
-                    cases.append([*path, *_FLAG_BASE[path], *context, f"{flag}={value}"])
+                cases.append(_flag_argv(path, sub, flag, value))
+            action = sub._option_string_actions[flag]
+            for bound, sign in zip(action.type.bounds, (-1, 1)):
+                if math.isfinite(bound):
+                    # the bound itself is only parsed: --directions 65536 is a 15 s sweep
+                    argv = [*_flag_argv(path, sub, flag, repr(bound)), "--out", out]
+                    assert getattr(cli.build_parser().parse_args(argv), action.dest) == bound, argv
+                    step = repr(_step_out(bound, sign))
+                    beyond.append([*_flag_argv(path, sub, flag, step), "--out", out])
             walked += 1
+        for flag, forms in _STRING_FLAG_FORMS.items():
+            if flag in sub._option_string_actions:
+                strings += [_flag_argv(path, sub, flag, form.format(value))
+                            for form in forms for value in ("nan", "inf", "1e-320", "-0", "")]
     assert walked == 26
-    for argv in cases:
+    assert (len(beyond), len(strings)) == (25, 115)
+    for argv in beyond:
+        # refused before what it refuses is allocated
+        code, peak = _traced_run(argv)
+        assert code == 2 and peak < 1 << 20, (argv, code, peak)
+    capsys.readouterr()
+    # the string flags' refusals are not traced: under tracemalloc a run takes ~10 ms
+    for argv, traced in [*((a, True) for a in cases), *((a, False) for a in strings)]:
         argv = [*argv, "--out", out]
         code = run(argv)
         err = capsys.readouterr().err
@@ -616,13 +719,8 @@ def test_every_numeric_flag_exits_cleanly(tmp_path, capsys):
             assert err.split(":")[1].strip().isidentifier(), (argv, err)
             continue
         assert code in (0, 2), (argv, code, err)
-        if code == 2:
+        if code == 2 and traced:
             # a refusal comes before what it refuses is allocated
-            tracemalloc.start()
-            try:
-                run(argv)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peak = _traced_run(argv)[1]
             capsys.readouterr()
             assert peak < 1 << 20, (argv, peak)
