@@ -262,8 +262,6 @@ class CounterexampleCurve:
     F: np.ndarray
     psi: np.ndarray
     theta: np.ndarray
-    gamma: np.ndarray   # (N, 2) points of the arc
-    beta: np.ndarray    # (N, 2) unit tangents
     is_gap_mid: np.ndarray
     theta1: float = 0.0
     F1: float = 0.0
@@ -334,8 +332,6 @@ def curve_samples(K, level):
     t_arr, f_arr, F_arr = (np.array([n / den for n in nums]) for nums, den in columns)
     psi_arr = f_arr / (4.0 * (1.0 - F_arr))
     theta_arr = np.arctan(psi_arr)
-    gamma_arr = (1.0 - F_arr)[:, None] * norms.unit_vector(t_arr)
-    beta_arr = norms.unit_vector(t_arr + 0.5 * np.pi + theta_arr)
     is_gap = np.array(gap)
 
     F1 = float(F_arr[-1])  # the grid ends at t = 1
@@ -359,8 +355,6 @@ def curve_samples(K, level):
         F=F_arr,
         psi=psi_arr,
         theta=theta_arr,
-        gamma=gamma_arr,
-        beta=beta_arr,
         is_gap_mid=is_gap,
         theta1=theta1,
         F1=F1,

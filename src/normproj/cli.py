@@ -59,7 +59,8 @@ def _g(value):
 
 def _write_json(path, payload):
     payload = {"version": f"normproj {__version__}", **payload}
-    Path(path).write_text(json.dumps(_g(payload), sort_keys=True, indent=1) + "\n", encoding="utf-8")
+    text = json.dumps(_g(payload), sort_keys=True, indent=1, allow_nan=False)
+    Path(path).write_text(text + "\n", encoding="utf-8")
 
 
 def _write_csv(path, header, rows, meta=None):
@@ -355,11 +356,11 @@ def _cmd_sweep(args):
 
 def _cmd_verify(args):
     reports = checks.run_all(seed=args.seed)
-    payload = {
-        "seed": args.seed,
-        "all_passed": all(r.passed for r in reports),
-        "reports": [dataclasses.asdict(r) for r in reports],
-    }
+    rows = [dataclasses.asdict(r) for r in reports]
+    for row in rows:   # a check that raised reads an infinite defect; JSON writes it as null
+        if not math.isfinite(row["worst_defect"]):
+            row["worst_defect"] = None
+    payload = {"seed": args.seed, "all_passed": all(r.passed for r in reports), "reports": rows}
     _write_json(args.out, payload)
     for r in reports:
         print(f"{r.name}: {'PASS' if r.passed else 'FAIL'} "
@@ -487,7 +488,7 @@ def _apply_config(argv):
         if not line or line.startswith("#"):
             continue
         key, _, value = line.partition("=")
-        injected.extend([f"--{key.strip()}", value.strip()])
+        injected.append(f"--{key.strip()}={value.strip()}")   # one token: a value may start with -
     rest = argv[:idx] + argv[end:]
     i = 0
     while i < len(rest) and rest[i].partition("=")[0] in _ROOT_VALUE_FLAGS:

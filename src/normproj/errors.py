@@ -5,10 +5,6 @@ class NormProjError(Exception):
     """Base class for all package-specific failures."""
 
 
-class ModelNotReady(NormProjError):
-    """A support-table norm was used before its table was loaded."""
-
-
 class NotSmoothHere(NormProjError):
     """The Gauss map is undefined at a corner of a tabulated sphere."""
 

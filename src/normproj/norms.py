@@ -25,16 +25,16 @@ its largest |x_i|.
 
 Everything here is pure and the model objects are treated as immutable; the
 only mutation is an internal memo cache of derived matrices and of a table's
-cubic Hermite coefficients.  A table built by ``cantor.build_norm`` also
-carries, in ``NormModel.curve``, the sampled staircase arc it was assembled
-from; every other model has ``None``.
+cubic Hermite coefficients and node angles.  A table built by
+``cantor.build_norm`` also carries, in ``NormModel.curve``, the sampled
+staircase arc it was assembled from; every other model has ``None``.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ModelNotReady, NotSmoothHere, NotStrictlyConvex
+from .errors import NotSmoothHere, NotStrictlyConvex
 
 # No longer solvers here; perfbench/job.py still counts calls to them by
 # name, and the next change to the benchmark drops them from ``SOLVERS``.
@@ -257,6 +257,22 @@ class SupportTable:
         u = unit_vector(self.phi)
         return self.h[:, None] * u + self.dh[:, None] * rot90(u)
 
+    def node_angles(self):
+        """Cached polar angles of ``node_points()``, unwrapped and closed by
+        alpha[n] = alpha[0] + 2*pi.  A ray at polar angle alpha[j] <= a <
+        alpha[j+1] has its contact angle in knot segment j, so a table whose
+        boundary points stall (a corner) or turn back (a fold) is refused."""
+        if "angles" not in self._memo:
+            nodes = self.node_points()
+            alpha = np.unwrap(np.arctan2(nodes[:, 1], nodes[:, 0]))
+            alpha = np.append(alpha, alpha[0] + 2.0 * np.pi)
+            if not np.all(np.diff(alpha) > 0.0):
+                bad = int(np.argmin(np.diff(alpha)))
+                raise NotStrictlyConvex(f"node boundary points do not turn monotonically "
+                                        f"at angle {self.phi[bad]:.6f}")
+            self._memo["angles"] = alpha
+        return self._memo["angles"]
+
     # -- diagnostics -------------------------------------------------------
 
     def antipodal_defect(self):
@@ -278,7 +294,8 @@ class SupportTable:
         return float(min(np.min(start), np.min(end)))
 
     def validate(self):
-        """Raise NotStrictlyConvex unless the table describes a valid norm."""
+        """Raise NotStrictlyConvex unless the table describes a valid norm;
+        every refusal of a table runs here."""
         if np.min(self.h) <= 0.0:
             raise NotStrictlyConvex("support values must be positive")
         if self.antipodal_defect() > ANTIPODAL_TABLE_TOL:
@@ -288,6 +305,7 @@ class SupportTable:
         slack = self.convexity_slack()
         if not slack > 0.0:
             raise NotStrictlyConvex(f"table fails h + h'' > 0 (min slack {slack:.3e})")
+        self.node_angles()
 
     # -- persistence -------------------------------------------------------
 
@@ -328,10 +346,10 @@ class NormModel:
     """A strictly convex norm given by kind plus parameters.
 
     ``p`` is set for ``lp``, ``Q`` for ``inner_product`` and ``support``
-    for ``support_table``; the other parameters stay ``None``.  ``curve``
-    is the staircase arc a ``cantor.build_norm`` table was assembled from.
-    ``_memo`` caches derived data: Q's square roots and inverse, a table's
-    kernel frame and the sphere's radius bounds.
+    for ``support_table``, which is refused without it; the others stay
+    ``None``.  ``curve`` is the staircase arc a ``cantor.build_norm`` table
+    was assembled from.  ``_memo`` caches Q's square roots and inverse and
+    the sphere's radius bounds.
     """
 
     kind: str
@@ -340,6 +358,10 @@ class NormModel:
     support: SupportTable | None = None
     curve: object = field(default=None, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.kind == "support_table" and self.support is None:
+            raise ValueError("a support_table norm needs its table")
 
 
 def euclidean():
@@ -358,72 +380,34 @@ def inner_product(Q):
     Q = np.asarray(Q, dtype=float)
     if Q.ndim != 2 or Q.shape[0] != Q.shape[1]:
         raise NotStrictlyConvex("Q must be a square matrix")
-    if np.max(np.abs(Q - Q.T)) > 1e-12 * max(1.0, np.max(np.abs(Q))):
+    # both bounds are relative to Q's own scale: c Q passes with Q
+    if np.max(np.abs(Q - Q.T)) > 1e-12 * np.max(np.abs(Q)):
         raise NotStrictlyConvex("Q must be symmetric")
     eig = np.linalg.eigvalsh(Q)
     if eig[0] <= 0.0:
         raise NotStrictlyConvex("Q must be positive-definite")
-    if eig[0] <= 1e-12 * max(1.0, eig[-1]):
-        raise NotStrictlyConvex(f"Q's smallest eigenvalue {eig[0]:.3g} must exceed 1e-12 * max(1, "
-                                f"largest eigenvalue {eig[-1]:.3g})")
+    if eig[0] <= 1e-12 * eig[-1] or eig[0] < _FLOAT_TINY:   # Q^-1 holds 1 / eig[0]
+        raise NotStrictlyConvex(f"Q's smallest eigenvalue {eig[0]:.3g} must exceed 1e-12 * "
+                                f"its largest eigenvalue {eig[-1]:.3g} and be a normal float")
     Q = 0.5 * Q + 0.5 * Q.T   # (Q + Q.T) / 2 overflows where Q is near the float maximum
     Q.flags.writeable = False
     return NormModel(kind="inner_product", Q=Q)
 
 
 def from_support_table(table):
-    """Planar norm from a support table; the table is validated first.
-
-    Building the kernel frame here refuses, at construction, a table whose
-    node boundary points do not turn strictly monotonically.
-    """
+    """Planar norm from a support table; the table is validated first."""
     table.validate()
-    model = NormModel(kind="support_table", support=table)
-    _table_frame(model)
-    return model
+    return NormModel(kind="support_table", support=table)
 
 
 def _q_matrices(norm):
     if "q" not in norm._memo:
         evals, vecs = np.linalg.eigh(norm.Q)
-        evals = np.maximum(evals, 1e-12)
         sqrt_q = (vecs * np.sqrt(evals)) @ vecs.T
         inv_q = (vecs / evals) @ vecs.T
         inv_sqrt_q = (vecs / np.sqrt(evals)) @ vecs.T
         norm._memo["q"] = (sqrt_q, inv_q, inv_sqrt_q)
     return norm._memo["q"]
-
-
-def _require_table(norm):
-    if norm.support is None:
-        raise ModelNotReady("support_table norm has no table loaded")
-    return norm.support
-
-
-def _table_frame(norm):
-    """Cached spline segments and unwrapped node boundary-point angles.
-
-    Returns ``(knots, coeffs, alpha)``: the n + 1 spline knots on [phi_0,
-    phi_0 + 2*pi], the (4, n) power-basis coefficients of the support spline
-    and the polar angles of the node boundary points h*u + h'*u_perp,
-    unwrapped and closed by alpha[n] = alpha[0] + 2*pi.  The contact angle
-    of a ray at polar angle alpha[j] <= a < alpha[j+1] lies in knot segment
-    j, so the angles must increase strictly; a table whose boundary points
-    stall (an exact corner) or turn back (a fold) is refused.
-    """
-    if "frame" not in norm._memo:
-        table = _require_table(norm)
-        knots, coeffs, _ = table._spline()
-        nodes = table.node_points()
-        alpha = np.unwrap(np.arctan2(nodes[:, 1], nodes[:, 0]))
-        alpha = np.append(alpha, alpha[0] + 2.0 * np.pi)
-        if not np.all(np.diff(alpha) > 0.0):
-            bad = int(np.argmin(np.diff(alpha)))
-            raise NotStrictlyConvex(
-                f"node boundary points do not turn monotonically at angle {table.phi[bad]:.6f}"
-            )
-        norm._memo["frame"] = (knots, coeffs, alpha)
-    return norm._memo["frame"]
 
 
 # ---------------------------------------------------------------------------
@@ -440,15 +424,16 @@ def _contact_angle(norm, x):
     For each nonzero row of the (N, 2) stack ``x`` this is the outward-normal
     angle phi* of the boundary point b(phi) = h u + h' u_perp hit by the ray,
     the root of r(phi) = cross(b(phi), x) = h <x, u_perp> - h' <x, u>.  The
-    polar angle of the ray falls between the cached polar angles of two
-    consecutive node boundary points (one ``searchsorted``), which brackets
+    polar angle of the ray falls between the table's ``node_angles`` of two
+    consecutive nodes (one ``searchsorted``), which brackets
     phi* in one spline segment.  On that segment's cubic a safeguarded
     Newton iteration runs on all rows at once, with slope
     r' = -(h + h'') <x, u>; a step that leaves the bracket is replaced by
     bisection, a step that lands on a bracket end is kept.  Each row stops
     on its own, so a stack gives the same angles as row-by-row calls.
     """
-    knots, coeffs, alpha = _table_frame(norm)
+    knots, coeffs, _ = norm.support._spline()
+    alpha = norm.support.node_angles()
     n = len(knots) - 1
     x0, x1 = x[:, 0], x[:, 1]
     ray = alpha[0] + np.mod(np.arctan2(x1, x0) - alpha[0], 2.0 * np.pi)
@@ -483,6 +468,13 @@ def _contact_angle(norm, x):
     return phi
 
 
+def _contact(norm, rows):
+    """The contact angle phi of each row of an (N, 2) stack under a table
+    norm, with u(phi) and the support h(phi)."""
+    phi = _contact_angle(norm, rows)
+    return phi, unit_vector(phi), norm.support.support(phi)
+
+
 def _q_times(norm, x):
     """Q x at a point or at each row of a stack.  The two-operand einsum
     gives a row the bits of the same point alone; ``x @ Q.T`` does not."""
@@ -500,9 +492,8 @@ def _size(norm, rows):
     if norm.kind == "inner_product":
         return np.sqrt(np.sum(rows * _q_times(norm, rows), axis=-1))
     if norm.kind == "support_table":
-        phi = _contact_angle(norm, rows)
-        u = unit_vector(phi)
-        return (rows[:, 0] * u[:, 0] + rows[:, 1] * u[:, 1]) / _require_table(norm).support(phi)
+        _, u, h = _contact(norm, rows)
+        return (rows[:, 0] * u[:, 0] + rows[:, 1] * u[:, 1]) / h
     raise ValueError(f"unknown norm kind {norm.kind!r}")
 
 
@@ -562,8 +553,8 @@ def norm_gradient(norm, y):
     """
     rows = _rays(y)
     if norm.kind == "support_table":
-        phi = _contact_angle(norm, rows)
-        grad = unit_vector(phi) / _require_table(norm).support(phi)[:, None]
+        _, u, h = _contact(norm, rows)
+        grad = u / h[:, None]
     else:
         def fn(r):   # _direction / ||y||^(p-1), p = 2 but for lp: x ** 1.0 is exact
             scale = eval_norm(norm, r) ** ((norm.p or 2.0) - 1.0)
@@ -583,20 +574,21 @@ def gauss_map(norm, x):
     """
     rows = _rays(x)
     if norm.kind == "support_table":
-        table = _require_table(norm)
-        phi = _contact_angle(norm, rows)
-        knots, (c3, c2, _, _), _ = table._spline()
+        phi, u, h = _contact(norm, rows)
+        knots, (c3, c2, _, _), _ = norm.support._spline()
         seg = _segment(knots, phi)
-        h = table.support(phi)
         corner = ~(h + 6.0 * c3[seg] * (phi - knots[seg]) + 2.0 * c2[seg] > 1e-3 * h)
         if np.any(corner):
             raise NotSmoothHere(f"no unique normal at angle {phi[np.argmax(corner)]:.6f}")
-        return unit_vector(phi).reshape(np.shape(x))
+        return u.reshape(np.shape(x))
 
-    def fn(r):
-        g = _direction(norm, r)
+    def unit(g):
         n = np.linalg.norm(g, axis=-1)
         return g / n[:, None], n
+
+    def fn(r):   # a normal g whose length alone leaves the float range: g / max |g_i|
+        g = _direction(norm, r)
+        return _on_rays(g, unit, _SQRT_FLOAT_TINY)[0], np.linalg.norm(g, axis=-1)
     return _on_rays(rows, fn, _SQRT_FLOAT_TINY)[0].reshape(np.shape(x))
 
 
@@ -610,7 +602,7 @@ def inverse_gauss(norm, w):
     """
     w = _unit(w)
     if norm.kind == "support_table":
-        return _require_table(norm).boundary_point(polar_angle(w))
+        return norm.support.boundary_point(polar_angle(w))
     if norm.kind == "lp":
         q_conj = norm.p / (norm.p - 1.0)
 
@@ -694,7 +686,7 @@ def find_gauss_fixed_points(norm):
     """
     axis, other_axis, diagonal = np.array([1.0, 0.0]), np.array([0.0, 1.0]), np.ones(2)
     if norm.kind == "support_table":
-        table = _require_table(norm)
+        table = norm.support
         knots, _, (a, b, c) = table._spline()   # h' = a s^2 + b s + c on each segment
         with np.errstate(divide="ignore", invalid="ignore"):
             q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))

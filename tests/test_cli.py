@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from normproj import __version__, checks, cli, norms, sweep
+from normproj.errors import NotStrictlyConvex
 
 
 def run(argv):
@@ -69,6 +70,19 @@ def test_project_extreme_norms_both_methods(tmp_path, norm_flags, expect):
         assert run(["project", *norm_flags, "--w", "1,2", "--x", "3,1",
                     "--method", method, "--out", str(out)]) == 0, method
         assert read_json(out)["projection"] == pytest.approx(expect, rel=0.0, abs=1e-12), method
+
+
+def test_project_under_tiny_and_huge_q_projects_as_at_scale_one(tmp_path):
+    # an absolute 1e-12 floor on Q's smallest eigenvalue refused c I, exit 2,
+    # for c <= 1e-12, although the norm projects as the euclidean one
+    out = tmp_path / "proj.json"
+    for scale in ("e-300", "e300", ""):
+        for q, expect in (("1{0},0;0,1{0}", [2.0, -1.0]), ("1{0},0;0,4{0}", [0.5, -0.25])):
+            for method in ("lemma", "direct"):
+                assert run(["project", "--norm", "inner-product", "--Q", q.format(scale),
+                            "--w", "1,2", "--x", "3,1", "--method", method, "--out", str(out)]) == 0
+                got = read_json(out)["projection"]
+                assert got == pytest.approx(expect, rel=0.0, abs=1e-12), (q.format(scale), method)
 
 
 def test_norm_info_inner_product_near_float_max(tmp_path):
@@ -242,6 +256,24 @@ def test_verify_artifacts_locked(seed, tmp_path, capsys):
     assert digests == VERIFY_DIGESTS[seed]
 
 
+def test_verify_report_with_a_raised_check_is_strict_json(tmp_path, capsys, monkeypatch):
+    # a check that raised wrote "worst_defect": Infinity, which JSON has not
+    def raising(seed):
+        raise NotStrictlyConvex("sabotaged")
+
+    monkeypatch.setitem(checks._CHECK_FUNCS, "gauss_fixed_points", raising)
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--out", str(out)]) == 1
+
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+
+    data = json.loads(out.read_text(), parse_constant=refuse)
+    failed = [r for r in data["reports"] if not r["passed"]]
+    assert [(r["name"], r["worst_defect"]) for r in failed] == [("gauss_fixed_points", None)]
+    assert "gauss_fixed_points: FAIL (defect inf, tol 0)" in capsys.readouterr().out.splitlines()
+
+
 def test_seed_before_or_after_verify(tmp_path, monkeypatch):
     seen = []
     monkeypatch.setattr(checks, "run_all", lambda seed: seen.append(seed) or [])
@@ -282,6 +314,35 @@ def test_config_equals_form_before_or_after_the_subcommand(tmp_path):
         assert run([*argv, "--out", str(out)]) == 0, argv
         meta = json.loads(out.read_text().splitlines()[1].lstrip("# "))
         assert (meta["kind"], meta["generation"]) == ("four-corner", 3), argv
+
+
+def test_config_value_may_start_with_minus(tmp_path):
+    # a config value was injected as a separate token, which argparse read
+    # as a flag: "argument --x: expected one argument", exit 2
+    cfg = tmp_path / "neg.cfg"
+    cfg.write_text("x=-1,2\nw=0,1\n")
+    by_config, by_flags = tmp_path / "config.json", tmp_path / "flags.json"
+    assert run(["project", "--config", str(cfg), "--out", str(by_config)]) == 0
+    assert run(["project", "--x=-1,2", "--w=0,1", "--out", str(by_flags)]) == 0
+    assert by_config.read_bytes() == by_flags.read_bytes()
+
+
+def test_module_and_console_script_entry_points(tmp_path, monkeypatch):
+    # python -m normproj runs __main__.py; the console script calls
+    # cli.entrypoint, which exits with main's code
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    by_module, by_script = tmp_path / "module.csv", tmp_path / "script.csv"
+    proc = subprocess.run([sys.executable, "-m", "normproj", "set", "--set", "triadic", "--gen", "2",
+                           "--out", str(by_module)], env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    for argv, code in ((["--gen", "2"], 0), (["--gen", "-1"], 2)):
+        monkeypatch.setattr(sys, "argv", ["normproj", "set", "--set", "triadic", *argv, "--out", str(by_script)])
+        with pytest.raises(SystemExit) as exc:
+            cli.entrypoint()
+        assert exc.value.code == code, argv
+    assert by_script.read_bytes() == by_module.read_bytes()
 
 
 def test_undecodable_config_exits_2(tmp_path, capsys):

@@ -6,7 +6,7 @@ from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import minimize_scalar
 
 from normproj import cantor, norms
-from normproj.errors import ModelNotReady, NotSmoothHere, NotStrictlyConvex
+from normproj.errors import NotSmoothHere, NotStrictlyConvex
 from normproj.norms import HyperplaneNormal, SupportTable
 from normproj.roots import brentq
 
@@ -105,19 +105,49 @@ def test_construction_rejects_non_strictly_convex():
 
 def test_inner_product_refusals_name_their_cause():
     # an indefinite Q is not positive-definite; a positive-definite Q whose
-    # smallest eigenvalue is at most 1e-12 * max(1, largest) meets the cap
+    # smallest eigenvalue is at most 1e-12 * its largest meets the cap
     with pytest.raises(NotStrictlyConvex, match="Q must be positive-definite"):
         norms.inner_product(np.diag([1.0, -1.0]))
-    with pytest.raises(NotStrictlyConvex, match=r"smallest eigenvalue 1 must exceed 1e-12 \* max\(1, "
-                                                r"largest eigenvalue 1e\+15\)"):
+    with pytest.raises(NotStrictlyConvex, match=r"smallest eigenvalue 1 must exceed 1e-12 \* "
+                                                r"its largest eigenvalue 1e\+15"):
         norms.inner_product(np.diag([1e15, 1.0]))
     norms.inner_product(np.diag([1e11, 1.0]))
 
 
+def test_inner_product_cap_is_relative_to_the_scale_of_q():
+    # the cap once held the smallest eigenvalue above an absolute 1e-12, so
+    # c I was refused for c <= 1e-12 although it is the euclidean norm scaled
+    for c in (1e-300, 1e-13, 1e300):
+        assert norms.inner_product(c * np.eye(2)).Q[0, 0] == c
+        with pytest.raises(NotStrictlyConvex, match="1e-12"):
+            norms.inner_product(c * np.diag([1.0, 1e-13]))
+    # the symmetry bound is relative too, and a subnormal eigenvalue, whose
+    # inverse overflows, is refused
+    with pytest.raises(NotStrictlyConvex, match="symmetric"):
+        norms.inner_product(1e-300 * np.array([[2.0, 1.0], [0.0, 2.0]]))
+    with pytest.raises(NotStrictlyConvex, match="normal float"):
+        norms.inner_product(1e-310 * np.eye(2))
+    # and Q's inverse was built from eigenvalues clamped to 1e-12
+    for c in (1e-300, 1e-13):
+        model = norms.inner_product(c * np.diag([1.0, 4.0]))
+        assert norms.inverse_gauss(model, [1.0, 0.0]) == pytest.approx([c ** -0.5, 0.0], rel=1e-15)
+
+
+def test_gauss_map_normalizes_an_out_of_range_normal_on_its_own_scale():
+    # Q x is finite but its length over- or underflows at every scale of x:
+    # the map read [0, 0] under 1e300 Q and [inf, inf] under 1e-300 Q
+    q = np.array([[1.0, 0.3], [0.3, 2.0]])
+    x = np.array([[3.0, 1.0], [-1.0, 2.0]])
+    want = norms.gauss_map(norms.inner_product(q), x)
+    for c in (1e300, 1e-300):
+        model = norms.inner_product(c * q)
+        assert np.allclose(norms.gauss_map(model, x), want, rtol=0.0, atol=1e-15), c
+        assert np.allclose(norms.gauss_map(model, norms.sphere_point(model, x)), want, rtol=0.0, atol=1e-15), c
+
+
 def test_support_table_not_ready():
-    model = norms.NormModel(kind="support_table")
-    with pytest.raises(ModelNotReady):
-        norms.eval_norm(model, np.array([1.0, 0.0]))
+    with pytest.raises(ValueError, match="needs its table"):
+        norms.NormModel(kind="support_table")
 
 
 # -- Gauss map ---------------------------------------------------------------
@@ -688,14 +718,17 @@ def test_table_contact_angle_residual(ce_norm, rng):
 def test_table_with_folded_boundary_points_refused():
     # a circle's support values with a wildly alternating h': the spline's
     # h + h'' reaches -9.19, and the node boundary points do not turn
-    # monotonically, which the kernel frame refuses on its own
+    # monotonically, which the table's node angles refuse on their own, also
+    # on first use of a norm whose table was never validated
     n = 64
     phi = 2.0 * np.pi * np.arange(n) / n
     table = SupportTable(phi=phi, h=np.ones(n), dh=0.5 * (-1.0) ** np.arange(n))
     with pytest.raises(NotStrictlyConvex, match=r"h \+ h''"):
         table.validate()
     with pytest.raises(NotStrictlyConvex, match="monoton"):
-        norms._table_frame(norms.NormModel(kind="support_table", support=table))
+        table.node_angles()
+    with pytest.raises(NotStrictlyConvex, match="monoton"):
+        norms.eval_norm(norms.NormModel(kind="support_table", support=table), np.array([3.0, 4.0]))
     circle = SupportTable(phi=phi, h=np.ones(n), dh=np.zeros(n))
     assert norms.eval_norm(norms.from_support_table(circle), np.array([3.0, 4.0])) == pytest.approx(5.0)
 
