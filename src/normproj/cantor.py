@@ -37,10 +37,8 @@ theta(1) and the gap sums carry no floating error.  The curve grid is
 filled by one exact left-to-right pass over the sorted level intervals
 (``_exact_grid``) on Python integers over one common denominator per
 column, and each value is rounded to float once.  The level intervals come
-from one integer source, ``CantorSet.level_starts``.  A single point is
-evaluated by an exact ``fractions.Fraction`` descent of the interval tree
-(``staircase``, ``f_eval``, ``F_eval``), which also serves as the grid's
-oracle.
+from one integer source, ``CantorSet.level_starts``, and the grid is the
+only path from a command into the staircase.
 """
 
 import math
@@ -108,30 +106,11 @@ class CantorSet:
             starts = [a + s for a in starts for s in steps]
         return starts, 2 * (self.m - 1) * p**k, 2 * (self.m - 1) * q**k
 
-    def level_intervals(self, k):
-        """Exact (starts, length) of the m^k level-k intervals, sorted."""
-        starts, length, unit = self.level_starts(k)
-        return [Fraction(a, unit) for a in starts], Fraction(length, unit)
 
-    def gaps_upto(self, k):
-        """Exact (left, right) endpoints of all gaps of level <= k, sorted.
-
-        Every gap of level <= k lies between two consecutive level-k
-        intervals, from the end of one to the start of the next.
-        """
-        starts, length, unit = self.level_starts(k)
-        return [(Fraction(a + length, unit), Fraction(b, unit))
-                for a, b in zip(starts, starts[1:])]
-
-
-@dataclass(frozen=True)
-class StaircaseValue:
-    """A scalar with a certified bracket: value +- error_bound."""
-
-    value: float
-    error_bound: float
-
-
+# No command evaluates the staircase at a single point.  This descent,
+# ``_f_exact`` and ``f_eval`` stay only because perfbench/job.py traces
+# ``f_eval`` by name; the next change to the benchmark drops it from
+# ``SPANS``, and these three with it.
 def _staircase_exact(K, t):
     """Cumulative measure of [0, t] as (Fraction value, Fraction error)."""
     if t <= 0:
@@ -162,61 +141,6 @@ def _staircase_exact(K, t):
     return value + mass / 2, mass / 2
 
 
-def staircase(K, t):
-    """Normalized measure of [0, t]; exact at breakpoints and on gaps."""
-    if not 0.0 <= float(t) <= 1.0:
-        raise ValueError("t must lie in [0, 1]")
-    val, err = _staircase_exact(K, Fraction(t))
-    return StaircaseValue(value=float(val), error_bound=float(err))
-
-
-def _integral_staircase_exact(K, u):
-    """Exact bracket of integral_0^u staircase as (value, error) Fractions.
-
-    The integral over a complete level interval uses self-similarity (the
-    restricted staircase integrates to half the interval's mass times its
-    length above its base value); gap pieces are rectangles.  Only a partial
-    deepest interval contributes a bracketed remainder.
-    """
-    if u <= 0:
-        return Fraction(0), Fraction(0)
-    if u >= 1:
-        return Fraction(1, 2), Fraction(0)
-    r = K.r
-    m = K.m
-    step0 = K.branch_step
-    total = Fraction(0)
-    base = Fraction(0)   # staircase value at the left end of current interval
-    mass = Fraction(1)   # measure carried by the current interval
-    length = Fraction(1)
-    pos = Fraction(u)
-    for _ in range(DESCENT_CAP):
-        step = step0 * length
-        sub = r * length
-        glen = step - sub
-        i = int(pos // step)
-        if i > m - 1:
-            i = m - 1
-        # complete sub-intervals and gaps strictly left of branch i
-        for j in range(i):
-            total += sub * (base + (Fraction(2 * j + 1, 2)) * mass / m)
-            total += glen * (base + (j + 1) * mass / m)
-        rel = pos - i * step
-        if rel >= sub:  # ends inside gap i
-            total += sub * (base + (Fraction(2 * i + 1, 2)) * mass / m)
-            total += (rel - sub) * (base + (i + 1) * mass / m)
-            return total, Fraction(0)
-        if rel == 0:
-            return total, Fraction(0)
-        base += i * mass / m
-        mass /= m
-        length = sub
-        pos = rel
-    lo = total + pos * base
-    hi = total + pos * (base + mass)
-    return (lo + hi) / 2, (hi - lo) / 2
-
-
 def _f_exact(K, t):
     s, err = _staircase_exact(K, Fraction(t))
     return (s + Fraction(t)) / 2, err / 2
@@ -226,20 +150,6 @@ def f_eval(K, t):
     """The stretched parameter f(t) = (staircase(t) + t) / 2."""
     val, _ = _f_exact(K, t)
     return float(val)
-
-
-def _F_exact(K, u):
-    u = Fraction(u)
-    integ, err = _integral_staircase_exact(K, u)
-    return (integ + u * u / 2) / 8, err / 8
-
-
-def F_eval(K, u):
-    """Quarter integral of f with a certified error bracket."""
-    if not 0.0 <= float(u) <= 1.0:
-        raise ValueError("u must lie in [0, 1]")
-    val, err = _F_exact(K, u)
-    return StaircaseValue(value=float(val), error_bound=float(err))
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +198,8 @@ def _exact_grid(K, level):
     unit U of ``CantorSet.level_starts``, t = a/U, f = (jU + aM) / (2UM) and
     F = (area U + a^2 M) / (16 U^2 M), where ``area`` is the running
     integral in units of 1/(2UM).  The columns t, f and F are returned as
-    (numerators, denominator) pairs; their values equal what the per-point
-    descents ``_f_exact`` and ``_F_exact`` return.
+    (numerators, denominator) pairs; the tests compare their values bit for
+    bit with per-point exact descents of the interval tree.
     """
     starts, length, unit = K.level_starts(level)
     count = len(starts)
@@ -387,17 +297,6 @@ def image_measure_bounds(curve, k):
     upper = curve.theta1 - known
     lower = upper - tail
     return lower, upper
-
-
-def f_image_bracket(K, k):
-    """Bracket for the length of f(K) from the level-k gap structure.
-
-    Every gap maps to an interval of exactly half its length, and the gaps
-    seen up to level k leave total length (m r)^k unaccounted, so the image
-    length lies in [1/2, (1 + (m r)^k) / 2].
-    """
-    covered = float(K.m * K.r) ** k
-    return 0.5, 0.5 * (1.0 + covered)
 
 
 # ---------------------------------------------------------------------------

@@ -247,7 +247,8 @@ def _cmd_gauss(args):
         "point": list(point),
         "gauss": list(normal),
         "inner": float(np.dot(point, normal)),
-        "roundtrip_defect": float(np.linalg.norm(back - point)),
+        # relative to the point's length, which spans the float range
+        "roundtrip_defect": float(np.linalg.norm((back - point) / math.hypot(*point))),
     }
     _write_json(args.out, payload)
     return 0
@@ -279,7 +280,7 @@ def _cmd_counterexample_build(args):
     K = curve.K
     model = cantor.build_norm(curve)
     out = Path(args.out)
-    model.support.to_csv(out, version_line=VERSION_HEADER)
+    model.support.to_csv(out)
     lower, upper = cantor.image_measure_bounds(curve, args.level)
     sidecar = {
         "m": K.m,

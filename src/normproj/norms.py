@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import VERSION_HEADER
 from .errors import NotSmoothHere, NotStrictlyConvex
 
 # No longer solvers here; perfbench/job.py still counts calls to them by
@@ -309,11 +310,9 @@ class SupportTable:
 
     # -- persistence -------------------------------------------------------
 
-    def to_csv(self, path, version_line=None):
+    def to_csv(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            if version_line:
-                fh.write(version_line + "\n")
-            fh.write("phi,h,dh\n")
+            fh.write(VERSION_HEADER + "\nphi,h,dh\n")
             # round-trip digits, so from_csv reads back the table's bits (at 12
             # digits the spline read back from level 11 on is not convex);
             # format Python floats a chunk at a time: numpy scalars format

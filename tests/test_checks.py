@@ -4,6 +4,7 @@ import numpy as np
 
 from normproj import cantor, checks
 from normproj.norms import NormModel, SupportTable
+from staircase_oracle import level_intervals
 
 
 def test_run_all_passes():
@@ -54,7 +55,7 @@ def test_monotone_product_reads_exact_f_from_the_curve():
     # interval endpoints, converted once; its report matches the loop over them
     curve = checks._shared_norm().curve
     K = curve.K
-    starts, length = K.level_intervals(curve.level)
+    starts, length = level_intervals(K, curve.level)
     ends = ~curve.is_gap_mid
     assert curve.t[ends].tolist() == [float(t) for a in starts for t in (a, a + length)]
     assert curve.f[ends].tolist() == [cantor.f_eval(K, t) for a in starts for t in (a, a + length)]

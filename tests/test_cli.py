@@ -104,6 +104,16 @@ def test_gauss_command(tmp_path):
     assert data["roundtrip_defect"] <= 1e-9
 
 
+def test_gauss_roundtrip_defect_is_relative_to_the_point(tmp_path):
+    # the sphere point has length 1e150; a correct round trip reads ~1e-16
+    out = tmp_path / "gauss.json"
+    assert run(["gauss", "--norm", "inner-product", "--Q", "1e-300,0;0,1e-300",
+                "--x", "3,1", "--out", str(out)]) == 0
+    data = read_json(out)
+    assert math.hypot(*data["point"]) == pytest.approx(1e150, rel=1e-12)
+    assert data["roundtrip_defect"] <= 1e-15
+
+
 def test_project_command(tmp_path):
     out = tmp_path / "proj.json"
     code = run(["project", "--norm", "inner-product", "--Q", "1,0;0,4",

@@ -6,10 +6,11 @@ import pytest
 
 from normproj import fractals
 from normproj.errors import TooLarge
+from staircase_oracle import level_intervals
 
 
 def _level_midpoints(K, k):
-    starts, length = K.level_intervals(k)
+    starts, length = level_intervals(K, k)
     return np.array([float(a + length / 2) for a in starts])
 
 

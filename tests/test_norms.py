@@ -5,7 +5,7 @@ import pytest
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import minimize_scalar
 
-from normproj import cantor, norms
+from normproj import VERSION_HEADER, cantor, norms
 from normproj.errors import NotSmoothHere, NotStrictlyConvex
 from normproj.norms import HyperplaneNormal, SupportTable
 from normproj.roots import brentq
@@ -557,7 +557,7 @@ def test_non_planar_vectors_refused(ce_norm):
 def test_support_table_csv_roundtrip(tmp_path, ce_norm):
     path = tmp_path / "table.csv"
     table = ce_norm.support
-    table.to_csv(path, version_line="# normproj test")
+    table.to_csv(path)
     loaded = SupportTable.from_csv(path)
     # round-trip digits: the table read back holds the values written, bit
     # for bit but for the sign of a zero
@@ -566,11 +566,11 @@ def test_support_table_csv_roundtrip(tmp_path, ce_norm):
     loaded.validate()
 
 
-def _per_row_csv(table, version_line):
+def _per_row_csv(table):
     # the row-at-a-time writer to_csv replaced, with round-trip digits
     rows = [f"{float(p) + 0.0!r},{float(h) + 0.0!r},{float(dh) + 0.0!r}\n"
             for p, h, dh in zip(table.phi, table.h, table.dh)]
-    return (version_line + "\nphi,h,dh\n" + "".join(rows)).encode("utf-8")
+    return (VERSION_HEADER + "\nphi,h,dh\n" + "".join(rows)).encode("utf-8")
 
 
 def test_support_table_csv_bytes_equal_per_row_writer(tmp_path, monkeypatch, triadic_set):
@@ -581,8 +581,8 @@ def test_support_table_csv_bytes_equal_per_row_writer(tmp_path, monkeypatch, tri
     for chunk in (8192, 7):
         monkeypatch.setattr(norms, "_CSV_CHUNK_ROWS", chunk)
         for table in (level8, signed):
-            table.to_csv(path, version_line="# normproj test")
-            assert path.read_bytes() == _per_row_csv(table, "# normproj test")
+            table.to_csv(path)
+            assert path.read_bytes() == _per_row_csv(table)
     assert b"-0," not in path.read_bytes()
 
 
