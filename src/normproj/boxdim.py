@@ -416,15 +416,13 @@ def estimate_dim(cloud, scales=None):
 # ---------------------------------------------------------------------------
 
 def _shadow_functional(norm, w):
-    """Linear functional giving the arc-length coordinate on w-perp of the
-    closest-point projection of a point.
+    """Linear functional giving the arc-length coordinate on w-perp, w a
+    HyperplaneNormal, of the closest-point projection of a point.
 
     Projecting x along u = G^{-1}(w) and reading the coordinate against the
     canonical unit direction v of w-perp collapses to the single functional
     <x, v - (<u,v>/<u,w>) w>, applied to all points at once.
     """
-    if not isinstance(w, HyperplaneNormal):
-        w = HyperplaneNormal(w)
     v = w.line_direction()
     if norm.kind == "euclidean":
         return v

@@ -153,9 +153,7 @@ def _build_norm(args):
             return norms.from_support_table(norms.SupportTable.from_csv(args.table))
         except (OSError, ValueError, NotStrictlyConvex) as exc:
             raise ValidationError(f"bad --table {args.table}: {exc}") from exc
-    if kind == "counterexample":
-        return cantor.build_norm(_staircase_curve(args))
-    raise ValidationError(f"unknown norm kind {kind!r}")
+    return cantor.build_norm(_staircase_curve(args))   # "counterexample"
 
 
 def _staircase_curve(args):
@@ -181,9 +179,7 @@ def _build_cloud(args):
         return fractals.four_corner(args.gen)
     if kind == "square":
         return fractals.square_cloud(args.gen)
-    if kind == "triadic":
-        return fractals.triadic_cloud(args.gen)
-    raise ValidationError(f"unknown set kind {kind!r}")
+    return fractals.triadic_cloud(args.gen)   # "triadic"
 
 
 def _scales_from(args, refuse_fine=False):
@@ -276,10 +272,12 @@ def _cmd_project(args):
 
 
 def _cmd_counterexample_build(args):
+    out = Path(args.out)
+    if out.with_suffix(".json") == out:
+        raise ValidationError(f"--out {args.out} is the sidecar's path; give the table another suffix")
     curve = _staircase_curve(args)
     K = curve.K
     model = cantor.build_norm(curve)
-    out = Path(args.out)
     model.support.to_csv(out)
     lower, upper = cantor.image_measure_bounds(curve, args.level)
     sidecar = {
@@ -308,7 +306,7 @@ def _cmd_set(args):
         "base": cloud.base,
         "label": cloud.label,
     }
-    rows = [tuple(float(v) for v in p) for p in cloud.points]
+    rows = (tuple(float(v) for v in p) for p in cloud.points)
     header = "x" if cloud.dim == 1 else "x,y"
     _write_csv(args.out, header, rows, meta=meta)
     return 0

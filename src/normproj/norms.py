@@ -102,19 +102,19 @@ def _rays(x):
 
 
 def _on_rays(rows, fn, low):
-    """The values of ``fn(rows)``, a pair (values, sizes), where a row whose
-    size is below ``low``, inf or NaN, and whose largest |coordinate| m is
-    finite, is evaluated again at row / m; and m, 1 on the rows kept."""
+    """(values, m, sizes) of ``fn(rows)``, a pair (values, sizes): a row whose
+    size is below ``low``, inf or NaN and whose largest |coordinate| m is
+    finite is evaluated again at row / m (m is 1 on the other rows)."""
     with np.errstate(all="ignore"):
         values, size = fn(rows)
         keep = (size >= low) & (size < np.inf)
         if keep.all():
-            return values, 1.0
+            return values, 1.0, size
         m = np.max(np.abs(rows), axis=1)
         redo = ~keep & (m < np.inf)
         m = np.where(redo, m, 1.0)
         values[redo] = fn(rows[redo] / m[redo, None])[0]
-    return values, m
+    return values, m, size
 
 
 def _unit(v):
@@ -512,7 +512,7 @@ def eval_norm(norm, x):
     rows = _planar(x).reshape(-1, 2)
     live = rows.any(axis=1)
     out = np.zeros(len(rows))
-    size, m = _on_rays(rows[live], lambda r: (_size(norm, r),) * 2, _size_floor(norm))
+    size, m, _ = _on_rays(rows[live], lambda r: (_size(norm, r),) * 2, _size_floor(norm))
     out[live] = m * size
     return out.reshape(np.shape(x)[:-1])[()]
 
@@ -586,8 +586,8 @@ def gauss_map(norm, x):
         return g / n[:, None], n
 
     def fn(r):   # a normal g whose length alone leaves the float range: g / max |g_i|
-        g = _direction(norm, r)
-        return _on_rays(g, unit, _SQRT_FLOAT_TINY)[0], np.linalg.norm(g, axis=-1)
+        values, _, size = _on_rays(_direction(norm, r), unit, _SQRT_FLOAT_TINY)
+        return values, size
     return _on_rays(rows, fn, _SQRT_FLOAT_TINY)[0].reshape(np.shape(x))
 
 

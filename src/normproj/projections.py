@@ -56,12 +56,10 @@ class LinearProjector:
 def projector_from_kernel(w, u):
     """The projector onto w-perp with kernel span(u): x - (<x,w>/<u,w>) u.
 
-    The kernel is refused as lying in the target plane by the angle of u,
-    |<u/|u|, w>| < 1e-14, not by its length: a support point of Q = c I has
-    length c^(-1/2).
+    ``w`` is a HyperplaneNormal.  The kernel is refused as lying in the
+    target plane by the angle of u, |<u/|u|, w>| < 1e-14, not by its length:
+    a support point of Q = c I has length c^(-1/2).
     """
-    if not isinstance(w, HyperplaneNormal):
-        w = HyperplaneNormal(w)
     u = np.asarray(u, dtype=float)
     kernel_dir = norms._unit(u)
     if abs(float(np.dot(kernel_dir, w.w))) < 1e-14:
@@ -76,12 +74,10 @@ def projector_from_kernel(w, u):
 def project_hyperplane(norm, w, x):
     """Closest point of w-perp to ``x`` in the given norm (linear route).
 
-    The projection direction is the support point u = G^{-1}(w); the result
-    is x - (<x,w>/<u,w>) u, which lies on w-perp and is independent of x in
-    its direction of travel.
+    ``w`` is a HyperplaneNormal.  The projection direction is the support
+    point u = G^{-1}(w); the result is x - (<x,w>/<u,w>) u, which lies on
+    w-perp and is independent of x in its direction of travel.
     """
-    if not isinstance(w, HyperplaneNormal):
-        w = HyperplaneNormal(w)
     u = norms.inverse_gauss(norm, w.w)
     return projector_from_kernel(w, u).apply(norms._planar(x))
 
@@ -121,15 +117,13 @@ def _line_min(models, group, x, direction, lo, hi):
 def project_hyperplanes_direct(problems):
     """Closest points by direct norm minimization for several problems at once.
 
-    ``problems`` is a sequence of ``(norm, w, x)``; returns the list of
-    their ``project_hyperplane_direct`` images, bit for bit, from one
-    stacked line minimization over the rows of every problem.
+    ``problems`` is a sequence of ``(norm, w, x)``, w a HyperplaneNormal;
+    returns the list of their ``project_hyperplane_direct`` images, bit for
+    bit, from one stacked line minimization over the rows of every problem.
     """
     shapes, rows, directions, scales, lo, hi = [], [], [], [], [], []
     models = [norm for norm, _, _ in problems]
     for norm, w, x in problems:
-        if not isinstance(w, HyperplaneNormal):
-            w = HyperplaneNormal(w)
         x = norms._planar(x)
         shapes.append(x.shape)
         r = x.reshape(-1, 2)
@@ -158,12 +152,12 @@ def project_hyperplanes_direct(problems):
 def project_hyperplane_direct(norm, w, x):
     """Closest point of w-perp by direct norm minimization (oracle route).
 
-    ``x`` is a point or an (N, 2) stack of points whose line minimizations
-    along w-perp run as one stacked solve; each row equals the projection
-    of that point alone.  Every nonzero row is first divided by its largest
-    |coordinate|, and its projection scaled back, since P(s x) = s P(x):
-    the line searches then run at unit scale, where their absolute brackets
-    and tolerances fit.
+    ``w`` is a HyperplaneNormal, and ``x`` is a point or an (N, 2) stack of
+    points whose line minimizations along w-perp run as one stacked solve;
+    each row equals the projection of that point alone.  Every nonzero row
+    is first divided by its largest |coordinate|, and its projection scaled
+    back, since P(s x) = s P(x): the line searches then run at unit scale,
+    where their absolute brackets and tolerances fit.
     """
     return project_hyperplanes_direct([(norm, w, x)])[0]
 
@@ -208,14 +202,11 @@ def conjugate_projection(Q, basis, x):
 
     Conjugates the Euclidean orthogonal projection by the isometry
     Psi = Q^(1/2): the result is Psi^-1 P_eucl(Psi V) Psi x.  ``basis`` is an
-    (n, m) matrix whose columns span the target subspace.
+    (n, m) matrix whose columns span the target subspace, one column for a line.
     """
     model = norms.inner_product(Q)
     sqrt_q, _, inv_sqrt_q = norms._q_matrices(model)
-    basis = np.asarray(basis, dtype=float)
-    if basis.ndim == 1:
-        basis = basis[:, None]
-    mapped = sqrt_q @ basis
+    mapped = sqrt_q @ np.asarray(basis, dtype=float)
     ortho, _ = np.linalg.qr(mapped)
     proj_eucl = ortho @ ortho.T
     return inv_sqrt_q @ (proj_eucl @ (sqrt_q @ np.asarray(x, dtype=float)))

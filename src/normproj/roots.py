@@ -51,21 +51,20 @@ MAXITER = 100
 def brentq(f, a, b, args=(), xtol=XTOL, maxiter=MAXITER):
     """Roots of ``f`` in the brackets [a, b], one per lane of a stack.
 
-    ``a`` and ``b`` are floats, or 1-D arrays that broadcast to the stack of
-    brackets; f(a) and f(b) must differ in sign on every lane.  ``f(x,
-    *args)`` gets the x of the lanes still iterating and, for each array in
-    ``args``, its rows for those lanes, and returns their values; a scalar
-    bracket passes a float and ``args`` as they are, and returns a float.
+    ``a`` and ``b`` are 1-D arrays, or floats, that broadcast to the stack
+    of brackets (a float bracket is a stack of one lane); f(a) and f(b) must
+    differ in sign on every lane.  ``f(x, *args)`` gets the 1-D array x of
+    the lanes still iterating and, for each array in ``args``, its rows for
+    those lanes, and returns their values.  Returns the 1-D array of roots.
     A lane converges when half its bracket is below (xtol + RTOL*|x|)/2,
     and is frozen from then on.  Raises ValueError for a lane whose
     endpoints have one sign or for a NaN value of ``f``, and RuntimeError
     if a lane has not converged after ``maxiter`` steps.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-    scalar = a.ndim == 0
 
     def values(x, lanes):
-        fx = f(float(x[0]), *args) if scalar else f(x, *(arg[lanes] for arg in args))
+        fx = f(x, *(arg[lanes] for arg in args))
         fx = np.asarray(fx, dtype=float).reshape(-1)
         nan = np.isnan(fx)
         if nan.any():
@@ -122,4 +121,4 @@ def brentq(f, a, b, args=(), xtol=XTOL, maxiter=MAXITER):
         fcur = values(xcur, lanes)
     if lanes.size:
         raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur[0]}.")
-    return float(root[0]) if scalar else root
+    return root

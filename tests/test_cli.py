@@ -231,6 +231,13 @@ def test_counterexample_build(tmp_path):
     assert len(header) == 2 + side["table_size"]
 
 
+def test_counterexample_out_that_is_the_sidecar_path_exits_2(tmp_path):
+    # the sidecar goes to out.with_suffix(".json"), so a .json --out once
+    # overwrote the table with it and exited 0
+    assert run(["counterexample", "build", "--level", "4", "--out", str(tmp_path / "ce.json")]) == 2
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_command(tmp_path, capsys):
     out = tmp_path / "report.json"
     assert run(["verify", "--out", str(out)]) == 0
@@ -563,6 +570,18 @@ def test_set_deterministic_bytes(tmp_path):
     for out in (a, b):
         assert run(["set", "--set", "cantor-product", "--gen", "4", "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_set_streams_its_rows(tmp_path):
+    # 65,536 points: a list of one tuple per point peaked at ~5.8 MiB
+    tracemalloc.start()
+    try:
+        code = run(["set", "--set", "triadic", "--gen", "16", "--out", str(tmp_path / "t.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 3 << 20, peak
 
 
 def test_directions_bounded_before_allocating(tmp_path, monkeypatch):

@@ -22,7 +22,8 @@ codes = [cli.main(argv + ["--out", f"{out}/{name}"]) for name, argv in (
     ("sweep", ["sweep", "--gen", "6", "--directions", "36", "--scales", "2:5"]),
     ("ce.csv", ["counterexample", "build", "--level", "6"]),
 )]
-model, w, x = norms.lp(4.0), np.array([1.0, -2.0]), np.array([[0.3, 1.0], [-2.0, 0.5]])
+model, w = norms.lp(4.0), norms.HyperplaneNormal([1.0, -2.0])
+x = np.array([[0.3, 1.0], [-2.0, 0.5]])
 gap = np.max(np.abs(projections.project_hyperplane_direct(model, w, x)
                     - projections.project_hyperplane(model, w, x)))
 print(codes, float(gap))

@@ -18,7 +18,7 @@ def test_projections_refuse_non_planar_vectors(ce_norm):
                 with pytest.raises(ValueError, match="planar"):
                     fn(model, w, bad)
             with pytest.raises(ValueError, match="planar"):
-                fn(model, [1.0, 2.0, 2.0], [1.0, 1.0])
+                fn(model, HyperplaneNormal([1.0, 2.0, 2.0]), [1.0, 1.0])
 
 
 def test_projector_algebra(rng):
@@ -219,8 +219,14 @@ def test_conjugation_identity_matrix(rng):
 
 
 def test_conjugation_axis_example():
-    got = pj.conjugate_projection(np.diag([1.0, 4.0]), np.array([1.0, 0.0]), np.array([3.0, 5.0]))
+    got = pj.conjugate_projection(np.diag([1.0, 4.0]), np.array([[1.0], [0.0]]), np.array([3.0, 5.0]))
     assert np.allclose(got, [3.0, 0.0], atol=1e-12)
+
+
+def test_conjugation_refuses_a_1d_basis():
+    # a line is one column; a bare vector is not read as one
+    with pytest.raises(np.linalg.LinAlgError):
+        pj.conjugate_projection(np.diag([1.0, 4.0]), np.array([1.0, 0.0]), np.array([3.0, 5.0]))
 
 
 def test_conjugation_vs_direct_minimization(rng):
@@ -249,7 +255,7 @@ def test_conjugation_vs_bounded_oracle(rng):
 
         t_star = minimize_scalar(cost, bounds=(-20.0, 20.0), method="bounded",
                                  options={"xatol": 1e-12}).x
-        got = pj.conjugate_projection(q, v, x)
+        got = pj.conjugate_projection(q, v[:, None], x)
         assert np.max(np.abs(got - t_star * v)) <= 1e-7
 
 

@@ -1,5 +1,5 @@
-"""The numpy brentq against SciPy's, bit for bit: on a scalar bracket and on
-every lane of a stacked call."""
+"""The numpy brentq against SciPy's, bit for bit: on one-lane stacks of a
+scalar function and on every lane of a stacked call."""
 
 import math
 
@@ -8,6 +8,11 @@ import pytest
 from scipy.optimize import brentq as scipy_brentq
 
 from normproj.roots import brentq
+
+
+def _one_lane(f, a, b, **kw):
+    """``brentq`` on the one-lane stack [a, b] of the scalar function ``f``."""
+    return brentq(lambda x: np.array([f(float(x[0]))]), np.array([a]), np.array([b]), **kw)[0]
 
 
 def _outcome(solver, f, a, b, **kw):
@@ -37,7 +42,7 @@ def test_brentq_equals_scipy_on_random_brackets(xtol):
             # brackets of one sign raise in both; a few steps may not converge
             for maxiter in (100, 4):
                 want = _outcome(scipy_brentq, f, a, b, xtol=xtol, maxiter=maxiter)
-                got = _outcome(brentq, f, a, b, xtol=xtol, maxiter=maxiter)
+                got = _outcome(_one_lane, f, a, b, xtol=xtol, maxiter=maxiter)
                 assert got == want, (a, b, maxiter)
 
 
@@ -48,7 +53,7 @@ def test_brentq_equals_scipy_on_a_multiple_root():
 
         want = _outcome(scipy_brentq, f, -2.0, 1.7, xtol=1e-14, maxiter=500)
         assert isinstance(want, str)
-        assert _outcome(brentq, f, -2.0, 1.7, xtol=1e-14, maxiter=500) == want
+        assert _outcome(_one_lane, f, -2.0, 1.7, xtol=1e-14, maxiter=500) == want
 
 
 def test_brentq_raises_what_scipy_raises():
@@ -61,11 +66,11 @@ def test_brentq_raises_what_scipy_raises():
     )
     for args, kw in cases:
         want = _outcome(scipy_brentq, f, *args, **kw)
-        assert isinstance(want, type) and _outcome(brentq, f, *args, **kw) is want, (args, kw)
+        assert isinstance(want, type) and _outcome(_one_lane, f, *args, **kw) is want, (args, kw)
     with pytest.raises(ValueError, match="NaN"):
-        brentq(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0)
+        _one_lane(lambda x: math.nan if x > 0.5 else -1.0, 0.0, 1.0)
     # a root at either end returns that end without iterating
-    assert brentq(f, 0.25, 1.0) == 0.25 and brentq(f, -1.0, 0.25) == 0.25
+    assert _one_lane(f, 0.25, 1.0) == 0.25 and _one_lane(f, -1.0, 0.25) == 0.25
 
 
 # the families above as numpy residuals of (x, c), for stacks of lanes
