@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 parameter/validation error, 1 computation error.
 
 import argparse
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -24,6 +25,7 @@ from . import VERSION_HEADER, __version__, boxdim, cantor, checks, fractals, nor
 from .errors import NormProjError, NotStrictlyConvex, TooLarge
 
 _FLOAT_FMT = "{:.12g}"
+_CSV_CHUNK_ROWS = 8192  # rows formatted per write of _write_csv
 
 # Deepest staircase grid: level 14 writes a 106,490-row table in ~0.5 s at
 # 56 MB peak RSS.  At level 15 the rounded node values of the default
@@ -63,19 +65,24 @@ def _write_json(path, payload):
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _write_csv(path, header, rows, meta=None):
+def _write_csv(path, header, columns, meta=None):
+    """Write equal-length 1-D arrays as the columns of a CSV: floats as
+    ``_FLOAT_FMT`` with -0 written as 0, integers in full.  Rows go out
+    ``_CSV_CHUNK_ROWS`` at a time, one format call and one write a chunk,
+    from Python scalars: numpy scalars format slowly, and one list of a
+    whole cloud would raise the peak memory."""
+    columns = [np.asarray(c) for c in columns]
+    floats = [c.dtype.kind == "f" for c in columns]
+    row = ",".join(_FLOAT_FMT if f else "{}" for f in floats) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(VERSION_HEADER + "\n")
         if meta is not None:
             fh.write("# " + json.dumps(_g(meta), sort_keys=True) + "\n")
         fh.write(header + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    _FLOAT_FMT.format(v + 0.0) if isinstance(v, float) else str(v) for v in row
-                )
-                + "\n"
-            )
+        for i in range(0, len(columns[0]), _CSV_CHUNK_ROWS):
+            chunk = [(c[i:i + _CSV_CHUNK_ROWS] + 0.0 if f else c[i:i + _CSV_CHUNK_ROWS]).tolist()
+                     for c, f in zip(columns, floats)]
+            fh.write((row * len(chunk[0])).format(*itertools.chain.from_iterable(zip(*chunk))))
 
 
 class ValidationError(Exception):
@@ -306,9 +313,8 @@ def _cmd_set(args):
         "base": cloud.base,
         "label": cloud.label,
     }
-    rows = (tuple(float(v) for v in p) for p in cloud.points)
     header = "x" if cloud.dim == 1 else "x,y"
-    _write_csv(args.out, header, rows, meta=meta)
+    _write_csv(args.out, header, cloud.points.T, meta=meta)
     return 0
 
 
@@ -316,8 +322,7 @@ def _cmd_dim(args):
     cloud, scales = _scales_from(args)
     est = boxdim.estimate_dim(cloud, scales)
     out = Path(args.out)
-    _write_csv(out.with_suffix(".csv"), "delta,count",
-               [(float(s), int(c)) for s, c in zip(est.scales, est.counts)])
+    _write_csv(out.with_suffix(".csv"), "delta,count", [est.scales, est.counts])
     _write_json(out.with_suffix(".json"), {
         "label": cloud.label,
         "scales": list(est.scales),
@@ -338,11 +343,8 @@ def _cmd_sweep(args):
     profile = sweep.dim_profile(model, cloud, grid, scales,
                                 threshold=args.threshold)
     out = Path(args.out)
-    rows = [
-        (float(a), float(slope), float(r2), int(flag))
-        for a, slope, r2, flag in zip(grid.angles, profile.slopes, profile.r2, profile.flagged)
-    ]
-    _write_csv(out.with_suffix(".csv"), "angle,slope,r2,flagged", rows)
+    _write_csv(out.with_suffix(".csv"), "angle,slope,r2,flagged",
+               [grid.angles, profile.slopes, profile.r2, profile.flagged.astype(int)])
     _write_json(out.with_suffix(".json"), {
         "mean_slope": float(np.mean(profile.slopes)),
         "flagged_measure": profile.flagged_measure,

@@ -13,6 +13,8 @@ kernel, and the intertwiner of two linear maps with equal kernels realizes
 the change of target plane explicitly.
 """
 
+import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -240,20 +242,27 @@ def project_line_lp(p, v, x):
     return (t[:, None] * v).reshape(x.shape)
 
 
+def normals(rng, *shape):
+    """An array of the given shape of standard normal draws from the
+    ``random.Random`` stream ``rng``, filled in row-major order."""
+    return np.array([rng.gauss(0.0, 1.0) for _ in range(math.prod(shape))]).reshape(shape)
+
+
 def linearity_defect(projector, seed=0x5EED):
     """Worst scale-free additivity violation of a projection map.
 
-    Samples ``LINEARITY_SAMPLES`` triples (x, y, c) and measures |P(x + c y) - P(x) - c P(y)| divided by
+    Samples ``LINEARITY_SAMPLES`` triples (x, y, c) from ``random.Random(seed)``
+    and measures |P(x + c y) - P(x) - c P(y)| divided by
     1 + |x| + |c||y|; a linear map scores ~0, a genuinely nonlinear closest-
     point map scores well above any floating tolerance.  ``projector`` maps
     an (N, 3) stack of points to their images, each row as if alone; the
     three stacks x + c y, x and y go to it as one (3N, 3) stack.
     """
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     x, y = np.empty((LINEARITY_SAMPLES, 3)), np.empty((LINEARITY_SAMPLES, 3))
     c = np.empty(LINEARITY_SAMPLES)
     for i in range(LINEARITY_SAMPLES):
-        x[i], y[i], c[i] = rng.standard_normal(3), rng.standard_normal(3), rng.uniform(-2.0, 2.0)
+        x[i], y[i], c[i] = normals(rng, 3), normals(rng, 3), rng.uniform(-2.0, 2.0)
     lhs, px, py = np.split(projector(np.concatenate([x + c[:, None] * y, x, y])), 3)
     rhs = px + c[:, None] * py
     scale = 1.0 + np.linalg.norm(x, axis=-1) + np.abs(c) * np.linalg.norm(y, axis=-1)

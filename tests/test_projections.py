@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -326,8 +327,9 @@ def test_linearity_defect_stacked_equals_three_calls():
     for p in (2.0, 4.0):
         for seed in (0x5EED, 7):
             project = lambda x: pj.project_line_lp(p, v, x)
-            rng = np.random.default_rng(seed)
-            draws = [(rng.standard_normal(3), rng.standard_normal(3), rng.uniform(-2.0, 2.0))
+            rng = random.Random(seed)
+            draws = [([rng.gauss(0.0, 1.0) for _ in range(3)], [rng.gauss(0.0, 1.0) for _ in range(3)],
+                      rng.uniform(-2.0, 2.0))
                      for _ in range(pj.LINEARITY_SAMPLES)]
             x, y, c = (np.array(col) for col in zip(*draws))
             lhs = project(x + c[:, None] * y)
@@ -335,6 +337,14 @@ def test_linearity_defect_stacked_equals_three_calls():
             scale = 1.0 + np.linalg.norm(x, axis=-1) + np.abs(c) * np.linalg.norm(y, axis=-1)
             expect = float(np.max(np.linalg.norm(lhs - rhs, axis=-1) / scale))
             assert _bits(pj.linearity_defect(project, seed=seed)) == _bits(expect), (p, seed)
+
+
+def test_normals_fill_row_major():
+    rng, replay = random.Random(3), random.Random(3)
+    got = pj.normals(rng, 2, 3)
+    assert got.shape == (2, 3)
+    assert got.ravel().tolist() == [replay.gauss(0.0, 1.0) for _ in range(6)]
+    assert rng.random() == replay.random()  # six draws taken, no more
 
 
 def test_linearity_defect_linear_projector(rng):
