@@ -65,15 +65,15 @@ def _write_json(path, payload):
     Path(path).write_text(text + "\n", encoding="utf-8")
 
 
-def _write_csv(path, header, columns, meta=None):
+def _write_csv(path, header, columns, meta=None, float_fmt=_FLOAT_FMT):
     """Write equal-length 1-D arrays as the columns of a CSV: floats as
-    ``_FLOAT_FMT`` with -0 written as 0, integers in full.  Rows go out
+    ``float_fmt`` with -0 written as 0, integers in full.  Rows go out
     ``_CSV_CHUNK_ROWS`` at a time, one format call and one write a chunk,
     from Python scalars: numpy scalars format slowly, and one list of a
     whole cloud would raise the peak memory."""
     columns = [np.asarray(c) for c in columns]
     floats = [c.dtype.kind == "f" for c in columns]
-    row = ",".join(_FLOAT_FMT if f else "{}" for f in floats) + "\n"
+    row = ",".join(float_fmt if f else "{}" for f in floats) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(VERSION_HEADER + "\n")
         if meta is not None:
@@ -83,6 +83,24 @@ def _write_csv(path, header, columns, meta=None):
             chunk = [(c[i:i + _CSV_CHUNK_ROWS] + 0.0 if f else c[i:i + _CSV_CHUNK_ROWS]).tolist()
                      for c, f in zip(columns, floats)]
             fh.write((row * len(chunk[0])).format(*itertools.chain.from_iterable(zip(*chunk))))
+
+
+def _read_table(path):
+    """The SupportTable of a ``phi,h,dh`` CSV, as ``counterexample build`` writes it."""
+    rows = []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            line = line.strip()
+            if not line or line.startswith("#") or line.startswith("phi"):
+                continue
+            fields = line.split(",")
+            if len(fields) != 3:
+                raise ValueError(f"line {lineno}: expected 3 fields phi,h,dh, got {len(fields)}")
+            rows.append([float(v) for v in fields])
+    if not rows:
+        raise ValueError("no table rows")
+    data = np.asarray(rows, dtype=float)
+    return norms.SupportTable(phi=data[:, 0], h=data[:, 1], dh=data[:, 2])
 
 
 class ValidationError(Exception):
@@ -157,7 +175,7 @@ def _build_norm(args):
         if args.table is None:
             raise ValidationError("support-table norm needs --table")
         try:
-            return norms.from_support_table(norms.SupportTable.from_csv(args.table))
+            return norms.from_support_table(_read_table(args.table))
         except (OSError, ValueError, NotStrictlyConvex) as exc:
             raise ValidationError(f"bad --table {args.table}: {exc}") from exc
     return cantor.build_norm(_staircase_curve(args))   # "counterexample"
@@ -285,7 +303,10 @@ def _cmd_counterexample_build(args):
     curve = _staircase_curve(args)
     K = curve.K
     model = cantor.build_norm(curve)
-    model.support.to_csv(out)
+    table = model.support
+    # round-trip digits, so --table reads back the table's bits (at 12 digits
+    # the spline read back from level 11 on is not convex)
+    _write_csv(out, "phi,h,dh", [table.phi, table.h, table.dh], float_fmt="{!r}")
     lower, upper = cantor.image_measure_bounds(curve, args.level)
     sidecar = {
         "m": K.m,
@@ -296,8 +317,8 @@ def _cmd_counterexample_build(args):
         "theta1": curve.theta1,
         "p2_lower_bound": lower,
         "p2_upper_bound": upper,
-        "table_size": len(model.support.phi),
-        "convexity_slack": model.support.convexity_slack(),
+        "table_size": len(table.phi),
+        "convexity_slack": table.convexity_slack(),
     }
     _write_json(out.with_suffix(".json"), sidecar)
     return 0
@@ -472,11 +493,15 @@ def _apply_config(argv):
 
     Injected flags go immediately after the (sub)command token, so explicit
     flags given on the command line come later and win.  ``--config PATH``
-    and ``--config=PATH`` may go before the subcommand or after it.
+    and ``--config=PATH`` may go before the subcommand or after it, once:
+    a second one is refused before either file is read.
     """
-    idx = next((i for i, a in enumerate(argv) if a.partition("=")[0] == "--config"), None)
-    if idx is None:
+    found = [i for i, a in enumerate(argv) if a.partition("=")[0] == "--config"]
+    if not found:
         return argv
+    if len(found) > 1:
+        raise ValidationError("--config given more than once")
+    idx = found[0]
     _, sep, path = argv[idx].partition("=")
     end = idx + 1
     if not sep:
@@ -504,6 +529,9 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_config(argv)
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2

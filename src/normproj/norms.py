@@ -34,7 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import VERSION_HEADER
 from .errors import NotSmoothHere, NotStrictlyConvex
 
 # No longer solvers here; perfbench/job.py still counts calls to them by
@@ -46,7 +45,6 @@ ANTIPODAL_TABLE_TOL = 1e-10  # h(phi+pi) = h(phi) for stored tables
 _ZERO_COORD_TOL = 1e-12      # "first nonzero coordinate" cutoff
 MIN_GAUSS_GRID = 16          # fewest sweep points of check_gauss_properties
 _TURN_TOL = 1e-9             # |total turn of G - 2*pi| a monotone sweep allows
-_CSV_CHUNK_ROWS = 8192       # table rows formatted per write of SupportTable.to_csv
 _FLOAT_TINY = np.finfo(float).tiny   # smallest normal float
 _SQRT_FLOAT_TINY = np.sqrt(_FLOAT_TINY)   # a length below it sums subnormal squares
 
@@ -307,37 +305,6 @@ class SupportTable:
         if not slack > 0.0:
             raise NotStrictlyConvex(f"table fails h + h'' > 0 (min slack {slack:.3e})")
         self.node_angles()
-
-    # -- persistence -------------------------------------------------------
-
-    def to_csv(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(VERSION_HEADER + "\nphi,h,dh\n")
-            # round-trip digits, so from_csv reads back the table's bits (at 12
-            # digits the spline read back from level 11 on is not convex);
-            # format Python floats a chunk at a time: numpy scalars format
-            # slowly, and one list of the whole table raises the peak memory
-            for i in range(0, len(self.phi), _CSV_CHUNK_ROWS):
-                chunk = slice(i, i + _CSV_CHUNK_ROWS)
-                rows = zip(self.phi[chunk].tolist(), self.h[chunk].tolist(), self.dh[chunk].tolist())
-                fh.write("".join("%r,%r,%r\n" % (p + 0.0, h + 0.0, dh + 0.0) for p, h, dh in rows))
-
-    @classmethod
-    def from_csv(cls, path):
-        rows = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line or line.startswith("#") or line.startswith("phi"):
-                    continue
-                fields = line.split(",")
-                if len(fields) != 3:
-                    raise ValueError(f"line {lineno}: expected 3 fields phi,h,dh, got {len(fields)}")
-                rows.append([float(v) for v in fields])
-        if not rows:
-            raise ValueError("no table rows")
-        data = np.asarray(rows, dtype=float)
-        return cls(phi=data[:, 0], h=data[:, 1], dh=data[:, 2])
 
 
 @dataclass

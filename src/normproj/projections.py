@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import DegenerateSplitting, KernelMismatch
 from . import norms
-from .norms import HyperplaneNormal, canonicalize_direction, unit_vector
-from .roots import brentq
+from .norms import HyperplaneNormal, unit_vector
+from .roots import MAXITER, brentq
 
 # No longer a solver here; perfbench/job.py still counts calls to it by
 # name, and the next change to the benchmark drops it from ``SOLVERS``.
@@ -84,35 +84,20 @@ def project_hyperplane(norm, w, x):
     return projector_from_kernel(w, u).apply(norms._planar(x))
 
 
-def _line_min(models, group, x, direction, lo, hi):
-    """Minimize s -> ||x - s*direction|| on [lo, hi] for each row of ``x``.
+def _convex_min(slope, lo, hi, args, xtol, maxiter=MAXITER):
+    """Minimizers on the brackets [lo, hi] of convex functions of one
+    variable, one per lane, given their nondecreasing ``slope(s, *args)``.
 
-    ``x`` and ``direction`` are (N, 2) stacks with brackets ``lo`` and
-    ``hi`` of length N; row i is measured in the norm ``models[group[i]]``.
-    The objective is convex, so its minimizer is the root of the analytic
-    slope -<grad ||.||, direction>, one stacked root solve for all rows,
-    where each model's gradient is evaluated on its own rows.  The slope is
-    taken as 0 where x - s*direction is the zero vector (the kink at the
-    minimum), and a slope of one sign across the bracket puts the minimizer
-    at the end it points to.
+    A lane whose slope keeps one sign across its bracket takes the end the
+    slope points to; all other lanes go through one stacked root solve of
+    the slope, with the rows of each array in ``args`` for those lanes.
     """
-
-    def slope(s, x, direction, group):
-        y = x - s[:, None] * direction
-        out = np.zeros(len(y))
-        live = np.any(y != 0.0, axis=1)
-        for k, model in enumerate(models):
-            rows = live & (group == k)
-            if rows.any():
-                out[rows] = -np.sum(norms.norm_gradient(model, y[rows]) * direction[rows], axis=-1)
-        return out
-
-    at_lo = slope(lo, x, direction, group) >= 0.0
-    at_hi = slope(hi, x, direction, group) <= 0.0
+    at_lo = slope(lo, *args) >= 0.0
+    at_hi = slope(hi, *args) <= 0.0
     s = np.where(at_lo, lo, hi)
     solve = ~at_lo & ~at_hi
-    s[solve] = brentq(slope, lo[solve], hi[solve],
-                      args=(x[solve], direction[solve], group[solve]), xtol=1e-13)
+    s[solve] = brentq(slope, lo[solve], hi[solve], args=tuple(a[solve] for a in args),
+                      xtol=xtol, maxiter=maxiter)
     return s
 
 
@@ -122,6 +107,10 @@ def project_hyperplanes_direct(problems):
     ``problems`` is a sequence of ``(norm, w, x)``, w a HyperplaneNormal;
     returns the list of their ``project_hyperplane_direct`` images, bit for
     bit, from one stacked line minimization over the rows of every problem.
+    Row i minimizes the convex s -> ||x_i - s*v_i|| in the norm of its own
+    problem, through the analytic slope -<grad ||.||, v_i>, where each
+    problem's gradient is evaluated on its own rows; the slope is taken as 0
+    where x_i - s*v_i is the zero vector (the kink at the minimum).
     """
     shapes, rows, directions, scales, lo, hi = [], [], [], [], [], []
     models = [norm for norm, _, _ in problems]
@@ -144,8 +133,19 @@ def project_hyperplanes_direct(problems):
     sizes = [len(r) for r in rows]
     group = np.repeat(np.arange(len(problems)), sizes)
     direction = np.concatenate(directions)
-    s_star = _line_min(models, group, np.concatenate(rows), direction,
-                       np.concatenate(lo), np.concatenate(hi))
+
+    def slope(s, x, direction, group):
+        y = x - s[:, None] * direction
+        out = np.zeros(len(y))
+        live = np.any(y != 0.0, axis=1)
+        for k, model in enumerate(models):
+            own = live & (group == k)
+            if own.any():
+                out[own] = -np.sum(norms.norm_gradient(model, y[own]) * direction[own], axis=-1)
+        return out
+
+    s_star = _convex_min(slope, np.concatenate(lo), np.concatenate(hi),
+                         (np.concatenate(rows), direction, group), xtol=1e-13)
     images = s_star[:, None] * direction * np.concatenate(scales)
     return [image.reshape(shape)
             for image, shape in zip(np.split(images, np.cumsum(sizes)[:-1]), shapes)]
@@ -170,8 +170,7 @@ def project_hyperplane_direct(norm, w, x):
 
 def associated_g(projector):
     """The hyperplane orthogonal to the projector's kernel, canonicalized."""
-    u = projector.kernel_dir
-    return HyperplaneNormal(canonicalize_direction(u / np.linalg.norm(u)))
+    return HyperplaneNormal(projector.kernel_dir)
 
 
 def angle_family(alpha):
@@ -238,7 +237,7 @@ def project_line_lp(p, v, x):
 
     # for x on the line and p > 2 the root has multiplicity p - 1, where
     # brentq needs up to ~150 steps
-    t = brentq(slope, -bound, bound, args=(rows,), xtol=1e-14, maxiter=500)
+    t = _convex_min(slope, -bound, bound, (rows,), xtol=1e-14, maxiter=500)
     return (t[:, None] * v).reshape(x.shape)
 
 
@@ -259,10 +258,9 @@ def linearity_defect(projector, seed=0x5EED):
     three stacks x + c y, x and y go to it as one (3N, 3) stack.
     """
     rng = random.Random(seed)
-    x, y = np.empty((LINEARITY_SAMPLES, 3)), np.empty((LINEARITY_SAMPLES, 3))
-    c = np.empty(LINEARITY_SAMPLES)
-    for i in range(LINEARITY_SAMPLES):
-        x[i], y[i], c[i] = normals(rng, 3), normals(rng, 3), rng.uniform(-2.0, 2.0)
+    draws = np.array([[rng.gauss(0.0, 1.0) for _ in range(6)] + [rng.uniform(-2.0, 2.0)]
+                      for _ in range(LINEARITY_SAMPLES)])
+    x, y, c = draws[:, 0:3], draws[:, 3:6], draws[:, 6]
     lhs, px, py = np.split(projector(np.concatenate([x + c[:, None] * y, x, y])), 3)
     rhs = px + c[:, None] * py
     scale = 1.0 + np.linalg.norm(x, axis=-1) + np.abs(c) * np.linalg.norm(y, axis=-1)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from normproj import __version__, checks, cli, norms, sweep
+from normproj import VERSION_HEADER, __version__, checks, cli, norms, sweep
 from normproj.errors import NotStrictlyConvex
 
 
@@ -345,6 +345,23 @@ def test_config_value_may_start_with_minus(tmp_path):
     assert by_config.read_bytes() == by_flags.read_bytes()
 
 
+def test_repeated_config_exits_2(tmp_path, capsys):
+    # a second --config before the subcommand overwrote the first in a root
+    # flag nothing read: the run went on with the first file alone, exit 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed=3\n")
+    missing = tmp_path / "no" / "such.cfg"
+    out = tmp_path / "report.json"
+    for argv in ([f"--config={cfg}", "--config", str(missing), "verify"],
+                 ["--config", str(cfg), "verify", "--config", str(cfg)],
+                 ["--config", str(missing), f"--config={missing}", "verify"]):
+        assert run([*argv, "--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        # refused before either file is read
+        assert err == "error: --config given more than once\n", argv
+    assert not out.exists()
+
+
 def test_module_and_console_script_entry_points(tmp_path, monkeypatch):
     # python -m normproj runs __main__.py; the console script calls
     # cli.entrypoint, which exits with main's code
@@ -512,7 +529,8 @@ def test_deepest_admitted_level_builds(m, r, deepest):
 def test_table_refused_by_its_spline_or_its_start_exits_2(tmp_path, wide_segment_table):
     # a table whose spline is not convex, and an ellipse table starting below
     # angle 0: both exit 2 and leave no artifact
-    wide_segment_table.to_csv(tmp_path / "wide.csv")
+    table = wide_segment_table
+    cli._write_csv(tmp_path / "wide.csv", "phi,h,dh", [table.phi, table.h, table.dh], float_fmt="{!r}")
     rows = []
     for k in range(64):
         a = 2.0 * math.pi * k / 64 - 0.01
@@ -536,7 +554,7 @@ def test_level_12_table_loads_back(tmp_path):
                 "--out", str(tmp_path / "info.json")]) == 0
     curve = cli._staircase_curve(argparse.Namespace(m=2, r="1/3", level=12))
     built = cli.cantor.build_norm(curve).support
-    loaded = norms.SupportTable.from_csv(table)
+    loaded = cli._read_table(table)
     for name in ("phi", "h", "dh"):  # equal values: a -0.0 is written as 0.0
         assert np.array_equal(getattr(loaded, name), getattr(built, name)), name
 
@@ -594,6 +612,30 @@ def test_set_rows_equal_per_row_formatting(kind, tmp_path, monkeypatch):
     cloud = cli._build_cloud(cli.build_parser().parse_args(argv))
     rows = [",".join("{:.12g}".format(float(v) + 0.0) for v in p) for p in cloud.points]
     assert (tmp_path / "cloud.csv").read_text().splitlines()[3:] == rows
+
+
+def _per_row_table_csv(table):
+    # the row-at-a-time table writer, with round-trip digits
+    rows = [f"{float(p) + 0.0!r},{float(h) + 0.0!r},{float(dh) + 0.0!r}\n"
+            for p, h, dh in zip(table.phi, table.h, table.dh)]
+    return (VERSION_HEADER + "\nphi,h,dh\n" + "".join(rows)).encode("utf-8")
+
+
+def test_table_rows_equal_per_row_formatting(tmp_path, monkeypatch):
+    # the one CSV writer with round-trip digits, at one chunk for the whole
+    # table and at chunks of 7 rows that split it: a level-8 table written
+    # by counterexample build, and rows with signed zeros and extreme values
+    signed = norms.SupportTable(phi=[-0.0, 0.5, np.pi, 4.0], h=[1.0, -0.0, 1.0 / 3.0, 2.0e-300],
+                                dh=[0.0, -0.0, -1.0e-17, 123456789.123456789])
+    level8 = cli.cantor.build_norm(cli._staircase_curve(argparse.Namespace(m=2, r="1/3", level=8))).support
+    path = tmp_path / "table.csv"
+    for chunk in (8192, 7):
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", chunk)
+        assert run(["counterexample", "build", "--level", "8", "--out", str(path)]) == 0
+        assert path.read_bytes() == _per_row_table_csv(level8), chunk
+        cli._write_csv(path, "phi,h,dh", [signed.phi, signed.h, signed.dh], float_fmt="{!r}")
+        assert path.read_bytes() == _per_row_table_csv(signed), chunk
+    assert b"-0," not in path.read_bytes()
 
 
 def test_csv_columns_format_by_dtype(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 from scipy.interpolate import CubicHermiteSpline
 from scipy.optimize import minimize_scalar
 
-from normproj import VERSION_HEADER, cantor, norms
+from normproj import cantor, cli, norms
 from normproj.errors import NotSmoothHere, NotStrictlyConvex
 from normproj.norms import HyperplaneNormal, SupportTable
 from normproj.roots import brentq
@@ -557,33 +557,13 @@ def test_non_planar_vectors_refused(ce_norm):
 def test_support_table_csv_roundtrip(tmp_path, ce_norm):
     path = tmp_path / "table.csv"
     table = ce_norm.support
-    table.to_csv(path)
-    loaded = SupportTable.from_csv(path)
+    cli._write_csv(path, "phi,h,dh", [table.phi, table.h, table.dh], float_fmt="{!r}")
+    loaded = cli._read_table(path)
     # round-trip digits: the table read back holds the values written, bit
     # for bit but for the sign of a zero
     for name in ("phi", "h", "dh"):
         assert np.array_equal(getattr(loaded, name), getattr(table, name)), name
     loaded.validate()
-
-
-def _per_row_csv(table):
-    # the row-at-a-time writer to_csv replaced, with round-trip digits
-    rows = [f"{float(p) + 0.0!r},{float(h) + 0.0!r},{float(dh) + 0.0!r}\n"
-            for p, h, dh in zip(table.phi, table.h, table.dh)]
-    return (VERSION_HEADER + "\nphi,h,dh\n" + "".join(rows)).encode("utf-8")
-
-
-def test_support_table_csv_bytes_equal_per_row_writer(tmp_path, monkeypatch, triadic_set):
-    level8 = cantor.build_norm(cantor.curve_samples(triadic_set, 8)).support
-    signed = SupportTable(phi=[-0.0, 0.5, np.pi, 4.0], h=[1.0, -0.0, 1.0 / 3.0, 2.0e-300],
-                          dh=[0.0, -0.0, -1.0e-17, 123456789.123456789])
-    path = tmp_path / "table.csv"
-    for chunk in (8192, 7):
-        monkeypatch.setattr(norms, "_CSV_CHUNK_ROWS", chunk)
-        for table in (level8, signed):
-            table.to_csv(path)
-            assert path.read_bytes() == _per_row_csv(table)
-    assert b"-0," not in path.read_bytes()
 
 
 def test_support_table_corner_not_smooth():
@@ -737,6 +717,7 @@ def test_node_points_equal_boundary_points_at_the_nodes(ce_norm, curve12, tmp_pa
     # the kernel frame reads the node boundary points from the table's h and
     # h'; at its own knots the spline returns exactly those
     read_back = tmp_path / "table.csv"
-    ce_norm.support.to_csv(read_back)
-    for table in (ce_norm.support, cantor.build_norm(curve12).support, SupportTable.from_csv(read_back)):
+    support = ce_norm.support
+    cli._write_csv(read_back, "phi,h,dh", [support.phi, support.h, support.dh], float_fmt="{!r}")
+    for table in (support, cantor.build_norm(curve12).support, cli._read_table(read_back)):
         assert table.node_points().tobytes() == table.boundary_point(table.phi).tobytes()
